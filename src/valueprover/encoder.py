@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .env import Obligation
+from .env import CACHE_SIZE, Obligation
 
 __all__ = [
     "Encoding",
@@ -53,7 +53,7 @@ def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
     return (value >> 1) % dim, sign
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_SIZE)
 def _hashed_vector(canonical: str, dim: int, salt: int) -> tuple[float, ...]:
     tokens = tokenize_obligation(canonical)
     grams = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]

@@ -10,7 +10,7 @@ All operations are pure functions of immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .terms import (
@@ -42,6 +42,7 @@ __all__ = [
     "TEMPLATES",
     "TEMPLATE_INDEX",
     "ARG_TEMPLATES",
+    "CACHE_SIZE",
     "format_obligation",
     "parse_obligation",
     "parse_tactic",
@@ -58,6 +59,10 @@ __all__ = [
 TEMPLATES = ("intros", "induction", "simpl", "rewrite", "f_equal", "reflexivity")
 TEMPLATE_INDEX = {name: i for i, name in enumerate(TEMPLATES)}
 ARG_TEMPLATES = frozenset({"induction", "rewrite"})
+
+# Entry limit of every cache the package keeps for the life of a process or
+# a training run.
+CACHE_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,16 @@ class Obligation:
     context: tuple[ContextVar | Hypothesis, ...]
     goal_lhs: Term
     goal_rhs: Term
+    # format_obligation(self), filled in by the first canonical() call; left
+    # out of equality, hashing and repr, which stay structural.
+    _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def canonical(self) -> str:
-        return format_obligation(self)
+        text = self._canonical
+        if text is None:
+            text = format_obligation(self)
+            object.__setattr__(self, "_canonical", text)
+        return text
 
     def context_vars(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.context if isinstance(e, ContextVar))
@@ -390,7 +402,7 @@ def _apply_reflexivity(ob: Obligation) -> tuple[Obligation, ...]:
     return ()
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_SIZE)
 def apply_tactic(ob: Obligation, tactic: Tactic) -> tuple[Obligation, ...]:
     """Apply one tactic to one obligation.
 

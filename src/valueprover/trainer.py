@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass, field
 
 from .corpus import CorpusSplit
 from .encoder import hashed_encoder
-from .env import Hyperstate, Obligation, ProofScript, TacticError, apply_tactic
+from .env import Hyperstate, Obligation, ProofScript, apply_tactic
 from .oracle import reproducible_under_predictor
-from .predictor import Predictor, predict_top_n, predictor_from_dict, predictor_to_dict
+from .predictor import Predictor, predictor_from_dict, predictor_to_dict
+from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import ValueScorer
 from .value_model import (
     NegativeBuffer,
@@ -36,6 +37,8 @@ from .value_model import (
     TrueTargetBuffer,
     ValueModel,
     bellman_target,
+    cache_put,
+    predicted_actions,
     pretrain,
     value_model_from_dict,
     value_model_to_dict,
@@ -56,6 +59,13 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+
+# Failures of one task after which the distributed runner drops it instead
+# of respawning an actor at it again.
+MAX_TASK_FAILURES = 3
+
+# Seconds to wait for each actor thread once every actor has reported.
+ACTOR_JOIN_TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -223,13 +233,7 @@ def run_episode(
 
     while not state.is_empty and steps_done < config.episode_budget:
         source = state.first
-        options = []
-        for prediction in predict_top_n(predictor, source, config.width):
-            try:
-                result = apply_tactic(source, prediction.tactic)
-            except TacticError:
-                continue
-            options.append((prediction.tactic, result))
+        options = [(tactic, result) for tactic, _, result in predicted_actions(predictor, source, config.width)]
         if not options:
             transitions.append(Transition(source, None, (), dead_end=True))
             break
@@ -257,7 +261,11 @@ def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
 
 
 class _Learner:
-    """Owns the model parameters and all three buffers."""
+    """Owns the model parameters and all three buffers.
+
+    The predictor is frozen during RL, so each obligation's applicable
+    actions are computed once per run and kept in a bounded memo.
+    """
 
     def __init__(self, model: ValueModel, predictor: Predictor, config: TrainerConfig):
         self.model = model
@@ -269,6 +277,17 @@ class _Learner:
         self.rng = random.Random(config.seed + 1)
         self.updates = 0
         self.losses: list[float] = []
+        self._actions: dict[str, tuple[tuple[Obligation, ...], ...]] = {}
+
+    def actions(self, ob: Obligation) -> tuple[tuple[Obligation, ...], ...]:
+        """The child tuples of ob's applicable top-n actions, memoized."""
+        key = ob.canonical()
+        actions = self._actions.get(key)
+        if actions is None:
+            predicted = predicted_actions(self.predictor, ob, self.config.width)
+            actions = tuple(children for _, _, children in predicted)
+            cache_put(self._actions, key, actions)
+        return actions
 
     def ingest(self, transitions: list[Transition], discharged: list[tuple[Obligation, int]]) -> None:
         for transition in transitions:
@@ -290,7 +309,7 @@ class _Learner:
         if len(self.negatives) == 0:
             replay_want += n_negative
         for transition in self.replay.sample(replay_want, self.rng):
-            target = bellman_target(self.model, transition.source, self.predictor, cfg.width)
+            target = bellman_target(self.model, self.actions(transition.source))
             batch.append((transition.source, target))
         for obligation, length in self.true_targets.sample(n_true if len(self.true_targets) else 0, self.rng):
             batch.append((obligation, self.model.gamma**length))
@@ -469,7 +488,12 @@ def distributed_run(
 ) -> tuple[ValueModel, TrainingReport]:
     """Actor/learner training: one learner owns the model and buffers; actor
     threads run episodes on disjoint task partitions with parameter
-    snapshots published every sync_interval updates."""
+    snapshots published every sync_interval updates.
+
+    A failed actor is respawned at the task it failed on; a task that fails
+    MAX_TASK_FAILURES times is dropped. Failures, drops and actors still
+    running at shutdown are listed in buffer_sizes["actor_failures"].
+    """
     if config.actor_count < 2:
         raise ValueError("distributed_run requires at least 2 actors")
     tasks, model, pretrain_losses = _prepare(split, predictor, config, tasks)
@@ -491,6 +515,7 @@ def distributed_run(
     snapshot_queues: list[queue.Queue] = []
     threads: list[threading.Thread] = []
     failures: list[str] = []
+    task_failures: dict[TrainingTask, int] = {}
 
     def spawn(actor_id: int, partition: list[TrainingTask]) -> None:
         snapshots: queue.Queue = queue.Queue()
@@ -508,6 +533,7 @@ def distributed_run(
                 encoder,
                 episode_runner,
             ),
+            name=f"actor {actor_id}",
             daemon=True,
         )
         threads.append(thread)
@@ -529,6 +555,14 @@ def distributed_run(
             live -= 1
             remaining = extra
             if remaining:
+                failed_task = remaining[0]
+                task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
+                if task_failures[failed_task] >= MAX_TASK_FAILURES:
+                    failures.append(
+                        f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
+                    )
+                    remaining = remaining[1:]
+            if remaining:
                 spawn(next_actor_id, remaining)
                 next_actor_id += 1
                 live += 1
@@ -545,7 +579,9 @@ def distributed_run(
                     snapshots.put(params)
                 updates_since_sync = 0
     for thread in threads:
-        thread.join(timeout=60)
+        thread.join(timeout=ACTOR_JOIN_TIMEOUT_S)
+        if thread.is_alive():
+            failures.append(f"{thread.name}: still running {ACTOR_JOIN_TIMEOUT_S} s after its last report")
     validation = tasks[: config.validation_tasks]
     report.validation_success.append(_validation_success(model, predictor, validation, config))
     report.updates = learner.updates

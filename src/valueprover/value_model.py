@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .env import Hyperstate, Obligation, Tactic, TacticError, apply_tactic
+from .env import CACHE_SIZE, Hyperstate, Obligation, Tactic, TacticError, apply_tactic
 from .predictor import Predictor, predict_top_n
 
 __all__ = [
@@ -33,7 +33,8 @@ __all__ = [
     "NegativeBuffer",
     "product_value",
     "steps_estimate",
-    "hyperstate_steps",
+    "cache_put",
+    "predicted_actions",
     "bellman_backup",
     "bellman_target",
     "pretrain",
@@ -65,6 +66,14 @@ def steps_estimate(value: float, gamma: float) -> float:
     if value > 1.0:
         raise ValueError("value must not exceed 1")
     return math.log(value) / math.log(gamma)
+
+
+def cache_put(cache: dict, key, value) -> None:
+    """Store into a dict cache holding at most CACHE_SIZE entries, evicting
+    the oldest entry when it is full."""
+    if len(cache) >= CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 class ValueModel:
@@ -103,7 +112,7 @@ class ValueModel:
         vec = self._encoding_cache.get(key)
         if vec is None:
             vec = self.encoder(ob)
-            self._encoding_cache[key] = vec
+            cache_put(self._encoding_cache, key, vec)
         return vec
 
     def _forward(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +127,7 @@ class ValueModel:
             return cached
         _, out = self._forward(self.encode(ob)[None, :])
         value = float(out[0])
-        self._value_cache[key] = value
+        cache_put(self._value_cache, key, value)
         return value
 
     def hyperstate_value(self, h: Hyperstate) -> float:
@@ -174,41 +183,46 @@ class ValueModel:
         self._value_cache.clear()
 
 
-def hyperstate_steps(model: ValueModel, h: Hyperstate) -> float:
-    return model.hyperstate_steps(h)
-
-
 # ---------------------------------------------------------------------------
 # Update targets
 # ---------------------------------------------------------------------------
 
 
-def bellman_backup(
-    ob: Obligation,
-    value_of: Callable[[Obligation], float],
-    predictor: Predictor,
-    n: int,
-    gamma: float,
-) -> float:
-    """max over applicable top-n actions of gamma * prod(child values).
-
-    A discharging action contributes exactly gamma (empty product); when
-    every prediction errors the obligation is a dead end and the target is 0.
-    """
-    best = None
+def predicted_actions(
+    predictor: Predictor, ob: Obligation, n: int
+) -> list[tuple[Tactic, float, tuple[Obligation, ...]]]:
+    """(tactic, probability, children) for each of the predictor's top-n
+    predictions that applies to ob, in prediction order; predictions that
+    raise TacticError are dropped."""
+    actions = []
     for prediction in predict_top_n(predictor, ob, n):
         try:
             children = apply_tactic(ob, prediction.tactic)
         except TacticError:
             continue
+        actions.append((prediction.tactic, prediction.probability, children))
+    return actions
+
+
+def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float) -> float:
+    """max over actions of gamma * prod(child values); each action is given
+    by its children, which value_of maps to values.
+
+    A discharging action contributes exactly gamma (empty product); with no
+    applicable action the obligation is a dead end and the target is 0.
+    """
+    best = 0.0
+    for children in actions:
         candidate = gamma * product_value(value_of(child) for child in children)
-        if best is None or candidate > best:
+        if candidate > best:
             best = candidate
-    return 0.0 if best is None else best
+    return best
 
 
-def bellman_target(model: ValueModel, ob: Obligation, predictor: Predictor, n: int) -> float:
-    return bellman_backup(ob, model.v_value, predictor, n, model.gamma)
+def bellman_target(model: ValueModel, actions: Iterable[tuple[Obligation, ...]]) -> float:
+    """The update target of an obligation whose applicable actions produce
+    the given child tuples, under the model's current values."""
+    return bellman_backup(actions, model.v_value, model.gamma)
 
 
 def pretrain(
@@ -358,11 +372,7 @@ def explore_obligation_graph(
         if key in graph:
             continue
         actions: list[list[str]] = []
-        for prediction in predict_top_n(predictor, ob, n):
-            try:
-                children = apply_tactic(ob, prediction.tactic)
-            except TacticError:
-                continue
+        for _, _, children in predicted_actions(predictor, ob, n):
             actions.append([child.canonical() for child in children])
             for child in children:
                 if child.canonical() not in graph:
@@ -389,11 +399,7 @@ def tabular_value_iteration(
     for _ in range(max_iterations):
         delta = 0.0
         for key, (_, actions) in graph.items():
-            best = 0.0
-            for child_keys in actions:
-                candidate = gamma * product_value(values[c] for c in child_keys)
-                if candidate > best:
-                    best = candidate
+            best = bellman_backup(actions, values.__getitem__, gamma)
             delta = max(delta, abs(best - values[key]))
             values[key] = best
         if delta <= tolerance:

@@ -2,7 +2,7 @@ import pytest
 
 from valueprover.cli import _training_pairs
 from valueprover.corpus import generate_corpus, split_corpus
-from valueprover.env import Theorem, parse_obligation, parse_script
+from valueprover.env import Hyperstate, Theorem, parse_obligation, parse_script, step_hyperstate
 from valueprover.predictor import train_predictor
 
 
@@ -20,6 +20,18 @@ def small_split(small_corpus):
 @pytest.fixture(scope="session")
 def trained_predictor(small_split):
     return train_predictor(_training_pairs(small_split.train), epochs=250, learning_rate=0.5, seed=0)
+
+
+@pytest.fixture(scope="session")
+def replay_obligations(small_corpus):
+    """Every obligation open at some step of a small_corpus proof replay."""
+    out = []
+    for entry in small_corpus:
+        state = Hyperstate((entry.theorem.statement,))
+        for tactic in entry.proof.steps:
+            out.extend(state.obligations)
+            state = step_hyperstate(state, tactic)
+    return tuple(out)
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from valueprover.env import (
     ContextVar,
@@ -39,6 +39,18 @@ def test_obligation_round_trip():
     ]
     for text in texts:
         assert format_obligation(parse_obligation(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_canonical_text_keeps_obligations_structural(replay_obligations, data):
+    original = data.draw(st.sampled_from(replay_obligations))
+    text = original.canonical()
+    fresh = Obligation(original.binders, original.context, original.goal_lhs, original.goal_rhs)
+    assert original == fresh and hash(original) == hash(fresh) and repr(original) == repr(fresh)
+    assert parse_obligation(text) == original
+    assert original.canonical() is text
+    assert fresh.canonical() == text == format_obligation(fresh)
 
 
 def test_obligation_scoping_validated():

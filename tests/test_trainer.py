@@ -1,19 +1,26 @@
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from valueprover import trainer as trainer_module
 from valueprover.corpus import CorpusEntry, CorpusSplit
 from valueprover.encoder import hashed_encoder
 from valueprover.env import (
     Hyperstate,
     TEMPLATE_INDEX,
+    TacticError,
     Theorem,
+    apply_tactic,
     parse_obligation,
     parse_script,
 )
 from valueprover.predictor import predict_top_n
 from valueprover.trainer import (
+    MAX_TASK_FAILURES,
     TrainerConfig,
     TrainingTask,
     demonstration_schedule,
@@ -24,7 +31,7 @@ from valueprover.trainer import (
     train,
     distributed_run,
 )
-from valueprover.value_model import ValueModel
+from valueprover.value_model import ValueModel, bellman_target, product_value
 
 
 class RankedPredictor:
@@ -283,6 +290,96 @@ def test_distributed_redistributes_failed_partition():
     failures = report.buffer_sizes.get("actor_failures", [])
     assert len(failures) == 1 and "actor crash" in failures[0]
     assert report.episodes > 0
+
+
+def test_distributed_drops_a_task_that_always_fails():
+    split = _tiny_split()
+    config = _fast_config(actor_count=2)
+    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)
+    poisoned = tasks[0]
+
+    def failing_runner(task, model, predictor, config, prefix, rng, epsilon):
+        if task == poisoned:
+            raise RuntimeError("poisoned task")
+        return run_episode(task, model, predictor, config, prefix, rng, epsilon)
+
+    result = {}
+
+    def run():
+        result["report"] = distributed_run(split, NO_F_EQUAL, config, episode_runner=failing_runner)[1]
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "distributed_run kept respawning the failing task"
+    report = result["report"]
+    failures = report.buffer_sizes["actor_failures"]
+    assert sum("poisoned task" in f for f in failures) == MAX_TASK_FAILURES
+    assert [f for f in failures if f.startswith("dropped task")] == [
+        f"dropped task {poisoned.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
+    ]
+    assert report.episodes == sum(t.demo_length for t in tasks if t != poisoned) * config.episodes_per_prefix
+
+
+def test_distributed_reports_actor_alive_after_join(monkeypatch):
+    actor_loop = trainer_module._actor_loop
+
+    def lingering_actor_loop(*args):
+        actor_loop(*args)
+        time.sleep(0.5)
+
+    monkeypatch.setattr(trainer_module, "_actor_loop", lingering_actor_loop)
+    monkeypatch.setattr(trainer_module, "ACTOR_JOIN_TIMEOUT_S", 0.01)
+    _, report = distributed_run(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))
+    failures = report.buffer_sizes["actor_failures"]
+    assert len(failures) == 2 and all("still running" in f for f in failures)
+
+
+def _reference_target(model, ob, predictor, n):
+    """The update target recomputed from the predictor on every call."""
+    best = None
+    for prediction in predict_top_n(predictor, ob, n):
+        try:
+            children = apply_tactic(ob, prediction.tactic)
+        except TacticError:
+            continue
+        candidate = model.gamma * product_value(model.v_value(child) for child in children)
+        if best is None or candidate > best:
+            best = candidate
+    return 0.0 if best is None else best
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_learner_memoized_target_matches_reference(replay_obligations, trained_predictor, data):
+    from valueprover.trainer import _Learner
+
+    config = TrainerConfig(seed=0)
+    learner = _Learner(_model(), trained_predictor, config)
+    obligations = data.draw(st.lists(st.sampled_from(replay_obligations), min_size=1, max_size=8))
+    for _ in range(2):
+        for ob in obligations + obligations:
+            expected = _reference_target(learner.model, ob, trained_predictor, config.width)
+            assert bellman_target(learner.model, learner.actions(ob)) == expected
+        learner.model.update_batch([(ob, 0.5) for ob in obligations], 0.5)
+    assert len(learner._actions) == len({ob.canonical() for ob in obligations})
+
+
+def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, trained_predictor):
+    config = _fast_config(updates_per_episode=4, max_drop_length=6)
+    memo_model, memo_report = train(small_split, trained_predictor, config)
+    # route every learner target through the reference computation
+    monkeypatch.setattr(trainer_module._Learner, "actions", lambda self, ob: ob)
+    monkeypatch.setattr(
+        trainer_module,
+        "bellman_target",
+        lambda model, ob: _reference_target(model, ob, trained_predictor, config.width),
+    )
+    reference_model, reference_report = train(small_split, trained_predictor, config)
+    assert memo_report.updates > 0
+    assert memo_report.update_losses == reference_report.update_losses
+    assert np.array_equal(memo_model.get_flat_params(), reference_model.get_flat_params())
+    assert memo_report.buffer_sizes == reference_report.buffer_sizes
 
 
 def test_train_dispatches_to_distributed():

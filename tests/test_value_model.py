@@ -6,6 +6,7 @@ import pytest
 
 from valueprover.encoder import hashed_encoder
 from valueprover.env import Hyperstate, Tactic, parse_obligation
+from valueprover import value_model as value_model_module
 from valueprover.predictor import predict_top_n
 from valueprover.value_model import (
     NegativeBuffer,
@@ -17,6 +18,7 @@ from valueprover.value_model import (
     bellman_backup,
     bellman_target,
     explore_obligation_graph,
+    predicted_actions,
     pretrain,
     product_value,
     steps_estimate,
@@ -95,9 +97,13 @@ def test_log_product_duality(model, small_corpus):
         assert math.isclose(steps_estimate(value, model.gamma), per_ob, abs_tol=1e-9)
 
 
+def _target(model, state, predictor, n):
+    return bellman_target(model, [children for _, _, children in predicted_actions(predictor, state, n)])
+
+
 def test_bellman_target_discharge_is_gamma(model, trained_predictor):
     closable = ob("|- Zero = Zero")
-    target = bellman_target(model, closable, trained_predictor, 5)
+    target = _target(model, closable, trained_predictor, 5)
     # reflexivity produces no obligations: empty product, so exactly gamma
     # unless some sibling action scores higher
     assert target >= 0.9 - 1e-12
@@ -120,13 +126,24 @@ def _applicable(state, predictor, n):
     return out
 
 
+def test_predicted_actions_match_reference_loop(trained_predictor, replay_obligations):
+    for state in replay_obligations:
+        for n in (1, 3, 6):
+            actions = predicted_actions(trained_predictor, state, n)
+            assert [(tactic, children) for tactic, _, children in actions] == _applicable(
+                state, trained_predictor, n
+            )
+            probabilities = {p.tactic: p.probability for p in predict_top_n(trained_predictor, state, n)}
+            assert all(probability == probabilities[tactic] for tactic, probability, _ in actions)
+
+
 def test_bellman_target_dead_end_is_zero(model, trained_predictor):
     dead = ob(
         "n', IH_n : Succ(Plus(Var(n'),Succ(Zero))) = Succ(Succ(Plus(Var(n'),Zero))) |- "
         "Plus(Var(n'),Succ(Zero)) = Succ(Plus(Var(n'),Zero))"
     )
     assert _applicable(dead, trained_predictor, 6) == []
-    assert bellman_target(model, dead, trained_predictor, 6) == 0.0
+    assert _target(model, dead, trained_predictor, 6) == 0.0
 
 
 def test_bellman_targets_never_exceed_gamma(model, trained_predictor, small_corpus):
@@ -140,7 +157,7 @@ def test_bellman_targets_never_exceed_gamma(model, trained_predictor, small_corp
             if obligation.canonical() in seen:
                 continue
             seen.add(obligation.canonical())
-            target = bellman_target(model, obligation, trained_predictor, 5)
+            target = _target(model, obligation, trained_predictor, 5)
             assert 0.0 <= target <= model.gamma
 
 
@@ -158,8 +175,23 @@ def test_bellman_backup_formula_with_table():
             probs[1] = 1.0  # induction
             return probs
 
-    target = bellman_backup(state, lambda o: table[o.canonical()], OneAction(), 1, 0.9)
+    actions = [children for _, _, children in predicted_actions(OneAction(), state, 1)]
+    assert actions == [(base, step)]
+    target = bellman_backup(actions, lambda o: table[o.canonical()], 0.9)
     assert target == pytest.approx(0.9 * 0.531441, abs=1e-12)
+    assert bellman_backup([], lambda o: table[o.canonical()], 0.9) == 0.0
+
+
+def test_model_caches_are_bounded(monkeypatch, model, replay_obligations):
+    monkeypatch.setattr(value_model_module, "CACHE_SIZE", 8)
+    distinct = list({state.canonical(): state for state in replay_obligations}.values())
+    assert len(distinct) > 8
+    fresh = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    for state in distinct + distinct[:3]:
+        assert np.array_equal(model.encode(state), fresh.encoder(state))
+        assert model.v_value(state) == fresh.v_value(state)
+        assert len(model._encoding_cache) <= 8 and len(model._value_cache) <= 8
+    assert len(model._encoding_cache) == 8
 
 
 def test_update_batch_edges(model):
