@@ -38,6 +38,7 @@ from .corpus import CorpusEntry, CorpusSplit, generate_corpus, load_corpus, save
 from .predictor import Predictor, TacticPrediction, featurize, predict_top_n, train_predictor
 from .encoder import Encoding, encode_auto, encode_hashed, train_autoencoder
 from .value_model import (
+    ActionCache,
     NegativeBuffer,
     ReplayBuffer,
     Transition,

@@ -19,6 +19,7 @@ from .terms import (
     Term,
     TermSyntaxError,
     Var,
+    _expect,
     format_term,
     is_identifier,
     normalize,
@@ -237,12 +238,6 @@ def _parse_ident(text: str, pos: int) -> tuple[str, int]:
     if not is_identifier(name):
         raise TermSyntaxError("expected an identifier", pos)
     return name, end
-
-
-def _expect(text: str, pos: int, token: str) -> int:
-    if not text.startswith(token, pos):
-        raise TermSyntaxError(f"expected {token!r}", pos)
-    return pos + len(token)
 
 
 def parse_obligation(text: str) -> Obligation:

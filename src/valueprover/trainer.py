@@ -31,14 +31,13 @@ from .predictor import Predictor, predictor_from_dict, predictor_to_dict
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import ValueScorer
 from .value_model import (
+    ActionCache,
     NegativeBuffer,
     ReplayBuffer,
     Transition,
     TrueTargetBuffer,
     ValueModel,
     bellman_target,
-    cache_put,
-    predicted_actions,
     pretrain,
     value_model_from_dict,
     value_model_to_dict,
@@ -194,14 +193,15 @@ def demonstration_schedule(task: TrainingTask) -> list[int]:
 def run_episode(
     task: TrainingTask,
     model: ValueModel,
-    predictor: Predictor,
+    actions: ActionCache,
     config: TrainerConfig,
     demo_prefix_length: int,
     rng: random.Random,
     epsilon: float,
 ) -> tuple[list[Transition], list[tuple[Obligation, int]]]:
     """One episode on the task: replay the demonstration prefix, then act
-    epsilon-greedily among the non-erroring top-n tactics.
+    epsilon-greedily among the non-erroring top-n tactics, taken from the
+    action cache.
 
     Returns the transitions (dead ends flagged) and every obligation the
     episode fully discharged, with the number of tactics its discharge took.
@@ -233,7 +233,7 @@ def run_episode(
 
     while not state.is_empty and steps_done < config.episode_budget:
         source = state.first
-        options = [(tactic, result) for tactic, _, result in predicted_actions(predictor, source, config.width)]
+        options = [(tactic, result) for tactic, _, result in actions(source)]
         if not options:
             transitions.append(Transition(source, None, (), dead_end=True))
             break
@@ -261,15 +261,16 @@ def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
 
 
 class _Learner:
-    """Owns the model parameters and all three buffers.
+    """Owns the model parameters, all three buffers and an action cache.
 
     The predictor is frozen during RL, so each obligation's applicable
-    actions are computed once per run and kept in a bounded memo.
+    actions are computed once per run; single-actor episodes share the
+    learner's cache.
     """
 
     def __init__(self, model: ValueModel, predictor: Predictor, config: TrainerConfig):
         self.model = model
-        self.predictor = predictor
+        self.actions = ActionCache(predictor, config.width)
         self.config = config
         self.replay = ReplayBuffer(config.replay_capacity)
         self.true_targets = TrueTargetBuffer()
@@ -277,17 +278,6 @@ class _Learner:
         self.rng = random.Random(config.seed + 1)
         self.updates = 0
         self.losses: list[float] = []
-        self._actions: dict[str, tuple[tuple[Obligation, ...], ...]] = {}
-
-    def actions(self, ob: Obligation) -> tuple[tuple[Obligation, ...], ...]:
-        """The child tuples of ob's applicable top-n actions, memoized."""
-        key = ob.canonical()
-        actions = self._actions.get(key)
-        if actions is None:
-            predicted = predicted_actions(self.predictor, ob, self.config.width)
-            actions = tuple(children for _, _, children in predicted)
-            cache_put(self._actions, key, actions)
-        return actions
 
     def ingest(self, transitions: list[Transition], discharged: list[tuple[Obligation, int]]) -> None:
         for transition in transitions:
@@ -302,15 +292,16 @@ class _Learner:
         n_replay = round(cfg.batch_size * cfg.replay_fraction)
         n_true = round(cfg.batch_size * cfg.true_fraction)
         n_negative = cfg.batch_size - n_replay - n_true
-        batch: list[tuple[Obligation, float]] = []
         replay_want = n_replay
         if len(self.true_targets) == 0:
             replay_want += n_true
         if len(self.negatives) == 0:
             replay_want += n_negative
-        for transition in self.replay.sample(replay_want, self.rng):
-            target = bellman_target(self.model, self.actions(transition.source))
-            batch.append((transition.source, target))
+        sources = [transition.source for transition in self.replay.sample(replay_want, self.rng)]
+        targets = bellman_target(
+            self.model, [[children for _, _, children in self.actions(source)] for source in sources]
+        )
+        batch = list(zip(sources, targets))
         for obligation, length in self.true_targets.sample(n_true if len(self.true_targets) else 0, self.rng):
             batch.append((obligation, self.model.gamma**length))
         for obligation in self.negatives.sample(n_negative if len(self.negatives) else 0, self.rng):
@@ -383,7 +374,6 @@ def _prepare(split, predictor, config, tasks):
         [(task.obligation, task.demo_length) for task in tasks],
         epochs=config.pretrain_epochs,
         learning_rate=config.pretrain_learning_rate,
-        seed=config.seed,
     )
     return tasks, model, pretrain_losses
 
@@ -413,7 +403,7 @@ def _train_single(split, predictor, config, tasks=None) -> tuple[ValueModel, Tra
                 for _ in range(config.episodes_per_prefix):
                     epsilon = _epsilon_at(episode_index, total_episodes, config)
                     transitions, discharged = run_episode(
-                        task, model, predictor, config, prefix, episode_rng, epsilon
+                        task, model, learner.actions, config, prefix, episode_rng, epsilon
                     )
                     learner.ingest(transitions, discharged)
                     for _ in range(config.updates_per_episode):
@@ -445,9 +435,11 @@ def _actor_loop(
     episode_runner,
 ) -> None:
     """Runs every episode of its partition against a local model built from
-    the latest published snapshot; never touches shared state."""
+    the latest published snapshot and its own action cache; never touches
+    shared state."""
     local = ValueModel(encoder, config.encoder_dim, config.gamma, config.hidden_dim, seed=config.seed)
     local.set_flat_params(initial_params)
+    actions = ActionCache(predictor, config.width)
     rng = random.Random(config.seed + 100 + actor_id)
     total = config.rl_epochs * sum(
         len(demonstration_schedule(task)) * config.episodes_per_prefix for task in tasks
@@ -470,7 +462,7 @@ def _actor_loop(
                             local.set_flat_params(latest)
                         epsilon = _epsilon_at(index, total, config)
                         transitions, discharged = episode_runner(
-                            task, local, predictor, config, prefix, rng, epsilon
+                            task, local, actions, config, prefix, rng, epsilon
                         )
                         out_queue.put(("episode", actor_id, transitions, discharged))
                         index += 1
@@ -492,7 +484,8 @@ def distributed_run(
 
     A failed actor is respawned at the task it failed on; a task that fails
     MAX_TASK_FAILURES times is dropped. Failures, drops and actors still
-    running at shutdown are listed in buffer_sizes["actor_failures"].
+    running at shutdown are listed in buffer_sizes["actor_failures"]. Raises
+    RuntimeError, listing the dropped tasks, when every task was dropped.
     """
     if config.actor_count < 2:
         raise ValueError("distributed_run requires at least 2 actors")
@@ -516,6 +509,7 @@ def distributed_run(
     threads: list[threading.Thread] = []
     failures: list[str] = []
     task_failures: dict[TrainingTask, int] = {}
+    dropped: list[TrainingTask] = []
 
     def spawn(actor_id: int, partition: list[TrainingTask]) -> None:
         snapshots: queue.Queue = queue.Queue()
@@ -561,6 +555,7 @@ def distributed_run(
                     failures.append(
                         f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
                     )
+                    dropped.append(failed_task)
                     remaining = remaining[1:]
             if remaining:
                 spawn(next_actor_id, remaining)
@@ -582,6 +577,11 @@ def distributed_run(
         thread.join(timeout=ACTOR_JOIN_TIMEOUT_S)
         if thread.is_alive():
             failures.append(f"{thread.name}: still running {ACTOR_JOIN_TIMEOUT_S} s after its last report")
+    if len(dropped) == len(tasks):
+        raise RuntimeError(
+            f"every training task was dropped after {MAX_TASK_FAILURES} actor failures: "
+            + "; ".join(task.obligation.canonical() for task in dropped)
+        )
     validation = tasks[: config.validation_tasks]
     report.validation_success.append(_validation_success(model, predictor, validation, config))
     report.updates = learner.updates

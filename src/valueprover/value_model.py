@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "steps_estimate",
     "cache_put",
     "predicted_actions",
+    "ActionCache",
     "bellman_backup",
     "bellman_target",
     "pretrain",
@@ -133,9 +134,6 @@ class ValueModel:
     def hyperstate_value(self, h: Hyperstate) -> float:
         return product_value(self.v_value(ob) for ob in h.obligations)
 
-    def hyperstate_steps(self, h: Hyperstate) -> float:
-        return sum(steps_estimate(self.v_value(ob), self.gamma) for ob in h.obligations)
-
     # -- learning -----------------------------------------------------------
 
     def loss_and_grads(self, inputs: np.ndarray, targets: np.ndarray):
@@ -204,6 +202,27 @@ def predicted_actions(
     return actions
 
 
+class ActionCache:
+    """predicted_actions(predictor, ob, n) for each obligation, computed once
+    per canonical text and kept for the life of the cache (at most
+    CACHE_SIZE obligations). The predictor must stay frozen while the cache
+    is in use. Not thread-safe: each thread builds its own cache.
+    """
+
+    def __init__(self, predictor: Predictor, n: int):
+        self.predictor = predictor
+        self.n = n
+        self._actions: dict[str, tuple[tuple[Tactic, float, tuple[Obligation, ...]], ...]] = {}
+
+    def __call__(self, ob: Obligation) -> tuple[tuple[Tactic, float, tuple[Obligation, ...]], ...]:
+        key = ob.canonical()
+        actions = self._actions.get(key)
+        if actions is None:
+            actions = tuple(predicted_actions(self.predictor, ob, self.n))
+            cache_put(self._actions, key, actions)
+        return actions
+
+
 def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float) -> float:
     """max over actions of gamma * prod(child values); each action is given
     by its children, which value_of maps to values.
@@ -219,10 +238,28 @@ def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float
     return best
 
 
-def bellman_target(model: ValueModel, actions: Iterable[tuple[Obligation, ...]]) -> float:
-    """The update target of an obligation whose applicable actions produce
-    the given child tuples, under the model's current values."""
-    return bellman_backup(actions, model.v_value, model.gamma)
+def bellman_target(model: ValueModel, batch_actions: Sequence[Sequence[tuple[Obligation, ...]]]) -> list[float]:
+    """The update targets of a batch of obligations under the model's current
+    values; each obligation is given by the child tuples of its applicable
+    actions.
+
+    The distinct children of the whole batch are valued in one stacked
+    forward pass, then each target is bellman_backup over those values.
+    They equal the v_value of each child up to the float rounding of the
+    stacked matrix product; the value cache is neither read nor filled.
+    """
+    children: dict[str, Obligation] = {}
+    for actions in batch_actions:
+        for action in actions:
+            for child in action:
+                children.setdefault(child.canonical(), child)
+    values: dict[str, float] = {}
+    if children:
+        _, out = model._forward(np.stack([model.encode(child) for child in children.values()]))
+        values = dict(zip(children, out.tolist()))
+    return [
+        bellman_backup(actions, lambda child: values[child.canonical()], model.gamma) for actions in batch_actions
+    ]
 
 
 def pretrain(
@@ -230,7 +267,6 @@ def pretrain(
     tasks: list[tuple[Obligation, int]],
     epochs: int = 400,
     learning_rate: float = 0.02,
-    seed: int = 0,
 ) -> list[float]:
     """Supervised regression of each task obligation to gamma^length.
 
@@ -242,7 +278,6 @@ def pretrain(
         raise ValueError("empty task list")
     if any(length < 1 for _, length in tasks):
         raise ValueError("proof lengths must be at least 1")
-    del seed  # the run is already deterministic: full-batch, fixed order
     inputs = np.stack([model.encode(ob) for ob, _ in tasks])
     targets = np.array([model.gamma**length for _, length in tasks])
     flat_m = np.zeros_like(model.get_flat_params())

@@ -31,7 +31,8 @@ from valueprover.trainer import (
     train,
     distributed_run,
 )
-from valueprover.value_model import ValueModel, bellman_target, product_value
+from valueprover import value_model as value_model_module
+from valueprover.value_model import ActionCache, ValueModel, bellman_target
 
 
 class RankedPredictor:
@@ -124,8 +125,9 @@ def test_run_episode_full_prefix_is_pure_replay(worked_theorem):
     thm, script = worked_theorem
     task = TrainingTask(thm.statement, script)
     config = TrainerConfig(seed=0)
+    actions = ActionCache(NO_F_EQUAL, config.width)
     transitions, discharged = run_episode(
-        task, _model(), NO_F_EQUAL, config, task.demo_length, random.Random(0), epsilon=1.0
+        task, _model(), actions, config, task.demo_length, random.Random(0), epsilon=1.0
     )
     assert [t.action for t in transitions] == list(script.steps)
     assert not any(t.dead_end for t in transitions)
@@ -138,8 +140,9 @@ def test_run_episode_agent_supplies_last_step(worked_theorem):
     thm, script = worked_theorem
     task = TrainingTask(thm.statement, script)
     config = TrainerConfig(seed=0)
+    actions = ActionCache(NO_F_EQUAL, config.width)
     transitions, discharged = run_episode(
-        task, _model(), NO_F_EQUAL, config, task.demo_length - 1, random.Random(0), epsilon=0.0
+        task, _model(), actions, config, task.demo_length - 1, random.Random(0), epsilon=0.0
     )
     # the final state only admits reflexivity, so greedy completes the proof
     assert len(transitions) == 7
@@ -154,7 +157,9 @@ def test_run_episode_dead_end_sets_flag():
     )
     task = TrainingTask(dead, parse_script("simpl"))  # placeholder demo, unused at prefix 0
     config = TrainerConfig(seed=0)
-    transitions, discharged = run_episode(task, _model(), NO_F_EQUAL, config, 0, random.Random(0), 0.0)
+    transitions, discharged = run_episode(
+        task, _model(), ActionCache(NO_F_EQUAL, config.width), config, 0, random.Random(0), 0.0
+    )
     assert len(transitions) == 1 and transitions[0].dead_end
     assert transitions[0].source == dead and discharged == []
 
@@ -235,7 +240,7 @@ def test_buffer_conservation(worked_theorem):
     total = 0
     dead_sources = set()
     for prefix in demonstration_schedule(task):
-        transitions, discharged = run_episode(task, _model(), NO_F_EQUAL, config, prefix, rng, 0.5)
+        transitions, discharged = run_episode(task, _model(), learner.actions, config, prefix, rng, 0.5)
         learner.ingest(transitions, discharged)
         total += len(transitions)
         dead_sources.update(t.source.canonical() for t in transitions if t.dead_end)
@@ -262,9 +267,9 @@ def test_distributed_covers_all_partitions():
     split = _tiny_split()
     ran = []
 
-    def spy_runner(task, model, predictor, config, prefix, rng, epsilon):
+    def spy_runner(task, model, actions, config, prefix, rng, epsilon):
         ran.append(task.obligation.canonical())
-        return run_episode(task, model, predictor, config, prefix, rng, epsilon)
+        return run_episode(task, model, actions, config, prefix, rng, epsilon)
 
     config = _fast_config(actor_count=2)
     model, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=spy_runner)
@@ -280,11 +285,11 @@ def test_distributed_redistributes_failed_partition():
     config = _fast_config(actor_count=2)
     poisoned = {"armed": True}
 
-    def flaky_runner(task, model, predictor, config, prefix, rng, epsilon):
+    def flaky_runner(task, model, actions, config, prefix, rng, epsilon):
         if poisoned["armed"]:
             poisoned["armed"] = False
             raise RuntimeError("actor crash")
-        return run_episode(task, model, predictor, config, prefix, rng, epsilon)
+        return run_episode(task, model, actions, config, prefix, rng, epsilon)
 
     model, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=flaky_runner)
     failures = report.buffer_sizes.get("actor_failures", [])
@@ -298,10 +303,10 @@ def test_distributed_drops_a_task_that_always_fails():
     tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)
     poisoned = tasks[0]
 
-    def failing_runner(task, model, predictor, config, prefix, rng, epsilon):
+    def failing_runner(task, model, actions, config, prefix, rng, epsilon):
         if task == poisoned:
             raise RuntimeError("poisoned task")
-        return run_episode(task, model, predictor, config, prefix, rng, epsilon)
+        return run_episode(task, model, actions, config, prefix, rng, epsilon)
 
     result = {}
 
@@ -335,18 +340,17 @@ def test_distributed_reports_actor_alive_after_join(monkeypatch):
     assert len(failures) == 2 and all("still running" in f for f in failures)
 
 
-def _reference_target(model, ob, predictor, n):
-    """The update target recomputed from the predictor on every call."""
-    best = None
+def _reference_actions(ob, predictor, n):
+    """(tactic, probability, children) of ob's applicable top-n actions,
+    recomputed from the predictor on every call."""
+    actions = []
     for prediction in predict_top_n(predictor, ob, n):
         try:
             children = apply_tactic(ob, prediction.tactic)
         except TacticError:
             continue
-        candidate = model.gamma * product_value(model.v_value(child) for child in children)
-        if best is None or candidate > best:
-            best = candidate
-    return 0.0 if best is None else best
+        actions.append((prediction.tactic, prediction.probability, children))
+    return actions
 
 
 @settings(max_examples=30, deadline=None)
@@ -358,28 +362,58 @@ def test_learner_memoized_target_matches_reference(replay_obligations, trained_p
     learner = _Learner(_model(), trained_predictor, config)
     obligations = data.draw(st.lists(st.sampled_from(replay_obligations), min_size=1, max_size=8))
     for _ in range(2):
-        for ob in obligations + obligations:
-            expected = _reference_target(learner.model, ob, trained_predictor, config.width)
-            assert bellman_target(learner.model, learner.actions(ob)) == expected
+        memo = [[children for _, _, children in learner.actions(ob)] for ob in obligations + obligations]
+        reference = [
+            [children for _, _, children in _reference_actions(ob, trained_predictor, config.width)]
+            for ob in obligations + obligations
+        ]
+        assert bellman_target(learner.model, memo) == bellman_target(learner.model, reference)
         learner.model.update_batch([(ob, 0.5) for ob in obligations], 0.5)
-    assert len(learner._actions) == len({ob.canonical() for ob in obligations})
+    assert len(learner.actions._actions) == len({ob.canonical() for ob in obligations})
 
 
 def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, trained_predictor):
     config = _fast_config(updates_per_episode=4, max_drop_length=6)
     memo_model, memo_report = train(small_split, trained_predictor, config)
-    # route every learner target through the reference computation
-    monkeypatch.setattr(trainer_module._Learner, "actions", lambda self, ob: ob)
+    # recompute every obligation's actions, for the learner and the episodes
     monkeypatch.setattr(
-        trainer_module,
-        "bellman_target",
-        lambda model, ob: _reference_target(model, ob, trained_predictor, config.width),
+        trainer_module, "ActionCache", lambda predictor, n: lambda ob: _reference_actions(ob, predictor, n)
     )
     reference_model, reference_report = train(small_split, trained_predictor, config)
     assert memo_report.updates > 0
     assert memo_report.update_losses == reference_report.update_losses
     assert np.array_equal(memo_model.get_flat_params(), reference_model.get_flat_params())
     assert memo_report.buffer_sizes == reference_report.buffer_sizes
+
+
+def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, trained_predictor):
+    # value_model.predict_top_n is called by predicted_actions alone
+    predicted = []
+    predict = value_model_module.predict_top_n
+
+    def counted(predictor, ob, n):
+        predicted.append(ob.canonical())
+        return predict(predictor, ob, n)
+
+    monkeypatch.setattr(value_model_module, "predict_top_n", counted)
+    _, report = train(small_split, trained_predictor, _fast_config(updates_per_episode=4, max_drop_length=6))
+    assert report.updates > 0 and predicted
+    assert len(predicted) == len(set(predicted))
+
+
+def test_distributed_raises_when_every_task_is_dropped():
+    split = _tiny_split()
+    config = _fast_config(actor_count=2)
+    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)[:2]
+    assert len(tasks) == 2
+
+    def failing_runner(*args):
+        raise RuntimeError("actor crash")
+
+    with pytest.raises(RuntimeError, match="every training task was dropped") as raised:
+        distributed_run(split, NO_F_EQUAL, config, tasks, episode_runner=failing_runner)
+    for task in tasks:
+        assert task.obligation.canonical() in str(raised.value)
 
 
 def test_train_dispatches_to_distributed():

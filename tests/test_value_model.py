@@ -3,12 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valueprover.encoder import hashed_encoder
 from valueprover.env import Hyperstate, Tactic, parse_obligation
 from valueprover import value_model as value_model_module
 from valueprover.predictor import predict_top_n
 from valueprover.value_model import (
+    ActionCache,
     NegativeBuffer,
     ReplayBuffer,
     Transition,
@@ -98,7 +100,7 @@ def test_log_product_duality(model, small_corpus):
 
 
 def _target(model, state, predictor, n):
-    return bellman_target(model, [children for _, _, children in predicted_actions(predictor, state, n)])
+    return bellman_target(model, [[children for _, _, children in predicted_actions(predictor, state, n)]])[0]
 
 
 def test_bellman_target_discharge_is_gamma(model, trained_predictor):
@@ -159,6 +161,41 @@ def test_bellman_targets_never_exceed_gamma(model, trained_predictor, small_corp
             seen.add(obligation.canonical())
             target = _target(model, obligation, trained_predictor, 5)
             assert 0.0 <= target <= model.gamma
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_targets_match_per_child_v_value(trained_predictor, replay_obligations, data):
+    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=data.draw(st.integers(0, 3)))
+    sources = data.draw(st.lists(st.sampled_from(replay_obligations), max_size=32))
+    actions = ActionCache(trained_predictor, 5)
+    batch_actions = [[children for _, _, children in actions(source)] for source in sources]
+    targets = bellman_target(model, batch_actions)
+    assert len(targets) == len(sources) and not model._value_cache
+    for source_actions, target in zip(batch_actions, targets):
+        reference = bellman_backup(source_actions, model.v_value, model.gamma)
+        assert math.isclose(target, reference, rel_tol=1e-12)
+
+
+def test_action_cache_memoizes_and_evicts(monkeypatch, trained_predictor, replay_obligations):
+    monkeypatch.setattr(value_model_module, "CACHE_SIZE", 8)
+    calls = []
+
+    def counted(predictor, state, n):
+        calls.append(state.canonical())
+        return predicted_actions(predictor, state, n)
+
+    monkeypatch.setattr(value_model_module, "predicted_actions", counted)
+    distinct = list({state.canonical(): state for state in replay_obligations}.values())
+    assert len(distinct) > 8
+    actions = ActionCache(trained_predictor, 5)
+    for state in distinct + distinct[-3:]:
+        assert actions(state) == tuple(predicted_actions(trained_predictor, state, 5))
+        assert len(actions._actions) <= 8
+    assert calls == [state.canonical() for state in distinct]
+    assert actions(distinct[-1]) is actions(distinct[-1])
+    actions(distinct[0])  # evicted long ago, so computed again
+    assert calls[-1] == distinct[0].canonical() and len(calls) == len(distinct) + 1
 
 
 def test_bellman_backup_formula_with_table():
