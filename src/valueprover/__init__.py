@@ -7,7 +7,7 @@ The package is organized bottom-up:
 - oracle: brute-force shortest proofs and optimal values for verification
 - corpus: theorem generation, persistence and splitting
 - predictor: the supervised tactic predictor that bounds the action space
-- encoder: obligation encodings (hashing by default, autoencoder optional)
+- encoder: hashed obligation encodings
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
 - search: greedy / DFS / best-first / A* proof search
@@ -36,7 +36,7 @@ from .terms import Term, parse_term, format_term, normalize
 from .oracle import OracleResult, optimal_value, shortest_proof
 from .corpus import CorpusEntry, CorpusSplit, generate_corpus, load_corpus, save_corpus, split_corpus
 from .predictor import Predictor, TacticPrediction, featurize, predict_top_n, train_predictor
-from .encoder import Encoding, encode_auto, encode_hashed, train_autoencoder
+from .encoder import encode_hashed
 from .value_model import (
     ActionCache,
     NegativeBuffer,

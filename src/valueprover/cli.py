@@ -242,8 +242,7 @@ def cmd_eval(args) -> int:
         if strategy not in EVAL_STRATEGIES:
             raise RuntimeError(f"unknown strategy {strategy!r}; choose from {EVAL_STRATEGIES}")
     rows = run_eval(model, predictor, chosen, strategies, config.width, args.budget)
-    summary = build_summary(rows, strategies)
-    write_report(args.out, rows, strategies)
+    summary = write_report(args.out, rows, strategies)
     proved = {s: summary["strategies"][s]["proved"] for s in strategies}
     print(f"evaluated {len(chosen)} theorems; proved per strategy: {proved}")
     return 0

@@ -34,7 +34,6 @@ __all__ = [
     "SearchResult",
     "ValueScorer",
     "ProbabilityScorer",
-    "expand",
     "astar_search",
     "best_first_search",
     "dfs_search",
@@ -167,26 +166,6 @@ def _children(
     if not out:
         tally.dead_ends.append(node.hyperstate.first)
     return out
-
-
-def expand(node: SearchNode, predictor: Predictor, n: int, scorer: ValueScorer) -> list[SearchNode]:
-    """Child nodes with extended scripts and recomputed scores.
-
-    Children whose remaining-steps estimate is undefined (a zero-valued
-    obligation) are unreachable under the scorer and are pruned.
-    """
-    tally = _Tally()
-    children = []
-    for tactic, prob, hyperstate in _children(node, predictor, n, tally):
-        try:
-            h = scorer.hyperstate_steps(hyperstate)
-        except UndefinedStepsError:
-            continue
-        g = node.g + 1
-        children.append(
-            SearchNode(hyperstate, node.script + (tactic,), g, h, f_score(g, h), 0, node.path_prob * prob)
-        )
-    return children
 
 
 def astar_search(
@@ -335,13 +314,20 @@ def greedy_from_hyperstate(
     n: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Greedy search from an arbitrary hyperstate (e.g. a lone obligation)."""
+    """Greedy search from an arbitrary hyperstate (e.g. a lone obligation).
+
+    Gives up as exhausted once the script reaches SAFETY_DEPTH tactics:
+    without backtracking, a goal that keeps growing would otherwise be
+    rewritten until the budget runs out or its terms grow too deep to hash.
+    """
     tally = _Tally()
     state = start
     script: tuple[Tactic, ...] = ()
     while not state.is_empty:
         if tally.expanded >= budget:
             return tally.result(BUDGET_EXCEEDED)
+        if len(script) >= SAFETY_DEPTH:
+            return tally.result(EXHAUSTED)
         tally.expanded += 1
         node = SearchNode(state, script, len(script), 0.0, 0.0, 0)
         options = _children(node, predictor, n, tally)

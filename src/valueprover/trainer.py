@@ -9,10 +9,13 @@ update the true-target buffer (minimum known length); obligations where
 every prediction errors land in the negative buffer. Batches mix the three
 sources and regress on bootstrapped targets.
 
-Single-actor runs are bit-reproducible per seed. The distributed mode keeps
-one learner owning the parameters and all buffers, with actor threads that
-run episodes on disjoint task partitions against immutable parameter
-snapshots and communicate only through queues.
+Both modes share one learner loop, which owns the parameters and all
+buffers, and one episode plan (epochs x tasks x prefixes x episodes, with
+the epsilon schedule). They differ only in where episodes come from.
+Single-actor runs play the plan in turn against the learner's model and are
+bit-reproducible per seed. The distributed mode is a thin layer over the
+same loop: actor threads play the plans of disjoint task partitions against
+parameter snapshots and communicate only through queues.
 """
 
 from __future__ import annotations
@@ -359,10 +362,17 @@ def train(
     """
     if config.actor_count > 1:
         return distributed_run(split, predictor, config, tasks)
-    return _train_single(split, predictor, config, tasks)
+    return _run(split, predictor, config, tasks, _single_actor_episodes)
 
 
-def _prepare(split, predictor, config, tasks):
+def _run(split, predictor, config, tasks, episodes) -> tuple[ValueModel, TrainingReport]:
+    """The one learner loop behind both modes.
+
+    episodes(tasks, learner) yields one (transitions, discharged) pair per
+    episode. Each is ingested and followed by updates_per_episode updates.
+    Validation runs after every epoch's worth of episodes, and once more
+    after a final partial epoch (tasks dropped by the distributed runner).
+    """
     if tasks is None:
         tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
@@ -375,14 +385,9 @@ def _prepare(split, predictor, config, tasks):
         epochs=config.pretrain_epochs,
         learning_rate=config.pretrain_learning_rate,
     )
-    return tasks, model, pretrain_losses
-
-
-def _train_single(split, predictor, config, tasks=None) -> tuple[ValueModel, TrainingReport]:
-    tasks, model, pretrain_losses = _prepare(split, predictor, config, tasks)
     report = TrainingReport(
         config=config.to_dict(),
-        actor_count=1,
+        actor_count=config.actor_count,
         predictor_losses=list(predictor.train_losses),
         pretrain_losses=pretrain_losses,
         task_count=len(tasks),
@@ -391,31 +396,49 @@ def _train_single(split, predictor, config, tasks=None) -> tuple[ValueModel, Tra
     for task in tasks:
         learner.true_targets.update(task.obligation, task.demo_length)
 
-    episode_rng = random.Random(config.seed + 2)
-    total_episodes = config.rl_epochs * sum(
-        len(demonstration_schedule(task)) * config.episodes_per_prefix for task in tasks
-    )
     validation = tasks[: config.validation_tasks]
-    episode_index = 0
-    for _ in range(config.rl_epochs):
-        for task in tasks:
-            for prefix in demonstration_schedule(task):
-                for _ in range(config.episodes_per_prefix):
-                    epsilon = _epsilon_at(episode_index, total_episodes, config)
-                    transitions, discharged = run_episode(
-                        task, model, learner.actions, config, prefix, episode_rng, epsilon
-                    )
-                    learner.ingest(transitions, discharged)
-                    for _ in range(config.updates_per_episode):
-                        learner.update_once()
-                    episode_index += 1
+    epoch_episodes = max(1, _episodes_per_epoch(tasks, config))
+    for transitions, discharged in episodes(tasks, learner):
+        learner.ingest(transitions, discharged)
+        for _ in range(config.updates_per_episode):
+            learner.update_once()
+        report.episodes += 1
+        if report.episodes % epoch_episodes == 0:
+            report.validation_success.append(_validation_success(model, predictor, validation, config))
+    if report.episodes % epoch_episodes:
         report.validation_success.append(_validation_success(model, predictor, validation, config))
-    report.episodes = episode_index
     report.updates = learner.updates
     report.update_losses = learner.losses
     report.buffer_sizes = learner.buffer_sizes()
     report.negative_obligations = [ob.canonical() for ob in learner.negatives.items()]
     return model, report
+
+
+def _episodes_per_epoch(tasks: list[TrainingTask], config: TrainerConfig) -> int:
+    return config.episodes_per_prefix * sum(task.demo_length for task in tasks)
+
+
+def _episode_plan(tasks: list[TrainingTask], config: TrainerConfig):
+    """(task index, task, demonstration prefix, epsilon) for every episode
+    of rl_epochs passes over the tasks, with epsilon on the linear schedule
+    over the whole plan."""
+    total = config.rl_epochs * _episodes_per_epoch(tasks, config)
+    index = 0
+    for _ in range(config.rl_epochs):
+        for task_index, task in enumerate(tasks):
+            for prefix in demonstration_schedule(task):
+                for _ in range(config.episodes_per_prefix):
+                    yield task_index, task, prefix, _epsilon_at(index, total, config)
+                    index += 1
+
+
+def _single_actor_episodes(tasks, learner):
+    """Episodes run in turn against the learner's own model and action
+    cache, so each one sees every update before it."""
+    config = learner.config
+    rng = random.Random(config.seed + 2)
+    for _, task, prefix, epsilon in _episode_plan(tasks, config):
+        yield run_episode(task, learner.model, learner.actions, config, prefix, rng, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -434,41 +457,113 @@ def _actor_loop(
     encoder,
     episode_runner,
 ) -> None:
-    """Runs every episode of its partition against a local model built from
-    the latest published snapshot and its own action cache; never touches
-    shared state."""
+    """Runs the episode plan of its partition against a local model built
+    from the latest published snapshot and its own action cache; never
+    touches shared state."""
     local = ValueModel(encoder, config.encoder_dim, config.gamma, config.hidden_dim, seed=config.seed)
     local.set_flat_params(initial_params)
     actions = ActionCache(predictor, config.width)
     rng = random.Random(config.seed + 100 + actor_id)
-    total = config.rl_epochs * sum(
-        len(demonstration_schedule(task)) * config.episodes_per_prefix for task in tasks
-    )
-    index = 0
-    task_number = 0
+    task_index = 0
     try:
-        for _ in range(config.rl_epochs):
-            for task_number, task in enumerate(tasks):
-                for prefix in demonstration_schedule(task):
-                    for _ in range(config.episodes_per_prefix):
-                        # adopt the freshest snapshot at an episode boundary
-                        latest = None
-                        while True:
-                            try:
-                                latest = snapshot_queue.get_nowait()
-                            except queue.Empty:
-                                break
-                        if latest is not None:
-                            local.set_flat_params(latest)
-                        epsilon = _epsilon_at(index, total, config)
-                        transitions, discharged = episode_runner(
-                            task, local, actions, config, prefix, rng, epsilon
-                        )
-                        out_queue.put(("episode", actor_id, transitions, discharged))
-                        index += 1
+        for task_index, task, prefix, epsilon in _episode_plan(tasks, config):
+            # adopt the freshest snapshot at an episode boundary
+            latest = None
+            while True:
+                try:
+                    latest = snapshot_queue.get_nowait()
+                except queue.Empty:
+                    break
+            if latest is not None:
+                local.set_flat_params(latest)
+            transitions, discharged = episode_runner(task, local, actions, config, prefix, rng, epsilon)
+            out_queue.put(("episode", actor_id, transitions, discharged))
         out_queue.put(("done", actor_id, None, None))
     except Exception as err:  # noqa: BLE001 - reported to the learner
-        out_queue.put(("failed", actor_id, str(err), tasks[task_number:]))
+        out_queue.put(("failed", actor_id, str(err), tasks[task_index:]))
+
+
+def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
+    """Episodes from actor threads on disjoint task partitions, in arrival
+    order. A snapshot of the learner's parameters goes to every actor once
+    sync_interval updates have passed since the last one. Actor failures,
+    dropped tasks and threads still alive after their join are appended to
+    failures."""
+    config = learner.config
+    model = learner.model
+    partitions = [tasks[i :: config.actor_count] for i in range(config.actor_count)]
+    partitions = [p for p in partitions if p]
+    out_queue: queue.Queue = queue.Queue()
+    snapshot_queues: list[queue.Queue] = []
+    threads: list[threading.Thread] = []
+    task_failures: dict[TrainingTask, int] = {}
+    dropped: list[TrainingTask] = []
+
+    def spawn(partition: list[TrainingTask]) -> None:
+        snapshots: queue.Queue = queue.Queue()
+        snapshot_queues.append(snapshots)
+        actor_id = len(threads)
+        thread = threading.Thread(
+            target=_actor_loop,
+            args=(
+                actor_id,
+                partition,
+                predictor,
+                config,
+                snapshots,
+                out_queue,
+                model.get_flat_params(),
+                model.encoder,
+                episode_runner,
+            ),
+            name=f"actor {actor_id}",
+            daemon=True,
+        )
+        threads.append(thread)
+        thread.start()
+
+    for partition in partitions:
+        spawn(partition)
+
+    live = len(partitions)
+    synced_at = learner.updates
+    while live > 0:
+        kind, actor_id, payload, extra = out_queue.get()
+        if kind == "done":
+            live -= 1
+            continue
+        if kind == "failed":
+            failures.append(f"actor {actor_id}: {payload}")
+            live -= 1
+            remaining = extra
+            if remaining:
+                failed_task = remaining[0]
+                task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
+                if task_failures[failed_task] >= MAX_TASK_FAILURES:
+                    failures.append(
+                        f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
+                    )
+                    dropped.append(failed_task)
+                    remaining = remaining[1:]
+            if remaining:
+                spawn(remaining)
+                live += 1
+            continue
+        yield payload, extra
+        if learner.updates - synced_at >= config.sync_interval:
+            params = model.get_flat_params()
+            for snapshots in snapshot_queues:
+                snapshots.put(params)
+            synced_at = learner.updates
+    for thread in threads:
+        thread.join(timeout=ACTOR_JOIN_TIMEOUT_S)
+        if thread.is_alive():
+            failures.append(f"{thread.name}: still running {ACTOR_JOIN_TIMEOUT_S} s after its last report")
+    if len(dropped) == len(tasks):
+        raise RuntimeError(
+            f"every training task was dropped after {MAX_TASK_FAILURES} actor failures: "
+            + "; ".join(task.obligation.canonical() for task in dropped)
+        )
 
 
 def distributed_run(
@@ -489,105 +584,12 @@ def distributed_run(
     """
     if config.actor_count < 2:
         raise ValueError("distributed_run requires at least 2 actors")
-    tasks, model, pretrain_losses = _prepare(split, predictor, config, tasks)
-    report = TrainingReport(
-        config=config.to_dict(),
-        actor_count=config.actor_count,
-        predictor_losses=list(predictor.train_losses),
-        pretrain_losses=pretrain_losses,
-        task_count=len(tasks),
-    )
-    learner = _Learner(model, predictor, config)
-    for task in tasks:
-        learner.true_targets.update(task.obligation, task.demo_length)
-
-    partitions = [tasks[i :: config.actor_count] for i in range(config.actor_count)]
-    partitions = [p for p in partitions if p]
-    encoder = model.encoder
-    out_queue: queue.Queue = queue.Queue()
-    snapshot_queues: list[queue.Queue] = []
-    threads: list[threading.Thread] = []
     failures: list[str] = []
-    task_failures: dict[TrainingTask, int] = {}
-    dropped: list[TrainingTask] = []
 
-    def spawn(actor_id: int, partition: list[TrainingTask]) -> None:
-        snapshots: queue.Queue = queue.Queue()
-        snapshot_queues.append(snapshots)
-        thread = threading.Thread(
-            target=_actor_loop,
-            args=(
-                actor_id,
-                partition,
-                predictor,
-                config,
-                snapshots,
-                out_queue,
-                model.get_flat_params(),
-                encoder,
-                episode_runner,
-            ),
-            name=f"actor {actor_id}",
-            daemon=True,
-        )
-        threads.append(thread)
-        thread.start()
+    def episodes(tasks, learner):
+        return _actor_episodes(tasks, learner, failures, predictor, episode_runner)
 
-    for actor_id, partition in enumerate(partitions):
-        spawn(actor_id, partition)
-
-    live = len(partitions)
-    next_actor_id = len(partitions)
-    updates_since_sync = 0
-    while live > 0:
-        kind, actor_id, payload, extra = out_queue.get()
-        if kind == "done":
-            live -= 1
-            continue
-        if kind == "failed":
-            failures.append(f"actor {actor_id}: {payload}")
-            live -= 1
-            remaining = extra
-            if remaining:
-                failed_task = remaining[0]
-                task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
-                if task_failures[failed_task] >= MAX_TASK_FAILURES:
-                    failures.append(
-                        f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
-                    )
-                    dropped.append(failed_task)
-                    remaining = remaining[1:]
-            if remaining:
-                spawn(next_actor_id, remaining)
-                next_actor_id += 1
-                live += 1
-            continue
-        transitions, discharged = payload, extra
-        learner.ingest(transitions, discharged)
-        report.episodes += 1
-        for _ in range(config.updates_per_episode):
-            learner.update_once()
-            updates_since_sync += 1
-            if updates_since_sync >= config.sync_interval:
-                params = model.get_flat_params()
-                for snapshots in snapshot_queues:
-                    snapshots.put(params)
-                updates_since_sync = 0
-    for thread in threads:
-        thread.join(timeout=ACTOR_JOIN_TIMEOUT_S)
-        if thread.is_alive():
-            failures.append(f"{thread.name}: still running {ACTOR_JOIN_TIMEOUT_S} s after its last report")
-    if len(dropped) == len(tasks):
-        raise RuntimeError(
-            f"every training task was dropped after {MAX_TASK_FAILURES} actor failures: "
-            + "; ".join(task.obligation.canonical() for task in dropped)
-        )
-    validation = tasks[: config.validation_tasks]
-    report.validation_success.append(_validation_success(model, predictor, validation, config))
-    report.updates = learner.updates
-    report.update_losses = learner.losses
-    report.buffer_sizes = learner.buffer_sizes()
-    report.negative_obligations = [ob.canonical() for ob in learner.negatives.items()]
+    model, report = _run(split, predictor, config, tasks, episodes)
     if failures:
         report.buffer_sizes["actor_failures"] = failures
     return model, report

@@ -78,7 +78,7 @@ def cache_put(cache: dict, key, value) -> None:
 
 
 class ValueModel:
-    """Encoding -> (0,1) regressor: one tanh hidden layer, logistic output.
+    """Encoded obligation -> (0,1) regressor: one tanh hidden layer, logistic output.
 
     Gradients are hand-derived; update_batch takes one SGD step on mean
     squared error against the provided targets.
@@ -309,6 +309,13 @@ class Transition:
     dead_end: bool = False
 
 
+def _sample(items, k: int, rng) -> list:
+    """k uniform draws with replacement from an indexable collection."""
+    if not items or k <= 0:
+        return []
+    return [items[rng.randrange(len(items))] for _ in range(k)]
+
+
 class ReplayBuffer:
     """Bounded FIFO of transitions with uniform seeded sampling."""
 
@@ -325,9 +332,7 @@ class ReplayBuffer:
         self._items.append(transition)
 
     def sample(self, k: int, rng) -> list[Transition]:
-        if not self._items or k <= 0:
-            return []
-        return [self._items[rng.randrange(len(self._items))] for _ in range(k)]
+        return _sample(self._items, k, rng)
 
 
 class TrueTargetBuffer:
@@ -355,10 +360,7 @@ class TrueTargetBuffer:
         return list(self._entries.values())
 
     def sample(self, k: int, rng) -> list[tuple[Obligation, int]]:
-        entries = list(self._entries.values())
-        if not entries or k <= 0:
-            return []
-        return [entries[rng.randrange(len(entries))] for _ in range(k)]
+        return _sample(self.items(), k, rng)
 
 
 class NegativeBuffer:
@@ -380,10 +382,7 @@ class NegativeBuffer:
         return list(self._entries.values())
 
     def sample(self, k: int, rng) -> list[Obligation]:
-        entries = list(self._entries.values())
-        if not entries or k <= 0:
-            return []
-        return [entries[rng.randrange(len(entries))] for _ in range(k)]
+        return _sample(self.items(), k, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from valueprover.encoder import (
-    Autoencoder,
-    autoencoder_from_dict,
-    autoencoder_to_dict,
-    encode_auto,
-    encode_hashed,
-    reconstruct,
-    tokenize_obligation,
-    train_autoencoder,
-)
+from valueprover.encoder import encode_hashed, tokenize_obligation
 from valueprover.env import parse_obligation
 
 
@@ -24,110 +15,19 @@ def test_hashed_determinism_and_dimension():
     ob = parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)")
     first = encode_hashed(ob, 64, 0)
     second = encode_hashed(ob, 64, 0)
-    assert np.array_equal(first.vector, second.vector)
-    assert first.mode == "hashed" and first.vector.shape == (64,)
-    assert np.abs(first.vector).max() == pytest.approx(1.0)
+    assert np.array_equal(first, second)
+    assert first.shape == (64,)
+    assert np.abs(first).max() == pytest.approx(1.0)
 
 
 def test_hashed_separates_distinct_obligations():
     a = encode_hashed(parse_obligation("|- Zero = Zero"), 64, 0)
     b = encode_hashed(parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)"), 64, 0)
-    assert not np.array_equal(a.vector, b.vector)
+    assert not np.array_equal(a, b)
 
 
 def test_hashed_salt_changes_vectors():
     ob = parse_obligation("|- Plus(Zero,Zero) = Zero")
-    assert not np.array_equal(encode_hashed(ob, 64, 0).vector, encode_hashed(ob, 64, 1).vector)
+    assert not np.array_equal(encode_hashed(ob, 64, 0), encode_hashed(ob, 64, 1))
     with pytest.raises(ValueError):
         encode_hashed(ob, 4, 0)
-
-
-def test_autoencoder_memorizes_single_obligation():
-    ob = parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)")
-    model = train_autoencoder([ob], latent_dim=24, epochs=150, seed=0, embed_dim=12)
-    assert model.accuracy_history[-1] == 1.0
-    assert reconstruct(model, ob) == tokenize_obligation(ob.canonical())
-
-
-def test_autoencoder_zero_epochs_keeps_initialization():
-    ob = parse_obligation("|- Zero = Zero")
-    a = train_autoencoder([ob], latent_dim=16, epochs=0, seed=7, embed_dim=8)
-    b = train_autoencoder([ob], latent_dim=16, epochs=0, seed=7, embed_dim=8)
-    for key in a.params:
-        assert np.array_equal(a.params[key], b.params[key])
-    assert a.accuracy_history == []
-
-
-def test_autoencoder_deterministic_per_seed():
-    obs = [parse_obligation("|- Zero = Zero"), parse_obligation("|- Succ(Zero) = Succ(Zero)")]
-    a = train_autoencoder(obs, latent_dim=16, epochs=5, seed=3, embed_dim=8)
-    b = train_autoencoder(obs, latent_dim=16, epochs=5, seed=3, embed_dim=8)
-    for key in a.params:
-        assert np.array_equal(a.params[key], b.params[key])
-
-
-def test_encode_auto_is_deterministic_and_handles_oov():
-    train_ob = parse_obligation("|- Zero = Zero")
-    model = train_autoencoder([train_ob], latent_dim=16, epochs=5, seed=0, embed_dim=8)
-    unseen = parse_obligation("forall zq, |- Var(zq) = Var(zq)")
-    first = encode_auto(model, unseen)
-    second = encode_auto(model, unseen)
-    assert np.array_equal(first.vector, second.vector)
-    assert first.mode == "autoencoded" and first.vector.shape == (16,)
-
-
-def test_autoencoder_round_trip():
-    ob = parse_obligation("|- Plus(Zero,Zero) = Zero")
-    model = train_autoencoder([ob], latent_dim=16, epochs=3, seed=0, embed_dim=8)
-    restored = autoencoder_from_dict(autoencoder_to_dict(model))
-    assert isinstance(restored, Autoencoder)
-    assert restored.vocab == model.vocab
-    for key in model.params:
-        assert np.array_equal(restored.params[key], model.params[key])
-    assert np.array_equal(encode_auto(restored, ob).vector, encode_auto(model, ob).vector)
-
-
-def test_autoencoder_gradients_match_finite_differences():
-    from valueprover.encoder import _sequence_grads, _sequence_loss
-
-    ob = parse_obligation("|- Plus(Zero,Zero) = Zero")
-    model = train_autoencoder([ob], latent_dim=6, epochs=0, seed=1, embed_dim=4)
-    ids = model.ids_for(ob)
-    params = model.params
-    _, _, caches = _sequence_loss(params, ids, 0, 1)
-    grads = _sequence_grads(params, ids, caches)
-    rng = np.random.default_rng(0)
-    step = 1e-6
-    for _ in range(40):
-        key = list(params)[rng.integers(len(params))]
-        idx = tuple(rng.integers(0, s) for s in params[key].shape)
-        params[key][idx] += step
-        up, _, _ = _sequence_loss(params, ids, 0, 1)
-        params[key][idx] -= 2 * step
-        down, _, _ = _sequence_loss(params, ids, 0, 1)
-        params[key][idx] += step
-        numeric = (up - down) / (2 * step)
-        analytic = grads[key][idx]
-        # absolute tolerance absorbs cancellation noise on near-zero gradients
-        assert abs(numeric - analytic) < 1e-4 * max(abs(numeric), abs(analytic)) + 1e-8
-
-
-def test_autoencoder_desk_scale_accuracy(small_corpus):
-    from valueprover.env import extract_subproof_tasks
-
-    obligations = []
-    seen = set()
-    for entry in small_corpus[:8]:
-        for ob, _ in extract_subproof_tasks(entry.theorem, entry.proof):
-            if ob.canonical() not in seen:
-                seen.add(ob.canonical())
-                obligations.append(ob)
-    model = train_autoencoder(
-        obligations, latent_dim=48, epochs=100, seed=0, embed_dim=24, learning_rate=8e-3
-    )
-    assert model.accuracy_history[-1] >= 0.95
-
-
-def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        train_autoencoder([], latent_dim=16, epochs=1, seed=0)

@@ -14,13 +14,13 @@ from valueprover.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     PROVED,
+    SAFETY_DEPTH,
     ProbabilityScorer,
     SearchNode,
     ValueScorer,
     astar_search,
     best_first_search,
     dfs_search,
-    expand,
     f_score,
     greedy_from_hyperstate,
     greedy_search,
@@ -72,24 +72,6 @@ def test_f_score_example():
     assert f_score(3, 2.9) == pytest.approx(5.9, abs=1e-12)
     node = SearchNode(Hyperstate(()), (), 3, 2.9, f_score(3, 2.9), 0)
     assert node.f == pytest.approx(5.9, abs=1e-12)
-
-
-def test_expand_scores_children(trained_predictor):
-    thm = Theorem("w", parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)"))
-    scorer = oracle_scorer()
-    root = SearchNode(Hyperstate((thm.statement,)), (), 0, 7.0, 7.0, 0)
-    children = expand(root, trained_predictor, 5, scorer)
-    assert len(children) == 1  # only intros applies
-    child = children[0]
-    assert child.g == 1 and child.f == pytest.approx(child.g + child.h)
-    assert child.h == pytest.approx(6.0, abs=1e-9)
-
-
-def test_expand_closing_child_has_zero_h(trained_predictor):
-    root = SearchNode(Hyperstate((one_step_theorem().statement,)), (), 0, 1.0, 1.0, 0)
-    children = expand(root, trained_predictor, 5, oracle_scorer())
-    closing = [c for c in children if c.hyperstate.is_empty]
-    assert closing and closing[0].h == 0.0 and closing[0].f == closing[0].g == 1
 
 
 def test_astar_requires_steps_convertible_scorer(trained_predictor):
@@ -193,6 +175,16 @@ def test_greedy_dead_end_is_exhausted():
     result = greedy_from_hyperstate(Hyperstate((dead,)), oracle_scorer(), ranked, 6, 16)
     assert result.status == EXHAUSTED and result.nodes_expanded == 1
     assert result.dead_ends == (dead,)
+
+
+def test_greedy_stops_at_safety_depth():
+    # rewriting with IH_m1 first keeps growing the goal; without the depth
+    # guard greedy recursed until hashing the goal raised RecursionError
+    commutativity = parse_obligation("forall n1 m1, |- Plus(Var(n1),Var(m1)) = Plus(Var(m1),Var(n1))")
+    ranked = RankedPredictor(("rewrite", "reflexivity", "simpl", "intros", "induction", "f_equal"))
+    result = greedy_from_hyperstate(Hyperstate((commutativity,)), ProbabilityScorer(), ranked, 6)
+    assert result.status == EXHAUSTED and result.script is None
+    assert result.nodes_expanded == SAFETY_DEPTH
 
 
 def test_unprovable_goal_is_exhausted(trained_predictor):

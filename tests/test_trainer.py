@@ -227,6 +227,32 @@ def test_train_report_contents():
     assert payload["config"]["seed"] == 0
 
 
+def test_episode_plan_matches_the_nested_loop():
+    config = _fast_config(rl_epochs=2, episodes_per_prefix=2)
+    tasks = prepare_tasks(_tiny_split(), NO_F_EQUAL, config.width, config)
+    total = config.rl_epochs * config.episodes_per_prefix * sum(t.demo_length for t in tasks)
+    expected = []
+    for _ in range(config.rl_epochs):
+        for index, task in enumerate(tasks):
+            for prefix in demonstration_schedule(task):
+                for _ in range(config.episodes_per_prefix):
+                    epsilon = trainer_module._epsilon_at(len(expected), total, config)
+                    expected.append((index, task, prefix, epsilon))
+    plan = list(trainer_module._episode_plan(tasks, config))
+    assert len(plan) == total and plan == expected
+    assert plan[0][3] == config.epsilon_start and plan[-1][3] == pytest.approx(config.epsilon_end)
+
+
+@pytest.mark.parametrize("actors", [1, 2])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_validation_runs_once_per_epoch(actors, epochs):
+    config = _fast_config(actor_count=actors, rl_epochs=epochs)
+    _, report = train(_tiny_split(), NO_F_EQUAL, config)
+    tasks = prepare_tasks(_tiny_split(), NO_F_EQUAL, config.width, config)
+    assert report.episodes == epochs * config.episodes_per_prefix * sum(t.demo_length for t in tasks)
+    assert len(report.validation_success) == epochs
+
+
 def test_buffer_conservation(worked_theorem):
     # every transition an episode produces lands in exactly one replay
     # insert; dead ends additionally mark their source negative
