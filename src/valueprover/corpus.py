@@ -21,6 +21,7 @@ from .env import (
     format_script,
     parse_obligation,
     parse_script,
+    script_is_valid,
 )
 from .oracle import shortest_proof
 from .terms import Plus, Succ, Term, Var, numeral, succ_tower
@@ -157,6 +158,9 @@ def save_corpus(entries: list[CorpusEntry], path: str) -> None:
 
 
 def load_corpus(path: str) -> list[CorpusEntry]:
+    """Read a corpus file, validating every entry: a line that does not
+    parse, or whose proof does not replay to a closed goal, raises
+    CorpusFormatError with its line number."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
@@ -169,6 +173,8 @@ def load_corpus(path: str) -> list[CorpusEntry]:
                 proof = parse_script(record["proof"])
                 if record["proof_length"] != len(proof.steps):
                     raise ValueError("proof_length does not match the proof")
+                if not script_is_valid(theorem, proof):
+                    raise ValueError("the proof does not replay to a closed goal")
             except CorpusFormatError:
                 raise
             except (KeyError, ValueError, TypeError) as err:

@@ -1,6 +1,10 @@
 """Obligation encoder for the value model: a deterministic feature-hashing
 encoder over token unigrams and bigrams of the canonical text, giving
 fixed-dimension real vectors.
+
+Each gram's bucket and sign come from a blake2b digest of the salted gram.
+Grams repeat across obligations, so the digests are memoized per (gram,
+salt, dim); vectors are memoized per canonical text.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ def tokenize_obligation(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
     digest = hashlib.blake2b(f"{salt}:{gram}".encode(), digest_size=8).digest()
     value = int.from_bytes(digest, "big")
@@ -34,10 +39,13 @@ def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
 def _hashed_vector(canonical: str, dim: int, salt: int) -> tuple[float, ...]:
     tokens = tokenize_obligation(canonical)
     grams = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-    vec = np.zeros(dim)
+    # sums of +-1.0 are exact, so summing in a list gives the same bits as
+    # adding into the array gram by gram
+    sums = [0.0] * dim
     for gram in grams:
         index, sign = _bucket(gram, salt, dim)
-        vec[index] += sign
+        sums[index] += sign
+    vec = np.array(sums)
     peak = np.abs(vec).max()
     if peak > 0:
         vec /= peak

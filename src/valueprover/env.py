@@ -85,7 +85,7 @@ class Obligation:
     goal_lhs: Term
     goal_rhs: Term
     # format_obligation(self), filled in by the first canonical() call; left
-    # out of equality, hashing and repr, which stay structural.
+    # out of equality and repr, which stay structural.
     _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def canonical(self) -> str:
@@ -94,6 +94,13 @@ class Obligation:
             text = format_obligation(self)
             object.__setattr__(self, "_canonical", text)
         return text
+
+    # Defined here, so the dataclass keeps it. Equal obligations format to
+    # the same text, and a str caches its own hash, so after the first
+    # canonical() every cache probe costs one cached string hash instead of
+    # a walk over the term trees.
+    def __hash__(self) -> int:
+        return hash(self.canonical())
 
     def context_vars(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.context if isinstance(e, ContextVar))

@@ -446,9 +446,20 @@ def _single_actor_episodes(tasks, learner):
 # ---------------------------------------------------------------------------
 
 
+def _resumed_plan(tasks: list[TrainingTask], config: TrainerConfig, start: int, skip):
+    """(plan index, task, demonstration prefix, epsilon) for the entries of
+    the tasks' episode plan from index start on, leaving out the tasks in
+    skip. Epsilons stay those of the whole plan."""
+    for index, (_, task, prefix, epsilon) in enumerate(_episode_plan(tasks, config)):
+        if index >= start and task not in skip:
+            yield index, task, prefix, epsilon
+
+
 def _actor_loop(
     actor_id: int,
     tasks: list[TrainingTask],
+    start: int,
+    skip: frozenset,
     predictor: Predictor,
     config: TrainerConfig,
     snapshot_queue: "queue.Queue",
@@ -457,16 +468,17 @@ def _actor_loop(
     encoder,
     episode_runner,
 ) -> None:
-    """Runs the episode plan of its partition against a local model built
-    from the latest published snapshot and its own action cache; never
-    touches shared state."""
+    """Runs the episode plan of its partition, from entry start on and
+    without the tasks in skip, against a local model built from the latest
+    published snapshot and its own action cache; never touches shared state.
+    A failure is reported with the plan index and task of its episode."""
     local = ValueModel(encoder, config.encoder_dim, config.gamma, config.hidden_dim, seed=config.seed)
     local.set_flat_params(initial_params)
     actions = ActionCache(predictor, config.width)
     rng = random.Random(config.seed + 100 + actor_id)
-    task_index = 0
+    index = task = None
     try:
-        for task_index, task, prefix, epsilon in _episode_plan(tasks, config):
+        for index, task, prefix, epsilon in _resumed_plan(tasks, config, start, skip):
             # adopt the freshest snapshot at an episode boundary
             latest = None
             while True:
@@ -480,7 +492,7 @@ def _actor_loop(
             out_queue.put(("episode", actor_id, transitions, discharged))
         out_queue.put(("done", actor_id, None, None))
     except Exception as err:  # noqa: BLE001 - reported to the learner
-        out_queue.put(("failed", actor_id, str(err), tasks[task_index:]))
+        out_queue.put(("failed", actor_id, f"plan entry {index}: {err}", (index, task)))
 
 
 def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
@@ -498,16 +510,20 @@ def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
     threads: list[threading.Thread] = []
     task_failures: dict[TrainingTask, int] = {}
     dropped: list[TrainingTask] = []
+    actor_partitions: list[list[TrainingTask]] = []
 
-    def spawn(partition: list[TrainingTask]) -> None:
+    def spawn(partition: list[TrainingTask], start: int) -> None:
         snapshots: queue.Queue = queue.Queue()
         snapshot_queues.append(snapshots)
         actor_id = len(threads)
+        actor_partitions.append(partition)
         thread = threading.Thread(
             target=_actor_loop,
             args=(
                 actor_id,
                 partition,
+                start,
+                frozenset(dropped),
                 predictor,
                 config,
                 snapshots,
@@ -523,7 +539,7 @@ def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
         thread.start()
 
     for partition in partitions:
-        spawn(partition)
+        spawn(partition, 0)
 
     live = len(partitions)
     synced_at = learner.updates
@@ -535,18 +551,17 @@ def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
         if kind == "failed":
             failures.append(f"actor {actor_id}: {payload}")
             live -= 1
-            remaining = extra
-            if remaining:
-                failed_task = remaining[0]
-                task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
-                if task_failures[failed_task] >= MAX_TASK_FAILURES:
-                    failures.append(
-                        f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
-                    )
-                    dropped.append(failed_task)
-                    remaining = remaining[1:]
-            if remaining:
-                spawn(remaining)
+            start, failed_task = extra
+            task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
+            if task_failures[failed_task] >= MAX_TASK_FAILURES:
+                failures.append(
+                    f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
+                )
+                dropped.append(failed_task)
+            # a new actor resumes the same partition's plan at the failed episode
+            partition = actor_partitions[actor_id]
+            if next(_resumed_plan(partition, config, start, frozenset(dropped)), None) is not None:
+                spawn(partition, start)
                 live += 1
             continue
         yield payload, extra
@@ -577,10 +592,12 @@ def distributed_run(
     threads run episodes on disjoint task partitions with parameter
     snapshots published every sync_interval updates.
 
-    A failed actor is respawned at the task it failed on; a task that fails
-    MAX_TASK_FAILURES times is dropped. Failures, drops and actors still
-    running at shutdown are listed in buffer_sizes["actor_failures"]. Raises
-    RuntimeError, listing the dropped tasks, when every task was dropped.
+    A failed actor is respawned at the episode it failed on and continues
+    its partition's plan from there, with the same epsilons. A task that
+    fails MAX_TASK_FAILURES times is dropped, and its remaining episodes are
+    skipped. Failures, drops and actors still running at shutdown are listed
+    in buffer_sizes["actor_failures"]. Raises RuntimeError, listing the
+    dropped tasks, when every task was dropped.
     """
     if config.actor_count < 2:
         raise ValueError("distributed_run requires at least 2 actors")

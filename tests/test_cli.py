@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valueprover
 from valueprover.cli import main
 from valueprover.reports import rows_from_tsv
 
@@ -191,6 +196,52 @@ def test_eval_unknown_strategy_is_runtime_error(tiny_checkpoint, tiny_corpus, tm
 def test_missing_corpus_is_runtime_error(tmp_path):
     code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m")])
     assert code == 2
+
+
+def test_corpus_with_a_proof_that_does_not_replay_is_runtime_error(tiny_corpus, tmp_path, capsys):
+    lines = tiny_corpus.read_text().splitlines()
+    record = json.loads(lines[0])
+    record.update(proof="simpl", proof_length=1)
+    lines[0] = json.dumps(record, sort_keys=True)
+    corpus = tmp_path / "cut.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert "line 1:" in capsys.readouterr().err
+
+
+_PIPELINE = """
+import sys
+from valueprover.cli import main
+
+out = sys.argv[1]
+commands = (
+    ["gen-corpus", "--seed", "4", "--counts", "4,3,3", "--out", out + "/c.jsonl"],
+    ["train", "--corpus", out + "/c.jsonl", "--out", out + "/m.ckpt", "--seed", "1",
+     "--pretrain-epochs", "60", "--min-drop-length", "0", "--max-drop-length", "9"],
+    ["eval", "--checkpoint", out + "/m.ckpt", "--corpus", out + "/c.jsonl",
+     "--strategies", "astar,bestfirst,bestfirst_prob,dfs,greedy,greedy_prob", "--out", out + "/report"],
+)
+for command in commands:
+    if main(command) != 0:
+        sys.exit(f"{command[0]} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # obligations hash through their canonical text, so any output that
+    # followed hash order would change with PYTHONHASHSEED
+    source_root = str(Path(valueprover.__file__).resolve().parents[1])
+    outputs = ("c.jsonl", "m.ckpt", "m.ckpt.report.json", "report/rows.tsv", "report/summary.json")
+    blobs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env, check=True, capture_output=True)
+        blobs.append([(out / name).read_bytes() for name in outputs])
+    assert blobs[0] == blobs[1]
 
 
 def test_train_with_actors_flag(tiny_corpus, tmp_path, capsys):

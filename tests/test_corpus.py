@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valueprover.corpus import (
     CorpusFormatError,
@@ -7,7 +10,7 @@ from valueprover.corpus import (
     save_corpus,
     split_corpus,
 )
-from valueprover.env import script_is_valid
+from valueprover.env import ProofScript, Tactic, script_is_valid
 
 
 def test_generation_is_deterministic():
@@ -62,6 +65,39 @@ def test_malformed_line_reports_line_number(tmp_path, small_corpus):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(str(path))
     assert err.value.line_number == 3
+
+
+_TACTICS = (
+    Tactic("intros"),
+    Tactic("simpl"),
+    Tactic("f_equal"),
+    Tactic("reflexivity"),
+    Tactic("induction", "n"),
+    Tactic("induction", "m"),
+    Tactic("rewrite", "IH_n"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_load_rejects_a_proof_that_does_not_replay(tmp_path_factory, small_corpus, data):
+    index = data.draw(st.integers(0, len(small_corpus) - 1))
+    steps = small_corpus[index].proof.steps
+    if data.draw(st.booleans()):
+        # a strict prefix of an oracle-minimal proof never closes the goal
+        broken = steps[: data.draw(st.integers(0, len(steps) - 1))]
+    else:
+        position = data.draw(st.integers(0, len(steps) - 1))
+        broken = steps[:position] + (data.draw(st.sampled_from(_TACTICS)),) + steps[position + 1 :]
+    entry = dataclasses.replace(small_corpus[index], proof=ProofScript(broken))
+    assume(not script_is_valid(entry.theorem, entry.proof))
+    entries = list(small_corpus)
+    entries[index] = entry
+    path = tmp_path_factory.mktemp("corpus") / "broken.jsonl"
+    save_corpus(entries, str(path))
+    with pytest.raises(CorpusFormatError, match="does not replay") as err:
+        load_corpus(str(path))
+    assert err.value.line_number == index + 1
 
 
 def test_split_ratios(small_corpus):

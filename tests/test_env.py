@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +53,21 @@ def test_cached_canonical_text_keeps_obligations_structural(replay_obligations, 
     assert parse_obligation(text) == original
     assert original.canonical() is text
     assert fresh.canonical() == text == format_obligation(fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_obligations_hash_through_their_canonical_text(replay_obligations, data):
+    original = data.draw(st.sampled_from(replay_obligations))
+    assert hash(original) == hash(original.canonical())
+    rebuilt = parse_obligation(original.canonical())
+    assert rebuilt == original and hash(rebuilt) == hash(original)
+
+
+def test_obligation_hash_is_the_class_own_method():
+    # a hash generated by dataclass has no source file to show
+    assert "__hash__" in Obligation.__dict__
+    assert "hash(self.canonical())" in inspect.getsource(Obligation.__hash__)
 
 
 def test_obligation_scoping_validated():

@@ -323,6 +323,37 @@ def test_distributed_redistributes_failed_partition():
     assert report.episodes > 0
 
 
+def test_distributed_resumes_a_failed_actor_at_its_episode():
+    split = _tiny_split()
+    config = _fast_config(actor_count=2, rl_epochs=2)
+    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)
+    # every episode of both partitions' plans, with its epsilon
+    planned = sorted(
+        (task.obligation.canonical(), prefix, epsilon)
+        for partition in (tasks[0::2], tasks[1::2])
+        for _, task, prefix, epsilon in trainer_module._episode_plan(partition, config)
+    )
+    assert len(planned) == 50
+    calls = {"count": 0}
+    ran = []
+    lock = threading.Lock()
+
+    def flaky_runner(task, model, actions, config, prefix, rng, epsilon):
+        with lock:
+            calls["count"] += 1
+            crash = calls["count"] == 40
+        if crash:
+            raise RuntimeError("actor crash")
+        ran.append((task.obligation.canonical(), prefix, epsilon))
+        return run_episode(task, model, actions, config, prefix, rng, epsilon)
+
+    _, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=flaky_runner)
+    failures = report.buffer_sizes["actor_failures"]
+    assert len(failures) == 1 and "plan entry" in failures[0] and "actor crash" in failures[0]
+    assert report.episodes == 50
+    assert sorted(ran) == planned
+
+
 def test_distributed_drops_a_task_that_always_fails():
     split = _tiny_split()
     config = _fast_config(actor_count=2)
