@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search for a proof of one theorem")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--theorem", required=True, help="canonical obligation text (binders + goal)")
-    p.add_argument("--strategy", choices=("astar", "bestfirst", "dfs", "greedy"), default="astar")
+    p.add_argument("--strategy", choices=EVAL_STRATEGIES, default="astar")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--width", type=int, default=None)
 

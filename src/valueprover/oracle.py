@@ -20,6 +20,7 @@ from .env import (
     enumerate_applicable,
     step_hyperstate,
 )
+from .value_model import ActionCache
 
 __all__ = [
     "OracleResult",
@@ -100,19 +101,19 @@ def optimal_value(ob: Obligation, gamma: float, max_depth: int = 8, actions: Act
 
 
 def reproducible_under_predictor(task: tuple[Obligation, ProofScript], predictor, n: int) -> bool:
-    """True iff every step of the task's script is in the predictor's top n
-    predictions at the corresponding replay state."""
-    from .predictor import predict_top_n
-
+    """True iff every step of the task's script is one of the predictor's
+    applicable top-n actions at the corresponding replay state, read from
+    the predictor's shared action cache."""
     obligation, script = task
     state = Hyperstate((obligation,))
     for tactic in script.steps:
         if n <= 0:
             return False
-        predicted = {p.tactic for p in predict_top_n(predictor, state.first, n)}
-        if tactic not in predicted:
+        actions = ActionCache.of(predictor, n)(state.first)
+        children = next((children for predicted, _, children in actions if predicted == tactic), None)
+        if children is None:
             return False
-        state = step_hyperstate(state, tactic)
+        state = Hyperstate(children + state.obligations[1:])
     if not state.is_empty:
         raise ValueError("task script does not discharge its obligation")
     return True

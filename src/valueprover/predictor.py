@@ -117,6 +117,10 @@ class Predictor:
     bias: np.ndarray  # (templates,)
     feature_schema: int = FEATURE_SCHEMA_VERSION
     train_losses: list[float] = field(default_factory=list)
+    # value_model.ActionCache.of keeps its caches here, one per width, so
+    # they live as long as the predictor; duck-typed predictors get the
+    # same attribute on first use.
+    _action_caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def template_probabilities(self, ob: Obligation) -> np.ndarray:
         scores = self.weights @ featurize(ob) + self.bias

@@ -2,8 +2,10 @@
 
 Every strategy draws candidate tactics for the first open obligation from
 the predictor's top-n list, drops the ones that error, and dedups states by
-the hyperstate's canonical multiset form. One "search step" is one node
-expansion; per-child tactic executions are counted separately.
+the hyperstate's canonical multiset form. The applicable actions come from
+the predictor's shared action cache, so an obligation that one search or
+strategy has expanded costs the next one a dict lookup. One "search step"
+is one node expansion; per-child tactic executions are counted separately.
 """
 
 from __future__ import annotations
@@ -13,17 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .env import (
-    Hyperstate,
-    Obligation,
-    ProofScript,
-    Tactic,
-    TacticError,
-    Theorem,
-    step_hyperstate,
-)
-from .predictor import Predictor, predict_top_n
-from .value_model import UndefinedStepsError, product_value, steps_estimate
+from .env import Hyperstate, Obligation, ProofScript, Tactic, Theorem
+from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces search.step_hyperstate
+from .predictor import Predictor
+from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces search.predict_top_n
+from .value_model import ActionCache, UndefinedStepsError, product_value, steps_estimate
 
 __all__ = [
     "f_score",
@@ -150,22 +146,20 @@ class _Tally:
 def _children(
     node: SearchNode, predictor: Predictor, n: int, tally: _Tally
 ) -> list[tuple[Tactic, float, Hyperstate]]:
-    """Apply each top-n prediction to the node's first obligation.
+    """Apply each top-n prediction to the node's first obligation, through
+    the predictor's shared action cache.
 
-    Erroring tactics are dropped; if all of them error, the first obligation
-    is recorded as a dead end for the negative buffer.
+    Every prediction counts as a tactic execution; erroring ones are
+    dropped, and if all of them error, the first obligation is recorded as
+    a dead end for the negative buffer.
     """
-    out = []
-    for prediction in predict_top_n(predictor, node.hyperstate.first, n):
-        tally.executions += 1
-        try:
-            child = step_hyperstate(node.hyperstate, prediction.tactic)
-        except TacticError:
-            continue
-        out.append((prediction.tactic, prediction.probability, child))
-    if not out:
-        tally.dead_ends.append(node.hyperstate.first)
-    return out
+    state = node.hyperstate
+    tried, actions = ActionCache.of(predictor, n).entry(state.first)
+    tally.executions += tried
+    if not actions:
+        tally.dead_ends.append(state.first)
+    rest = state.obligations[1:]
+    return [(tactic, prob, Hyperstate(children + rest)) for tactic, prob, children in actions]
 
 
 def astar_search(

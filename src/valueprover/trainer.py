@@ -24,13 +24,15 @@ import json
 import queue
 import random
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+import numpy as np
 
 from .corpus import CorpusSplit
 from .encoder import hashed_encoder
-from .env import Hyperstate, Obligation, ProofScript, apply_tactic
+from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic
 from .oracle import reproducible_under_predictor
-from .predictor import Predictor, predictor_from_dict, predictor_to_dict
+from .predictor import FEATURE_NAMES, Predictor, predictor_from_dict, predictor_to_dict
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import ValueScorer
 from .value_model import (
@@ -132,6 +134,9 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainerConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown trainer config keys: {', '.join(unknown)}")
         return cls(**data)
 
 
@@ -264,16 +269,17 @@ def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
 
 
 class _Learner:
-    """Owns the model parameters, all three buffers and an action cache.
+    """Owns the model parameters and all three buffers.
 
-    The predictor is frozen during RL, so each obligation's applicable
-    actions are computed once per run; single-actor episodes share the
-    learner's cache.
+    The predictor is frozen during RL, so the learner reads each
+    obligation's applicable actions from the predictor's shared action
+    cache, which the task filter has started to fill and which validation
+    and single-actor episodes share. Actor threads keep their own.
     """
 
     def __init__(self, model: ValueModel, predictor: Predictor, config: TrainerConfig):
         self.model = model
-        self.actions = ActionCache(predictor, config.width)
+        self.actions = ActionCache.of(predictor, config.width)
         self.config = config
         self.replay = ReplayBuffer(config.replay_capacity)
         self.true_targets = TrueTargetBuffer()
@@ -630,16 +636,37 @@ def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: 
         fh.write("\n")
 
 
+def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
+    array = np.array(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"checkpoint parameter {name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"checkpoint parameter {name} is not finite")
+
+
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
+    """Raises ValueError on a checkpoint of another version or encoder mode,
+    unknown config keys, and parameters of the wrong shape or not finite."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"incompatible checkpoint version {payload.get('version')!r}")
     config = TrainerConfig.from_dict(payload["config"])
+    net = payload["value_model"]
+    hidden = net["hidden_dim"]
+    for section, name, shape in (
+        ("value_model", "w_hidden", (hidden, net["input_dim"])),
+        ("value_model", "b_hidden", (hidden,)),
+        ("value_model", "w_out", (hidden,)),
+        ("value_model", "b_out", ()),
+        ("predictor", "weights", (len(TEMPLATES), len(FEATURE_NAMES))),
+        ("predictor", "bias", (len(TEMPLATES),)),
+    ):
+        _check_parameter(f"{section}.{name}", payload[section][name], shape)
     encoder_info = payload["encoder"]
     if encoder_info["mode"] != "hashed":
         raise ValueError(f"unsupported encoder mode {encoder_info['mode']!r}")
     encoder = hashed_encoder(encoder_info["dim"], encoder_info["salt"])
-    model = value_model_from_dict(payload["value_model"], encoder)
+    model = value_model_from_dict(net, encoder)
     predictor = predictor_from_dict(payload["predictor"])
     return model, predictor, config

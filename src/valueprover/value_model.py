@@ -186,41 +186,60 @@ class ValueModel:
 # ---------------------------------------------------------------------------
 
 
-def predicted_actions(
-    predictor: Predictor, ob: Obligation, n: int
-) -> list[tuple[Tactic, float, tuple[Obligation, ...]]]:
-    """(tactic, probability, children) for each of the predictor's top-n
-    predictions that applies to ob, in prediction order; predictions that
-    raise TacticError are dropped."""
+Action = tuple[Tactic, float, tuple[Obligation, ...]]
+
+
+def predicted_actions(predictor: Predictor, ob: Obligation, n: int) -> tuple[int, tuple[Action, ...]]:
+    """The number of the predictor's top-n predictions for ob, and
+    (tactic, probability, children) for each of them that applies to ob, in
+    prediction order; predictions that raise TacticError are dropped."""
+    predictions = predict_top_n(predictor, ob, n)
     actions = []
-    for prediction in predict_top_n(predictor, ob, n):
+    for prediction in predictions:
         try:
             children = apply_tactic(ob, prediction.tactic)
         except TacticError:
             continue
         actions.append((prediction.tactic, prediction.probability, children))
-    return actions
+    return len(predictions), tuple(actions)
 
 
 class ActionCache:
     """predicted_actions(predictor, ob, n) for each obligation, computed once
     per canonical text and kept for the life of the cache (at most
     CACHE_SIZE obligations). The predictor must stay frozen while the cache
-    is in use. Not thread-safe: each thread builds its own cache.
+    is in use. Not thread-safe: a thread that shares the predictor with
+    another builds its own cache.
     """
 
     def __init__(self, predictor: Predictor, n: int):
         self.predictor = predictor
         self.n = n
-        self._actions: dict[str, tuple[tuple[Tactic, float, tuple[Obligation, ...]], ...]] = {}
+        self._entries: dict[str, tuple[int, tuple[Action, ...]]] = {}
 
-    def __call__(self, ob: Obligation) -> tuple[tuple[Tactic, float, tuple[Obligation, ...]], ...]:
+    @classmethod
+    def of(cls, predictor: Predictor, n: int) -> "ActionCache":
+        """The cache every caller shares for this predictor object and
+        width: search, the task filter, the learner and validation. It is
+        kept on the predictor itself, so it lives exactly as long."""
+        caches = vars(predictor).setdefault("_action_caches", {})
+        cache = caches.get(n)
+        if cache is None:
+            cache = caches[n] = cls(predictor, n)
+        return cache
+
+    def entry(self, ob: Obligation) -> tuple[int, tuple[Action, ...]]:
+        """(predictions tried, applicable actions) for ob; the count includes
+        the predictions that error."""
         key = ob.canonical()
-        actions = self._actions.get(key)
-        if actions is None:
-            actions = tuple(predicted_actions(self.predictor, ob, self.n))
-            cache_put(self._actions, key, actions)
-        return actions
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = predicted_actions(self.predictor, ob, self.n)
+            cache_put(self._entries, key, entry)
+        return entry
+
+    def __call__(self, ob: Obligation) -> tuple[Action, ...]:
+        return self.entry(ob)[1]
 
 
 def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float) -> float:
@@ -406,7 +425,7 @@ def explore_obligation_graph(
         if key in graph:
             continue
         actions: list[list[str]] = []
-        for _, _, children in predicted_actions(predictor, ob, n):
+        for _, _, children in predicted_actions(predictor, ob, n)[1]:
             actions.append([child.canonical() for child in children])
             for child in children:
                 if child.canonical() not in graph:

@@ -3,7 +3,7 @@ import pytest
 from valueprover.cli import _training_pairs
 from valueprover.corpus import generate_corpus, split_corpus
 from valueprover.env import Hyperstate, Theorem, parse_obligation, parse_script, step_hyperstate
-from valueprover.predictor import train_predictor
+from valueprover.predictor import Predictor, train_predictor
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,18 @@ def small_split(small_corpus):
 @pytest.fixture(scope="session")
 def trained_predictor(small_split):
     return train_predictor(_training_pairs(small_split.train), epochs=250, learning_rate=0.5, seed=0)
+
+
+@pytest.fixture(scope="session")
+def cold_predictor(trained_predictor):
+    """Makes copies of trained_predictor with empty action caches. The
+    session predictor's shared cache keeps what earlier tests put in it, so
+    a test that counts predictions or cache entries uses a copy."""
+
+    def make():
+        return Predictor(trained_predictor.weights.copy(), trained_predictor.bias.copy())
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import valueprover
 from valueprover.cli import main
+from valueprover.env import Theorem, parse_obligation, parse_script, script_is_valid
 from valueprover.reports import rows_from_tsv
 
 
@@ -105,6 +107,68 @@ def test_prove_trivial_theorem(tiny_checkpoint, capsys):
     record = json.loads(out[0])
     assert record["status"] == "proved" and record["proof_length"] == 2
     assert out[1] == "simpl; reflexivity"
+
+
+@pytest.mark.parametrize("strategy", ["bestfirst_prob", "greedy_prob"])
+def test_prove_with_a_probability_scored_strategy(tiny_checkpoint, capsys, strategy):
+    statement = "|- Plus(Succ(Zero),Succ(Zero)) = Succ(Succ(Zero))"
+    code = main(["prove", "--checkpoint", str(tiny_checkpoint), "--theorem", statement, "--strategy", strategy])
+    assert code == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    record = json.loads(out[0])
+    assert record["strategy"] == strategy and record["status"] == "proved"
+    assert script_is_valid(Theorem("goal", parse_obligation(statement)), parse_script(out[1]))
+
+
+def _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) -> int:
+    payload = json.loads(tiny_checkpoint.read_text())
+    edit(payload)
+    path = tmp_path / "edited.ckpt"
+    path.write_text(json.dumps(payload))
+    return main(["prove", "--checkpoint", str(path), "--theorem", "|- Zero = Zero"])
+
+
+@pytest.mark.parametrize("name", ["w_hidden", "b_hidden", "w_out"])
+def test_checkpoint_value_model_shape_is_checked(tiny_checkpoint, tmp_path, capsys, name):
+    def edit(payload):
+        net = payload["value_model"]
+        if name == "w_hidden":
+            net[name] = [row[:-1] for row in net[name]]  # one input column short
+        else:
+            net[name] = net[name][:-1]
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert f"value_model.{name} has shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, name, bad", [("value_model", "w_hidden", math.nan), ("predictor", "bias", math.inf)]
+)
+def test_checkpoint_weights_must_be_finite(tiny_checkpoint, tmp_path, capsys, section, name, bad):
+    def edit(payload):
+        values = payload[section][name]
+        if isinstance(values[0], list):
+            values = values[0]
+        values[0] = bad
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert f"{section}.{name} is not finite" in capsys.readouterr().err
+
+
+def test_checkpoint_predictor_shape_is_checked(tiny_checkpoint, tmp_path, capsys):
+    def edit(payload):
+        payload["predictor"]["weights"] = [row + [0.0] for row in payload["predictor"]["weights"]]
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert "predictor.weights has shape" in capsys.readouterr().err
+
+
+def test_checkpoint_with_an_unknown_config_key_is_runtime_error(tiny_checkpoint, tmp_path, capsys):
+    def edit(payload):
+        payload["config"]["actor_threads"] = 2
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert "unknown trainer config keys: actor_threads" in capsys.readouterr().err
 
 
 def test_prove_budget_zero(tiny_checkpoint, capsys):

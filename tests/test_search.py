@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from valueprover import search as search_module
+from valueprover.cli import EVAL_STRATEGIES, run_strategy
+from valueprover.corpus import generate_corpus
+from valueprover.encoder import hashed_encoder
 from valueprover.env import (
     Hyperstate,
     TEMPLATE_INDEX,
+    TEMPLATES,
+    TacticError,
     Theorem,
     parse_obligation,
+    parse_script,
     script_is_valid,
+    step_hyperstate,
 )
 from valueprover.oracle import optimal_value, shortest_proof
 from valueprover.predictor import predict_top_n
+from valueprover.value_model import ValueModel
 from valueprover.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -207,3 +217,60 @@ def test_search_result_record(trained_predictor):
     assert record["status"] == PROVED and record["proof"] == "reflexivity"
     assert "wall_ms" in record
     assert "wall_ms" not in result.to_record("refl", "astar", include_wall=False)
+
+
+def _reference_children(node, predictor, n, tally):
+    """search._children as it was before the shared action cache: predict
+    and step afresh at every expansion."""
+    out = []
+    for prediction in predict_top_n(predictor, node.hyperstate.first, n):
+        tally.executions += 1
+        try:
+            child = step_hyperstate(node.hyperstate, prediction.tactic)
+        except TacticError:
+            continue
+        out.append((prediction.tactic, prediction.probability, child))
+    if not out:
+        tally.dead_ends.append(node.hyperstate.first)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    pick=st.integers(0, 2),
+    model_seed=st.integers(0, 3),
+    ranking=st.none() | st.permutations(TEMPLATES),
+    width=st.integers(1, 6),
+    budget=st.sampled_from((4, 16, 128)),
+)
+def test_shared_action_cache_does_not_change_any_search(
+    cold_predictor, corpus_seed, pick, model_seed, ranking, width, budget
+):
+    # a cold cache, a cache the other five strategies warmed, and no cache
+    # at all must give the same record and dead ends for every strategy
+    entries, _ = generate_corpus(corpus_seed, (1, 1, 1))
+    theorem = entries[pick].theorem
+    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed)
+
+    def fresh_predictor():
+        return cold_predictor() if ranking is None else RankedPredictor(ranking)
+
+    def run(strategy, predictor):
+        result = run_strategy(strategy, theorem, model, predictor, width, budget)
+        return result.to_record(theorem.id, strategy, include_wall=False), result.dead_ends
+
+    for strategy in EVAL_STRATEGIES:
+        cold = run(strategy, fresh_predictor())
+        warmed = fresh_predictor()
+        for other in reversed(EVAL_STRATEGIES):
+            if other != strategy:
+                run(other, warmed)
+        warm = run(strategy, warmed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "_children", _reference_children)
+            reference = run(strategy, fresh_predictor())
+        assert cold == warm == reference
+        record = cold[0]
+        if record["status"] == PROVED:
+            assert script_is_valid(theorem, parse_script(record["proof"]))

@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -412,30 +413,31 @@ def _reference_actions(ob, predictor, n):
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_learner_memoized_target_matches_reference(replay_obligations, trained_predictor, data):
+def test_learner_memoized_target_matches_reference(replay_obligations, cold_predictor, data):
     from valueprover.trainer import _Learner
 
     config = TrainerConfig(seed=0)
-    learner = _Learner(_model(), trained_predictor, config)
+    predictor = cold_predictor()
+    learner = _Learner(_model(), predictor, config)
+    assert learner.actions is ActionCache.of(predictor, config.width)
     obligations = data.draw(st.lists(st.sampled_from(replay_obligations), min_size=1, max_size=8))
     for _ in range(2):
         memo = [[children for _, _, children in learner.actions(ob)] for ob in obligations + obligations]
         reference = [
-            [children for _, _, children in _reference_actions(ob, trained_predictor, config.width)]
+            [children for _, _, children in _reference_actions(ob, predictor, config.width)]
             for ob in obligations + obligations
         ]
         assert bellman_target(learner.model, memo) == bellman_target(learner.model, reference)
         learner.model.update_batch([(ob, 0.5) for ob in obligations], 0.5)
-    assert len(learner.actions._actions) == len({ob.canonical() for ob in obligations})
+    assert len(learner.actions._entries) == len({ob.canonical() for ob in obligations})
 
 
 def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, trained_predictor):
     config = _fast_config(updates_per_episode=4, max_drop_length=6)
     memo_model, memo_report = train(small_split, trained_predictor, config)
     # recompute every obligation's actions, for the learner and the episodes
-    monkeypatch.setattr(
-        trainer_module, "ActionCache", lambda predictor, n: lambda ob: _reference_actions(ob, predictor, n)
-    )
+    reference = SimpleNamespace(of=lambda predictor, n: lambda ob: _reference_actions(ob, predictor, n))
+    monkeypatch.setattr(trainer_module, "ActionCache", reference)
     reference_model, reference_report = train(small_split, trained_predictor, config)
     assert memo_report.updates > 0
     assert memo_report.update_losses == reference_report.update_losses
@@ -443,8 +445,9 @@ def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, tra
     assert memo_report.buffer_sizes == reference_report.buffer_sizes
 
 
-def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, trained_predictor):
-    # value_model.predict_top_n is called by predicted_actions alone
+def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, cold_predictor):
+    # value_model.predict_top_n is called by predicted_actions alone; the
+    # task filter, the learner, the episodes and validation share one cache
     predicted = []
     predict = value_model_module.predict_top_n
 
@@ -453,7 +456,7 @@ def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, tr
         return predict(predictor, ob, n)
 
     monkeypatch.setattr(value_model_module, "predict_top_n", counted)
-    _, report = train(small_split, trained_predictor, _fast_config(updates_per_episode=4, max_drop_length=6))
+    _, report = train(small_split, cold_predictor(), _fast_config(updates_per_episode=4, max_drop_length=6))
     assert report.updates > 0 and predicted
     assert len(predicted) == len(set(predicted))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from valueprover.encoder import hashed_encoder
 from valueprover.env import Hyperstate, Tactic, parse_obligation
 from valueprover import value_model as value_model_module
-from valueprover.predictor import predict_top_n
+from valueprover.predictor import Predictor, predict_top_n
 from valueprover.value_model import (
     ActionCache,
     NegativeBuffer,
@@ -100,7 +101,8 @@ def test_log_product_duality(model, small_corpus):
 
 
 def _target(model, state, predictor, n):
-    return bellman_target(model, [[children for _, _, children in predicted_actions(predictor, state, n)]])[0]
+    _, actions = predicted_actions(predictor, state, n)
+    return bellman_target(model, [[children for _, _, children in actions]])[0]
 
 
 def test_bellman_target_discharge_is_gamma(model, trained_predictor):
@@ -131,11 +133,13 @@ def _applicable(state, predictor, n):
 def test_predicted_actions_match_reference_loop(trained_predictor, replay_obligations):
     for state in replay_obligations:
         for n in (1, 3, 6):
-            actions = predicted_actions(trained_predictor, state, n)
+            tried, actions = predicted_actions(trained_predictor, state, n)
             assert [(tactic, children) for tactic, _, children in actions] == _applicable(
                 state, trained_predictor, n
             )
-            probabilities = {p.tactic: p.probability for p in predict_top_n(trained_predictor, state, n)}
+            predictions = predict_top_n(trained_predictor, state, n)
+            assert tried == len(predictions)
+            probabilities = {p.tactic: p.probability for p in predictions}
             assert all(probability == probabilities[tactic] for tactic, probability, _ in actions)
 
 
@@ -177,7 +181,7 @@ def test_batched_targets_match_per_child_v_value(trained_predictor, replay_oblig
         assert math.isclose(target, reference, rel_tol=1e-12)
 
 
-def test_action_cache_memoizes_and_evicts(monkeypatch, trained_predictor, replay_obligations):
+def test_action_cache_memoizes_and_evicts(monkeypatch, cold_predictor, replay_obligations):
     monkeypatch.setattr(value_model_module, "CACHE_SIZE", 8)
     calls = []
 
@@ -188,14 +192,36 @@ def test_action_cache_memoizes_and_evicts(monkeypatch, trained_predictor, replay
     monkeypatch.setattr(value_model_module, "predicted_actions", counted)
     distinct = list({state.canonical(): state for state in replay_obligations}.values())
     assert len(distinct) > 8
-    actions = ActionCache(trained_predictor, 5)
+    predictor = cold_predictor()
+    actions = ActionCache.of(predictor, 5)
     for state in distinct + distinct[-3:]:
-        assert actions(state) == tuple(predicted_actions(trained_predictor, state, 5))
-        assert len(actions._actions) <= 8
+        expected = predicted_actions(predictor, state, 5)
+        assert actions.entry(state) == expected and actions(state) == expected[1]
+        assert len(actions._entries) <= 8
     assert calls == [state.canonical() for state in distinct]
     assert actions(distinct[-1]) is actions(distinct[-1])
     actions(distinct[0])  # evicted long ago, so computed again
     assert calls[-1] == distinct[0].canonical() and len(calls) == len(distinct) + 1
+
+
+def test_action_cache_lives_on_the_predictor(cold_predictor, replay_obligations):
+    predictor, twin = cold_predictor(), cold_predictor()
+    shared = ActionCache.of(predictor, 5)
+    assert ActionCache.of(predictor, 5) is shared
+    assert ActionCache.of(predictor, 3) is not shared and ActionCache.of(twin, 5) is not shared
+    shared(replay_obligations[0])
+    # the caches are no part of the predictor's value
+    (caches,) = [f for f in dataclasses.fields(Predictor) if f.name == "_action_caches"]
+    assert not (caches.init or caches.compare or caches.repr)
+    assert vars(predictor)["_action_caches"] == {5: shared, 3: ActionCache.of(predictor, 3)}
+
+    class DuckPredictor:
+        def template_probabilities(self, ob):
+            return predictor.template_probabilities(ob)
+
+    duck = DuckPredictor()
+    assert ActionCache.of(duck, 5) is ActionCache.of(duck, 5)
+    assert ActionCache.of(duck, 5).entry(replay_obligations[0]) == shared.entry(replay_obligations[0])
 
 
 def test_bellman_backup_formula_with_table():
@@ -212,8 +238,9 @@ def test_bellman_backup_formula_with_table():
             probs[1] = 1.0  # induction
             return probs
 
-    actions = [children for _, _, children in predicted_actions(OneAction(), state, 1)]
-    assert actions == [(base, step)]
+    tried, applicable = predicted_actions(OneAction(), state, 1)
+    actions = [children for _, _, children in applicable]
+    assert tried == 1 and actions == [(base, step)]
     target = bellman_backup(actions, lambda o: table[o.canonical()], 0.9)
     assert target == pytest.approx(0.9 * 0.531441, abs=1e-12)
     assert bellman_backup([], lambda o: table[o.canonical()], 0.9) == 0.0
