@@ -39,10 +39,6 @@ from .predictor import Predictor, TacticPrediction, featurize, predict_top_n, tr
 from .encoder import encode_hashed
 from .value_model import (
     ActionCache,
-    NegativeBuffer,
-    ReplayBuffer,
-    Transition,
-    TrueTargetBuffer,
     ValueModel,
     bellman_target,
     pretrain,

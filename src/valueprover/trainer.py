@@ -34,10 +34,11 @@ from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic
 from .oracle import reproducible_under_predictor
 from .predictor import FEATURE_NAMES, Predictor, predictor_from_dict, predictor_to_dict
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
-from .search import ValueScorer
+from .search import ValueScorer, greedy_from_hyperstate
 from .value_model import (
     ActionCache,
     NegativeBuffer,
+    ObligationTable,
     ReplayBuffer,
     Transition,
     TrueTargetBuffer,
@@ -269,17 +270,19 @@ def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
 
 
 class _Learner:
-    """Owns the model parameters and all three buffers.
+    """Owns the model parameters, the obligation table and all three buffers.
 
     The predictor is frozen during RL, so the learner reads each
     obligation's applicable actions from the predictor's shared action
     cache, which the task filter has started to fill and which validation
-    and single-actor episodes share. Actor threads keep their own.
+    and single-actor episodes share. Actor threads keep their own and never
+    touch the table, whose ids the buffers hold.
     """
 
     def __init__(self, model: ValueModel, predictor: Predictor, config: TrainerConfig):
         self.model = model
         self.actions = ActionCache.of(predictor, config.width)
+        self.table = ObligationTable(model, self.actions)
         self.config = config
         self.replay = ReplayBuffer(config.replay_capacity)
         self.true_targets = TrueTargetBuffer()
@@ -290,13 +293,14 @@ class _Learner:
 
     def ingest(self, transitions: list[Transition], discharged: list[tuple[Obligation, int]]) -> None:
         for transition in transitions:
-            self.replay.push(transition)
+            source = self.table.intern(transition.source)
+            self.replay.push(source)
             if transition.dead_end:
-                self.negatives.add(transition.source)
+                self.negatives.add(source)
         for obligation, length in discharged:
-            self.true_targets.update(obligation, length)
+            self.true_targets.update(self.table.intern(obligation), length)
 
-    def sample_batch(self) -> list[tuple[Obligation, float]]:
+    def sample_batch(self) -> tuple[list[int], list[float]]:
         cfg = self.config
         n_replay = round(cfg.batch_size * cfg.replay_fraction)
         n_true = round(cfg.batch_size * cfg.true_fraction)
@@ -306,22 +310,18 @@ class _Learner:
             replay_want += n_true
         if len(self.negatives) == 0:
             replay_want += n_negative
-        sources = [transition.source for transition in self.replay.sample(replay_want, self.rng)]
-        targets = bellman_target(
-            self.model, [[children for _, _, children in self.actions(source)] for source in sources]
-        )
-        batch = list(zip(sources, targets))
-        for obligation, length in self.true_targets.sample(n_true if len(self.true_targets) else 0, self.rng):
-            batch.append((obligation, self.model.gamma**length))
-        for obligation in self.negatives.sample(n_negative if len(self.negatives) else 0, self.rng):
-            batch.append((obligation, 0.0))
-        return batch
+        replay = self.replay.sample(replay_want, self.rng)
+        true = self.true_targets.sample(n_true, self.rng)
+        negative = self.negatives.sample(n_negative, self.rng)
+        targets = bellman_target(self.model, self.table, replay)
+        targets += [self.model.gamma ** self.true_targets.length_of(ob_id) for ob_id in true]
+        return replay + true + negative, targets + [0.0] * len(negative)
 
     def update_once(self) -> None:
-        batch = self.sample_batch()
-        if not batch:
+        ids, targets = self.sample_batch()
+        if not ids:
             return
-        loss = self.model.update_batch(batch, self.config.learning_rate)
+        loss = self.model.update_batch(self.table.rows(ids), targets, self.config.learning_rate)
         self.losses.append(loss)
         self.updates += 1
 
@@ -336,23 +336,15 @@ class _Learner:
 def _validation_success(
     model: ValueModel, predictor: Predictor, tasks: list[TrainingTask], config: TrainerConfig
 ) -> float:
+    """The share of tasks greedy search under the model proves within the episode budget."""
     if not tasks:
         return 0.0
     scorer = ValueScorer.for_model(model)
-    proved = 0
-    for task in tasks:
-        result = _greedy_on_obligation(task.obligation, scorer, predictor, config)
-        if result.proved:
-            proved += 1
-    return proved / len(tasks)
-
-
-def _greedy_on_obligation(obligation: Obligation, scorer, predictor: Predictor, config: TrainerConfig):
-    from .search import greedy_from_hyperstate
-
-    return greedy_from_hyperstate(
-        Hyperstate((obligation,)), scorer, predictor, config.width, budget=config.episode_budget
+    searches = (
+        greedy_from_hyperstate(Hyperstate((task.obligation,)), scorer, predictor, config.width, config.episode_budget)
+        for task in tasks
     )
+    return sum(result.proved for result in searches) / len(tasks)
 
 
 def train(
@@ -399,8 +391,7 @@ def _run(split, predictor, config, tasks, episodes) -> tuple[ValueModel, Trainin
         task_count=len(tasks),
     )
     learner = _Learner(model, predictor, config)
-    for task in tasks:
-        learner.true_targets.update(task.obligation, task.demo_length)
+    learner.ingest([], [(task.obligation, task.demo_length) for task in tasks])
 
     validation = tasks[: config.validation_tasks]
     epoch_episodes = max(1, _episodes_per_epoch(tasks, config))
@@ -416,7 +407,7 @@ def _run(split, predictor, config, tasks, episodes) -> tuple[ValueModel, Trainin
     report.updates = learner.updates
     report.update_losses = learner.losses
     report.buffer_sizes = learner.buffer_sizes()
-    report.negative_obligations = [ob.canonical() for ob in learner.negatives.items()]
+    report.negative_obligations = [learner.table.obligations[ob_id].canonical() for ob_id in learner.negatives.ids]
     return model, report
 
 
@@ -646,7 +637,8 @@ def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
 
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     """Raises ValueError on a checkpoint of another version or encoder mode,
-    unknown config keys, and parameters of the wrong shape or not finite."""
+    unknown config keys, parameters of the wrong shape or not finite, and an
+    encoder dimension other than the value model's input dimension."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -666,6 +658,8 @@ def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     encoder_info = payload["encoder"]
     if encoder_info["mode"] != "hashed":
         raise ValueError(f"unsupported encoder mode {encoder_info['mode']!r}")
+    if encoder_info["dim"] != net["input_dim"]:
+        raise ValueError(f"checkpoint encoder dim {encoder_info['dim']} != value_model input_dim {net['input_dim']}")
     encoder = hashed_encoder(encoder_info["dim"], encoder_info["salt"])
     model = value_model_from_dict(net, encoder)
     predictor = predictor_from_dict(payload["predictor"])

@@ -7,15 +7,14 @@ implicitly worth gamma with no explicit reward term. Update targets take the
 max over the predictor's applicable actions of gamma times the product of
 the resulting obligations' current values; dead ends target 0.
 
-Also here: the three experience buffers (replay / true-target / negative)
-and a tabular value iteration used to validate the update rule against the
-brute-force oracle on small graphs.
+Also here: the learner's obligation table, the three experience buffers
+over its ids (replay / true-target / negative) and a tabular value
+iteration that validates the update rule against the oracle on small graphs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +35,7 @@ __all__ = [
     "cache_put",
     "predicted_actions",
     "ActionCache",
+    "ObligationTable",
     "bellman_backup",
     "bellman_target",
     "pretrain",
@@ -52,10 +52,7 @@ class UndefinedStepsError(ValueError):
 
 def product_value(values: Iterable[float]) -> float:
     """Left-fold product; the empty product is 1 (a completed proof)."""
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
+    return math.prod(values, start=1.0)
 
 
 def steps_estimate(value: float, gamma: float) -> float:
@@ -139,27 +136,26 @@ class ValueModel:
     def loss_and_grads(self, inputs: np.ndarray, targets: np.ndarray):
         hidden, out = self._forward(inputs)
         diff = out - targets
-        loss = float((diff * diff).mean())
         n = len(targets)
+        loss = float(np.add.reduce(diff * diff)) / n
         d_out = 2.0 * diff / n
         d_pre = d_out * out * (1.0 - out)
         grad_w_out = d_pre @ hidden
         grad_b_out = float(d_pre.sum())
-        d_hidden = np.outer(d_pre, self.w_out) * (1.0 - hidden * hidden)
+        d_hidden = d_pre[:, None] * self.w_out * (1.0 - hidden * hidden)
         grad_w_hidden = d_hidden.T @ inputs
         grad_b_hidden = d_hidden.sum(axis=0)
         return loss, (grad_w_hidden, grad_b_hidden, grad_w_out, grad_b_out)
 
-    def update_batch(self, batch: list[tuple[Obligation, float]], learning_rate: float) -> float:
-        """One SGD step on MSE against the batch targets; returns the
-        pre-step loss. Targets are constants (no gradient through them)."""
-        if not batch:
+    def update_batch(self, inputs: np.ndarray, targets: Sequence[float], learning_rate: float) -> float:
+        """One SGD step on MSE of the encoded rows against their targets;
+        returns the pre-step loss. Targets are constants (no gradient
+        through them)."""
+        if not len(targets):
             raise ValueError("empty batch")
-        inputs = np.stack([self.encode(ob) for ob, _ in batch])
-        targets = np.array([t for _, t in batch])
-        if targets.min() < 0.0 or targets.max() > 1.0:
+        if min(targets) < 0.0 or max(targets) > 1.0:
             raise ValueError("targets must lie in [0, 1]")
-        loss, (gwh, gbh, gwo, gbo) = self.loss_and_grads(inputs, targets)
+        loss, (gwh, gbh, gwo, gbo) = self.loss_and_grads(inputs, np.asarray(targets, dtype=float))
         self.w_hidden -= learning_rate * gwh
         self.b_hidden -= learning_rate * gbh
         self.w_out -= learning_rate * gwo
@@ -251,34 +247,62 @@ def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float
     """
     best = 0.0
     for children in actions:
-        candidate = gamma * product_value(value_of(child) for child in children)
+        candidate = gamma * product_value(map(value_of, children))
         if candidate > best:
             best = candidate
     return best
 
 
-def bellman_target(model: ValueModel, batch_actions: Sequence[Sequence[tuple[Obligation, ...]]]) -> list[float]:
-    """The update targets of a batch of obligations under the model's current
-    values; each obligation is given by the child tuples of its applicable
-    actions.
+class ObligationTable:
+    """The learner's obligations, each interned once for the life of a run:
+    an int id per canonical text, that id's row of a growing encoding matrix
+    (filled from model.encode) and its actions' children as tuples of ids,
+    read from the action cache once. Not thread-safe, and no cache: it holds
+    what its learner ingested plus the children of the sources it valued."""
 
-    The distinct children of the whole batch are valued in one stacked
-    forward pass, then each target is bellman_backup over those values.
-    They equal the v_value of each child up to the float rounding of the
-    stacked matrix product; the value cache is neither read nor filled.
-    """
-    children: dict[str, Obligation] = {}
-    for actions in batch_actions:
-        for action in actions:
-            for child in action:
-                children.setdefault(child.canonical(), child)
-    values: dict[str, float] = {}
-    if children:
-        _, out = model._forward(np.stack([model.encode(child) for child in children.values()]))
-        values = dict(zip(children, out.tolist()))
-    return [
-        bellman_backup(actions, lambda child: values[child.canonical()], model.gamma) for actions in batch_actions
-    ]
+    def __init__(self, model: ValueModel, actions: ActionCache):
+        self.model = model
+        self.actions = actions
+        self.obligations: list[Obligation] = []
+        self._ids: dict[str, int] = {}
+        self._children: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._rows = np.empty((64, model.input_dim))
+
+    def intern(self, ob: Obligation) -> int:
+        key = ob.canonical()
+        ob_id = self._ids.get(key)
+        if ob_id is None:
+            ob_id = self._ids[key] = len(self.obligations)
+            if ob_id == len(self._rows):
+                self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._rows[ob_id] = self.model.encode(ob)
+            self.obligations.append(ob)
+        return ob_id
+
+    def children(self, ob_id: int) -> tuple[tuple[int, ...], ...]:
+        """The child ids of each applicable action, in prediction order."""
+        children = self._children.get(ob_id)
+        if children is None:
+            actions = self.actions(self.obligations[ob_id])
+            children = self._children[ob_id] = tuple(tuple(map(self.intern, result)) for _, _, result in actions)
+        return children
+
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        """The encodings of the ids, one row each, in one gather."""
+        return self._rows[ids]
+
+
+def bellman_target(model: ValueModel, table: ObligationTable, sources: Sequence[int]) -> list[float]:
+    """The update targets of a batch of obligation ids under the model's
+    current values. The batch's distinct children, in order of first
+    appearance, are valued in one forward pass (the v_value of each up to
+    float rounding; the value cache is untouched), then each target is
+    bellman_backup over those values."""
+    batch_actions = {source: table.children(source) for source in sources}
+    children = list(dict.fromkeys(c for actions in batch_actions.values() for action in actions for c in action))
+    values = dict(zip(children, model._forward(table.rows(children))[1].tolist()))
+    targets = {source: bellman_backup(acts, values.__getitem__, model.gamma) for source, acts in batch_actions.items()}
+    return [targets[source] for source in sources]
 
 
 def pretrain(
@@ -328,80 +352,66 @@ class Transition:
     dead_end: bool = False
 
 
-def _sample(items, k: int, rng) -> list:
-    """k uniform draws with replacement from an indexable collection."""
-    if not items or k <= 0:
-        return []
-    return [items[rng.randrange(len(items))] for _ in range(k)]
+class _IdBuffer:
+    """Obligation ids in insertion order, drawn uniformly with replacement."""
+
+    def __init__(self):
+        self.ids: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def sample(self, k: int, rng) -> list[int]:
+        """k seeded draws; none at all when the buffer is empty."""
+        if not self.ids:
+            return []
+        ids, n, randrange = self.ids, len(self.ids), rng.randrange
+        return [ids[randrange(n)] for _ in range(k)]
 
 
-class ReplayBuffer:
-    """Bounded FIFO of transitions with uniform seeded sampling."""
+class ReplayBuffer(_IdBuffer):
+    """Bounded FIFO of transition source ids."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        super().__init__()
         self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, transition: Transition) -> None:
-        self._items.append(transition)
-
-    def sample(self, k: int, rng) -> list[Transition]:
-        return _sample(self._items, k, rng)
+    def push(self, source: int) -> None:
+        if len(self.ids) == self.capacity:
+            del self.ids[0]
+        self.ids.append(source)
 
 
-class TrueTargetBuffer:
-    """Minimum known proof length per obligation; values only decrease."""
+class TrueTargetBuffer(_IdBuffer):
+    """Minimum known proof length per obligation id; lengths only decrease."""
 
     def __init__(self):
-        self._entries: dict[str, tuple[Obligation, int]] = {}
+        super().__init__()
+        self._lengths: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def update(self, ob: Obligation, found_length: int) -> None:
+    def update(self, ob_id: int, found_length: int) -> None:
         if found_length < 1:
             raise ValueError("found_length must be at least 1")
-        key = ob.canonical()
-        current = self._entries.get(key)
-        if current is None or found_length < current[1]:
-            self._entries[key] = (ob, found_length)
+        if ob_id not in self._lengths:
+            self.ids.append(ob_id)
+        self._lengths[ob_id] = min(found_length, self._lengths.get(ob_id, found_length))
 
-    def length_of(self, ob: Obligation) -> int | None:
-        entry = self._entries.get(ob.canonical())
-        return entry[1] if entry else None
-
-    def items(self) -> list[tuple[Obligation, int]]:
-        return list(self._entries.values())
-
-    def sample(self, k: int, rng) -> list[tuple[Obligation, int]]:
-        return _sample(self.items(), k, rng)
+    def length_of(self, ob_id: int) -> int | None:
+        return self._lengths.get(ob_id)
 
 
-class NegativeBuffer:
-    """Obligations where every top-n prediction errored; trained to 0."""
+class NegativeBuffer(_IdBuffer):
+    """Obligation ids where every top-n prediction errored; trained to 0.
+    Dead ends are few, so membership is a scan of the ids."""
 
-    def __init__(self):
-        self._entries: dict[str, Obligation] = {}
+    def __contains__(self, ob_id: int) -> bool:
+        return ob_id in self.ids
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, ob: Obligation) -> bool:
-        return ob.canonical() in self._entries
-
-    def add(self, ob: Obligation) -> None:
-        self._entries.setdefault(ob.canonical(), ob)
-
-    def items(self) -> list[Obligation]:
-        return list(self._entries.values())
-
-    def sample(self, k: int, rng) -> list[Obligation]:
-        return _sample(self.items(), k, rng)
+    def add(self, ob_id: int) -> None:
+        if ob_id not in self:
+            self.ids.append(ob_id)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,15 @@ def test_checkpoint_predictor_shape_is_checked(tiny_checkpoint, tmp_path, capsys
     assert "predictor.weights has shape" in capsys.readouterr().err
 
 
+def test_checkpoint_encoder_dim_must_match_the_value_model(tiny_checkpoint, tmp_path, capsys):
+    def edit(payload):
+        payload["encoder"]["dim"] += 1
+
+    dim = json.loads(tiny_checkpoint.read_text())["value_model"]["input_dim"]
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert f"encoder dim {dim + 1} != value_model input_dim {dim}" in capsys.readouterr().err
+
+
 def test_checkpoint_with_an_unknown_config_key_is_runtime_error(tiny_checkpoint, tmp_path, capsys):
     def edit(payload):
         payload["config"]["actor_threads"] = 2

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from valueprover.corpus import generate_corpus
 from valueprover.env import (
     Hyperstate,
     ProofScript,
@@ -15,6 +17,9 @@ from valueprover.oracle import (
     shortest_obligation_length,
     shortest_proof,
 )
+from valueprover.predictor import predict_top_n
+from valueprover.search import ValueScorer, astar_search
+from valueprover.value_model import explore_obligation_graph, tabular_value_iteration
 
 
 class RankedPredictor:
@@ -128,3 +133,46 @@ def test_restricted_action_provider():
     unrestricted = shortest_proof(Hyperstate((thm_ob,)), 8)
     restricted = shortest_proof(Hyperstate((thm_ob,)), 8, actions=provider)
     assert unrestricted.provable and not restricted.provable
+
+
+ORACLE_DEPTH = 16
+
+
+def _random_theorem(seed: int, family: int) -> Theorem:
+    counts = [0, 0, 0]
+    counts[family] = 1
+    entries, _ = generate_corpus(seed, tuple(counts))
+    return entries[0].theorem
+
+
+def _top_n(predictor, n):
+    return lambda ob: [p.tactic for p in predict_top_n(predictor, ob, n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), family=st.integers(0, 2))
+def test_tabular_fixed_point_is_gamma_to_the_oracle_length(trained_predictor, seed, family):
+    # the update rule's fixed point on a random theorem's obligation graph is
+    # gamma^shortest, and 0 where the oracle finds no proof, under the same
+    # top-n actions
+    theorem = _random_theorem(seed, family)
+    graph = explore_obligation_graph([theorem.statement], trained_predictor, 5)
+    values = tabular_value_iteration(graph, 0.9)
+    for key, (ob, _) in graph.items():
+        result = shortest_proof(Hyperstate((ob,)), ORACLE_DEPTH, actions=_top_n(trained_predictor, 5))
+        assert not result.depth_limited
+        expected = 0.9**result.shortest_length if result.provable else 0.0
+        assert values[key] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), family=st.integers(0, 2))
+def test_astar_under_the_oracle_heuristic_finds_the_shortest_proof(trained_predictor, seed, family):
+    theorem = _random_theorem(seed, family)
+    provider = _top_n(trained_predictor, 5)
+    reference = shortest_proof(Hyperstate((theorem.statement,)), ORACLE_DEPTH, actions=provider)
+    assert reference.provable
+    scorer = ValueScorer(lambda ob: optimal_value(ob, 0.9, ORACLE_DEPTH, actions=provider), 0.9)
+    result = astar_search(theorem, scorer, trained_predictor, 5, 512)
+    assert result.proved and result.proof_length == reference.shortest_length
+    assert script_is_valid(theorem, result.script)

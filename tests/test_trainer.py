@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,7 @@ from valueprover.trainer import (
     distributed_run,
 )
 from valueprover import value_model as value_model_module
-from valueprover.value_model import ActionCache, ValueModel, bellman_target
+from valueprover.value_model import ActionCache, ValueModel, bellman_backup, bellman_target
 
 
 class RankedPredictor:
@@ -284,10 +285,11 @@ def test_learner_true_target_min_rule():
     learner.ingest([], [(state, 5)])
     learner.ingest([], [(state, 3)])
     learner.ingest([], [(state, 9)])
-    assert learner.true_targets.length_of(state) == 3
+    assert learner.true_targets.length_of(learner.table.intern(state)) == 3
     dead = parse_obligation("|- Zero = Succ(Zero)")
     learner.ingest([Transition(dead, None, (), dead_end=True)], [])
-    assert dead in learner.negatives and len(learner.replay) == 1
+    assert learner.table.intern(dead) in learner.negatives and len(learner.replay) == 1
+    assert len(learner.table.obligations) == 2
 
 
 def test_distributed_covers_all_partitions():
@@ -422,14 +424,155 @@ def test_learner_memoized_target_matches_reference(replay_obligations, cold_pred
     assert learner.actions is ActionCache.of(predictor, config.width)
     obligations = data.draw(st.lists(st.sampled_from(replay_obligations), min_size=1, max_size=8))
     for _ in range(2):
-        memo = [[children for _, _, children in learner.actions(ob)] for ob in obligations + obligations]
+        ids = [learner.table.intern(ob) for ob in obligations + obligations]
         reference = [
             [children for _, _, children in _reference_actions(ob, predictor, config.width)]
             for ob in obligations + obligations
         ]
-        assert bellman_target(learner.model, memo) == bellman_target(learner.model, reference)
-        learner.model.update_batch([(ob, 0.5) for ob in obligations], 0.5)
+        assert bellman_target(learner.model, learner.table, ids) == _reference_targets(learner.model, reference)
+        learner.model.update_batch(learner.table.rows(ids), [0.5] * len(ids), 0.5)
     assert len(learner.actions._entries) == len({ob.canonical() for ob in obligations})
+
+
+def _reference_targets(model, batch_actions):
+    """Bellman targets keyed by canonical text: the batch's distinct children
+    are encoded one by one, stacked and valued in one forward pass, and each
+    target is a bellman_backup over them."""
+    children = {}
+    for actions in batch_actions:
+        for action in actions:
+            for child in action:
+                children.setdefault(child.canonical(), child)
+    values = {}
+    if children:
+        _, out = model._forward(np.stack([model.encode(child) for child in children.values()]))
+        values = dict(zip(children, out.tolist()))
+    return [bellman_backup(actions, lambda child: values[child.canonical()], model.gamma) for actions in batch_actions]
+
+
+class _ReferenceLearner:
+    """The learner over obligation-keyed buffers: a deque of transitions,
+    dicts of (obligation, length) and of dead ends, sampled through copies
+    of their items, with targets from _reference_targets and update inputs
+    stacked from per-row encodings."""
+
+    def __init__(self, model, predictor, config):
+        self.model, self.predictor, self.config = model, predictor, config
+        self.replay = deque(maxlen=config.replay_capacity)
+        self.true_targets = {}
+        self.negatives = {}
+        self.rng = random.Random(config.seed + 1)
+        self.ingested = set()
+        self.expanded = set()
+
+    def ingest(self, transitions, discharged):
+        for transition in transitions:
+            self.replay.append(transition)
+            self.ingested.add(transition.source.canonical())
+            if transition.dead_end:
+                self.negatives.setdefault(transition.source.canonical(), transition.source)
+        for obligation, length in discharged:
+            self.ingested.add(obligation.canonical())
+            current = self.true_targets.get(obligation.canonical())
+            if current is None or length < current[1]:
+                self.true_targets[obligation.canonical()] = (obligation, length)
+
+    def _sample(self, items, k):
+        return [items[self.rng.randrange(len(items))] for _ in range(k)] if items else []
+
+    def sample_batch(self):
+        cfg = self.config
+        n_replay = round(cfg.batch_size * cfg.replay_fraction)
+        n_true = round(cfg.batch_size * cfg.true_fraction)
+        n_negative = cfg.batch_size - n_replay - n_true
+        replay_want = n_replay
+        if not self.true_targets:
+            replay_want += n_true
+        if not self.negatives:
+            replay_want += n_negative
+        sources = [transition.source for transition in self._sample(self.replay, replay_want)]
+        batch_actions = [
+            [children for _, _, children in _reference_actions(source, self.predictor, cfg.width)]
+            for source in sources
+        ]
+        for source, actions in zip(sources, batch_actions):
+            self.expanded.add(source.canonical())
+            self.expanded.update(child.canonical() for action in actions for child in action)
+        batch = list(zip(sources, _reference_targets(self.model, batch_actions)))
+        for obligation, length in self._sample(list(self.true_targets.values()), n_true):
+            batch.append((obligation, self.model.gamma**length))
+        for obligation in self._sample(list(self.negatives.values()), n_negative):
+            batch.append((obligation, 0.0))
+        return batch
+
+    def update_once(self):
+        batch = self.sample_batch()
+        if batch:
+            inputs = np.stack([self.model.encode(ob) for ob, _ in batch])
+            self.model.update_batch(inputs, [target for _, target in batch], self.config.learning_rate)
+        return batch
+
+
+MIXES = [(0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.75, 0.0, 0.25), (0.25, 0.75, 0.0)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    capacity=st.sampled_from([2, 5, 4096]),
+    mix=st.sampled_from(MIXES),
+    data=st.data(),
+)
+def test_learner_batches_match_an_obligation_keyed_reference(small_split, cold_predictor, seed, capacity, mix, data):
+    # the id-keyed learner draws the same obligations with the same targets
+    # and reaches the same parameters as the obligation-keyed reference
+    from valueprover.trainer import _Learner
+
+    predictor = cold_predictor()
+    replay, true, negative = mix
+    config = _fast_config(
+        seed=seed,
+        replay_capacity=capacity,
+        replay_fraction=replay,
+        true_fraction=true,
+        negative_fraction=negative,
+        batch_size=data.draw(st.integers(1, 32)),
+    )
+    tasks = prepare_tasks(small_split, predictor, config.width, config)
+    tasks = data.draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=4))
+    learner = _Learner(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=seed), predictor, config)
+    reference = _ReferenceLearner(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=seed), predictor, config)
+    batches = []
+    sample_batch = learner.sample_batch
+    learner.sample_batch = lambda: batches.append(sample_batch()) or batches[-1]
+    episode_rng = random.Random(seed)
+    seeded = [(task.obligation, task.demo_length) for task in tasks]
+    learner.ingest([], seeded)
+    reference.ingest([], seeded)
+    for _ in range(data.draw(st.integers(1, 8))):
+        task = tasks[episode_rng.randrange(len(tasks))]
+        prefix = episode_rng.randrange(task.demo_length + 1)
+        episode = run_episode(task, learner.model, learner.actions, config, prefix, episode_rng, 0.5)
+        learner.ingest(*episode)
+        reference.ingest(*episode)
+        for _ in range(data.draw(st.integers(0, 3))):
+            learner.update_once()
+            expected = reference.update_once()
+            ids, targets = batches[-1]
+            assert [learner.table.obligations[i] for i in ids] == [ob for ob, _ in expected]
+            assert targets == [target for _, target in expected]
+            assert np.array_equal(learner.model.get_flat_params(), reference.model.get_flat_params())
+    assert learner.buffer_sizes() == {
+        "replay": len(reference.replay),
+        "true_target": len(reference.true_targets),
+        "negative": len(reference.negatives),
+    }
+    assert [learner.table.obligations[i].canonical() for i in learner.negatives.ids] == list(reference.negatives)
+    # the table holds what the buffers were given plus the children of the
+    # sources whose targets were computed, each once; never more
+    assert len(learner.table.obligations) == len(reference.ingested | reference.expanded)
+    canonical = [ob.canonical() for ob in learner.table.obligations]
+    assert len(set(canonical)) == len(canonical)
 
 
 def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, trained_predictor):

@@ -13,8 +13,8 @@ from valueprover.predictor import Predictor, predict_top_n
 from valueprover.value_model import (
     ActionCache,
     NegativeBuffer,
+    ObligationTable,
     ReplayBuffer,
-    Transition,
     TrueTargetBuffer,
     UndefinedStepsError,
     ValueModel,
@@ -101,8 +101,8 @@ def test_log_product_duality(model, small_corpus):
 
 
 def _target(model, state, predictor, n):
-    _, actions = predicted_actions(predictor, state, n)
-    return bellman_target(model, [[children for _, _, children in actions]])[0]
+    table = ObligationTable(model, ActionCache(predictor, n))
+    return bellman_target(model, table, [table.intern(state)])[0]
 
 
 def test_bellman_target_discharge_is_gamma(model, trained_predictor):
@@ -173,11 +173,11 @@ def test_batched_targets_match_per_child_v_value(trained_predictor, replay_oblig
     model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=data.draw(st.integers(0, 3)))
     sources = data.draw(st.lists(st.sampled_from(replay_obligations), max_size=32))
     actions = ActionCache(trained_predictor, 5)
-    batch_actions = [[children for _, _, children in actions(source)] for source in sources]
-    targets = bellman_target(model, batch_actions)
+    table = ObligationTable(model, actions)
+    targets = bellman_target(model, table, [table.intern(source) for source in sources])
     assert len(targets) == len(sources) and not model._value_cache
-    for source_actions, target in zip(batch_actions, targets):
-        reference = bellman_backup(source_actions, model.v_value, model.gamma)
+    for source, target in zip(sources, targets):
+        reference = bellman_backup([children for _, _, children in actions(source)], model.v_value, model.gamma)
         assert math.isclose(target, reference, rel_tol=1e-12)
 
 
@@ -260,25 +260,26 @@ def test_model_caches_are_bounded(monkeypatch, model, replay_obligations):
 
 def test_update_batch_edges(model):
     state = ob("|- Zero = Zero")
+    inputs = model.encode(state)[None, :]
     current = model.v_value(state)
     before = model.get_flat_params().copy()
-    loss = model.update_batch([(state, current)], 0.5)
+    loss = model.update_batch(inputs, [current], 0.5)
     assert loss == pytest.approx(0.0, abs=1e-30)
     assert np.array_equal(model.get_flat_params(), before)
-    loss = model.update_batch([(state, 0.1)], 0.0)
+    loss = model.update_batch(inputs, [0.1], 0.0)
     assert loss > 0
     assert np.array_equal(model.get_flat_params(), before)
     with pytest.raises(ValueError):
-        model.update_batch([], 0.1)
+        model.update_batch(inputs[:0], [], 0.1)
     with pytest.raises(ValueError):
-        model.update_batch([(state, 1.5)], 0.1)
+        model.update_batch(inputs, [1.5], 0.1)
 
 
 def test_update_batch_converges(model):
-    batch = [(ob("|- Zero = Zero"), 0.9), (ob("|- Succ(Zero) = Succ(Zero)"), 0.81)]
+    inputs = np.stack([model.encode(ob("|- Zero = Zero")), model.encode(ob("|- Succ(Zero) = Succ(Zero)"))])
     loss = None
     for _ in range(800):
-        loss = model.update_batch(batch, 0.5)
+        loss = model.update_batch(inputs, [0.9, 0.81], 0.5)
     assert loss < 1e-3
 
 
@@ -319,39 +320,76 @@ def test_gradients_match_finite_differences(model, small_corpus):
 
 def test_replay_buffer_fifo_and_sampling():
     buffer = ReplayBuffer(capacity=3)
-    a = Transition(ob("|- Zero = Zero"), Tactic("reflexivity"), ())
-    b = Transition(ob("|- Succ(Zero) = Succ(Zero)"), Tactic("reflexivity"), ())
+    a, b = 0, 1
     for item in (a, a, a, b):
         buffer.push(item)
     assert len(buffer) == 3
     rng1, rng2 = random.Random(5), random.Random(5)
     assert buffer.sample(4, rng1) == buffer.sample(4, rng2)
+    # the oldest entries go first; draws index the rest from oldest to newest
+    for item in (2, 3, 4):
+        buffer.push(item)
+    assert buffer.sample(50, random.Random(5)) == [(2, 3, 4)[i] for i in _draws(5, 3, 50)]
     with pytest.raises(ValueError):
         ReplayBuffer(0)
 
 
+def _draws(seed, n, k):
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(k)]
+
+
 def test_true_target_buffer_min_rule():
     buffer = TrueTargetBuffer()
-    state = ob("|- Zero = Zero")
+    state = 3
     buffer.update(state, 5)
     buffer.update(state, 4)
     assert buffer.length_of(state) == 4
     buffer.update(state, 7)
     assert buffer.length_of(state) == 4
-    other = ob("|- Succ(Zero) = Succ(Zero)")
+    other = 1
     buffer.update(other, 2)
-    assert buffer.length_of(other) == 2
+    assert buffer.length_of(other) == 2 and buffer.length_of(0) is None
     with pytest.raises(ValueError):
         buffer.update(state, 0)
+    # draws index the ids in first-insertion order, whatever their lengths
+    assert buffer.sample(20, random.Random(2)) == [(3, 1)[i] for i in _draws(2, 2, 20)]
 
 
 def test_negative_buffer_membership():
     buffer = NegativeBuffer()
-    state = ob("|- Zero = Succ(Zero)")
+    state = 7
     assert state not in buffer
     buffer.add(state)
     buffer.add(state)
     assert state in buffer and len(buffer) == 1
+    buffer.add(2)
+    assert buffer.ids == [7, 2] and buffer.sample(0, random.Random(0)) == []
+
+
+def test_obligation_table_interns_each_obligation_once(model, trained_predictor, replay_obligations):
+    actions = ActionCache(trained_predictor, 5)
+    table = ObligationTable(model, actions)
+    ids = [table.intern(state) for state in replay_obligations]
+    distinct = {state.canonical() for state in replay_obligations}
+    assert len(table.obligations) == len(distinct) == len(set(ids))
+    for state, ob_id in zip(replay_obligations, ids):
+        assert table.obligations[ob_id].canonical() == state.canonical()
+        assert table.rows([ob_id])[0].tobytes() == model.encoder(state).tobytes()
+        assert table.intern(parse_obligation(state.canonical())) == ob_id
+    assert len(model._encoding_cache) == len(distinct)
+    assert np.array_equal(table.rows(ids), np.stack([model.encode(state) for state in replay_obligations]))
+    for state, ob_id in zip(replay_obligations, ids):
+        children = table.children(ob_id)
+        assert [[table.obligations[c] for c in action] for action in children] == [
+            list(result) for _, _, result in actions(state)
+        ]
+        assert table.children(ob_id) is children
+    distinct.update(c.canonical() for state in replay_obligations for _, _, result in actions(state) for c in result)
+    assert len(table.obligations) == len(distinct) == len(model._encoding_cache) > 64  # the matrix grew
+    assert [table.rows([ob_id])[0].tobytes() for ob_id in range(len(table.obligations))] == [
+        model.encoder(state).tobytes() for state in table.obligations
+    ]
 
 
 def test_tabular_value_iteration_small_graph(trained_predictor):
