@@ -157,11 +157,22 @@ def save_corpus(entries: list[CorpusEntry], path: str) -> None:
         fh.write("".join(line + "\n" for line in lines))
 
 
+def _check_field_types(record: dict) -> None:
+    for name in ("id", "statement", "proof"):
+        if not isinstance(record[name], str):
+            raise ValueError(f"{name} must be a string")
+    # bool is a subclass of int, and true must not pass for a length of 1
+    if type(record["proof_length"]) is not int:
+        raise ValueError("proof_length must be an integer")
+
+
 def load_corpus(path: str) -> list[CorpusEntry]:
     """Read a corpus file, validating every entry: a line that does not
-    parse, or whose proof does not replay to a closed goal, raises
-    CorpusFormatError with its line number."""
+    parse, has a field of the wrong type, repeats an earlier theorem id or
+    whose proof does not replay to a closed goal raises CorpusFormatError
+    with its line number."""
     entries = []
+    ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -169,6 +180,7 @@ def load_corpus(path: str) -> list[CorpusEntry]:
                 continue
             try:
                 record = json.loads(line)
+                _check_field_types(record)
                 theorem = Theorem(record["id"], parse_obligation(record["statement"]))
                 proof = parse_script(record["proof"])
                 if record["proof_length"] != len(proof.steps):
@@ -179,6 +191,9 @@ def load_corpus(path: str) -> list[CorpusEntry]:
                 raise
             except (KeyError, ValueError, TypeError) as err:
                 raise CorpusFormatError(line_number, str(err)) from err
+            if theorem.id in ids:
+                raise CorpusFormatError(line_number, f"duplicate theorem id {theorem.id!r}")
+            ids.add(theorem.id)
             entries.append(CorpusEntry(theorem, proof))
     return entries
 

@@ -490,10 +490,13 @@ def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obli
     return tasks  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
     """Every tactic that applies to `ob` without error, with its results.
 
     Candidates follow the fixed template order, arguments in context order.
+    Memoized per obligation, so the failing candidates, which apply_tactic's
+    cache never stores, are tried once per process rather than per call.
     """
     candidates: list[Tactic] = [Tactic("intros")]
     candidates.extend(Tactic("induction", v) for v in ob.context_vars())

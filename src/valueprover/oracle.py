@@ -17,15 +17,15 @@ from .env import (
     ProofScript,
     Tactic,
     TacticError,
+    apply_tactic,
     enumerate_applicable,
-    step_hyperstate,
 )
+from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces oracle.step_hyperstate
 from .value_model import ActionCache
 
 __all__ = [
     "OracleResult",
     "ActionProvider",
-    "all_applicable_actions",
     "shortest_proof",
     "shortest_obligation_length",
     "optimal_value",
@@ -44,8 +44,15 @@ class OracleResult:
     depth_limited: bool
 
 
-def all_applicable_actions(ob: Obligation) -> tuple[Tactic, ...]:
-    return tuple(tactic for tactic, _ in enumerate_applicable(ob))
+def _applicable_among(ob: Obligation, actions: ActionProvider) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
+    """The provider's tactics that apply to `ob`, with their results."""
+    pairs = []
+    for tactic in actions(ob):
+        try:
+            pairs.append((tactic, apply_tactic(ob, tactic)))
+        except TacticError:
+            continue
+    return pairs
 
 
 def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | None = None) -> OracleResult:
@@ -53,11 +60,11 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
 
     `actions` restricts the tactics tried on each first obligation (used for
     predictor-constrained searches); by default every applicable tactic is
-    tried. Depth exhaustion is reported as not-provable with depth_limited.
+    tried, expanded from the process-wide `enumerate_applicable` memo.
+    Depth exhaustion is reported as not-provable with depth_limited.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    provider = all_applicable_actions if actions is None else actions
     if start.is_empty:
         return OracleResult(True, ProofScript(), 0, False)
     queue: deque[tuple[Hyperstate, tuple[Tactic, ...]]] = deque([(start, ())])
@@ -68,11 +75,10 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
         if len(script) >= max_depth:
             depth_limited = True
             continue
-        for tactic in provider(state.first):
-            try:
-                child = step_hyperstate(state, tactic)
-            except TacticError:
-                continue
+        first, rest = state.obligations[0], state.obligations[1:]
+        pairs = enumerate_applicable(first) if actions is None else _applicable_among(first, actions)
+        for tactic, produced in pairs:
+            child = Hyperstate(produced + rest)
             if child.is_empty:
                 found = script + (tactic,)
                 return OracleResult(True, ProofScript(found), len(found), False)

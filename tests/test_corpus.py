@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -60,11 +62,45 @@ def test_malformed_line_reports_line_number(tmp_path, small_corpus):
     path = tmp_path / "corpus.jsonl"
     save_corpus(small_corpus[:3], str(path))
     lines = path.read_text().splitlines()
-    lines[2] = '{"id": "broken"}'
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError) as err:
+    record = json.loads(lines[2])
+    broken = [
+        ('{"id": "broken"}', None),
+        ("[1, 2]", None),
+        (json.dumps({**record, "statement": 123}), "statement must be a string"),
+        (json.dumps({**record, "proof": 5}), "proof must be a string"),
+        (json.dumps({**record, "proof": ["simpl", "reflexivity"]}), "proof must be a string"),
+        (json.dumps({**record, "id": 7}), "id must be a string"),
+        (json.dumps({**record, "proof_length": True}), "proof_length must be an integer"),
+        (json.dumps({**record, "proof_length": float(record["proof_length"])}), "proof_length must be an integer"),
+        (json.dumps({**record, "proof_length": str(record["proof_length"])}), "proof_length must be an integer"),
+    ]
+    for text, message in broken:
+        path.write_text("\n".join(lines[:2] + [text]) + "\n")
+        with pytest.raises(CorpusFormatError, match=None if message is None else f"^line 3: {message}$") as err:
+            load_corpus(str(path))
+        assert err.value.line_number == 3
+
+
+def test_duplicate_theorem_id_is_rejected(tmp_path, small_corpus):
+    path = tmp_path / "corpus.jsonl"
+    entries = list(small_corpus[:3])
+    entries[2] = dataclasses.replace(entries[2], theorem=dataclasses.replace(entries[2].theorem, id=entries[0].theorem.id))
+    save_corpus(entries, str(path))
+    with pytest.raises(CorpusFormatError, match=f"^line 3: duplicate theorem id '{entries[0].theorem.id}'$") as err:
         load_corpus(str(path))
     assert err.value.line_number == 3
+
+
+# sha256 of the baseline corpus file, `gen-corpus --seed 0 --counts 26,14,10`.
+# Every checkpoint trains on these proofs, so the oracle's tie-breaking must
+# not move them.
+BASELINE_CORPUS_SHA256 = "21f09ff7aef850c13da233233b5ccad11658c1b8a534e84022b73a41709ccf9b"
+
+
+def test_baseline_corpus_bytes_are_pinned(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_corpus(0, (26, 14, 10))[0], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BASELINE_CORPUS_SHA256
 
 
 _TACTICS = (

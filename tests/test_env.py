@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valueprover.env import (
+    CACHE_SIZE,
     ContextVar,
     Hyperstate,
     Obligation,
@@ -260,6 +261,10 @@ def test_enumerate_applicable_orders_and_filters():
     assert [str(t) for t, _ in applicable] == ["induction n"]
     closed = ob("|- Zero = Zero")
     assert [str(t) for t, _ in enumerate_applicable(closed)] == ["reflexivity"]
+    # memoized per process under the package-wide bound: an equal obligation
+    # parsed afresh gets the very tuple computed first
+    assert enumerate_applicable.cache_info().maxsize == CACHE_SIZE
+    assert enumerate_applicable(ob("n |- Plus(Var(n),Zero) = Var(n)")) is applicable
 
 
 def test_theorem_requires_empty_context():

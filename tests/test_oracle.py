@@ -1,17 +1,27 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
+    ARG_TEMPLATES,
+    TEMPLATES,
     Hyperstate,
+    Hypothesis,
+    Obligation,
     ProofScript,
-    Theorem,
+    Tactic,
+    TacticError,
     enumerate_applicable,
     parse_obligation,
     parse_script,
     script_is_valid,
+    step_hyperstate,
 )
 from valueprover.oracle import (
+    OracleResult,
     optimal_value,
     reproducible_under_predictor,
     shortest_obligation_length,
@@ -138,11 +148,11 @@ def test_restricted_action_provider():
 ORACLE_DEPTH = 16
 
 
-def _random_theorem(seed: int, family: int) -> Theorem:
+def _random_entry(seed: int, family: int):
     counts = [0, 0, 0]
     counts[family] = 1
     entries, _ = generate_corpus(seed, tuple(counts))
-    return entries[0].theorem
+    return entries[0]
 
 
 def _top_n(predictor, n):
@@ -155,7 +165,7 @@ def test_tabular_fixed_point_is_gamma_to_the_oracle_length(trained_predictor, se
     # the update rule's fixed point on a random theorem's obligation graph is
     # gamma^shortest, and 0 where the oracle finds no proof, under the same
     # top-n actions
-    theorem = _random_theorem(seed, family)
+    theorem = _random_entry(seed, family).theorem
     graph = explore_obligation_graph([theorem.statement], trained_predictor, 5)
     values = tabular_value_iteration(graph, 0.9)
     for key, (ob, _) in graph.items():
@@ -168,7 +178,7 @@ def test_tabular_fixed_point_is_gamma_to_the_oracle_length(trained_predictor, se
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), family=st.integers(0, 2))
 def test_astar_under_the_oracle_heuristic_finds_the_shortest_proof(trained_predictor, seed, family):
-    theorem = _random_theorem(seed, family)
+    theorem = _random_entry(seed, family).theorem
     provider = _top_n(trained_predictor, 5)
     reference = shortest_proof(Hyperstate((theorem.statement,)), ORACLE_DEPTH, actions=provider)
     assert reference.provable
@@ -176,3 +186,81 @@ def test_astar_under_the_oracle_heuristic_finds_the_shortest_proof(trained_predi
     result = astar_search(theorem, scorer, trained_predictor, 5, 512)
     assert result.proved and result.proof_length == reference.shortest_length
     assert script_is_valid(theorem, result.script)
+
+
+def _shuffled_candidates(seed):
+    """Every tactic template with every context name as argument, applicable
+    or not, in an order fixed by the seed and the obligation."""
+
+    def provider(ob):
+        names = [entry.name for entry in ob.context]
+        candidates = [Tactic(t, a) for t in ARG_TEMPLATES for a in names]
+        candidates += [Tactic(t) for t in TEMPLATES if t not in ARG_TEMPLATES]
+        random.Random(f"{seed}|{ob.canonical()}").shuffle(candidates)
+        return candidates
+
+    return provider
+
+
+def _every_applicable_uncached(ob):
+    return [tactic for tactic, _ in enumerate_applicable.__wrapped__(ob)]
+
+
+def _reference_shortest_proof(start, max_depth, actions=None):
+    """shortest_proof's BFS, stepping every candidate tactic through
+    step_hyperstate and drawing the default candidates from an uncached
+    enumeration."""
+    actions = _every_applicable_uncached if actions is None else actions
+    if start.is_empty:
+        return OracleResult(True, ProofScript(), 0, False)
+    queue = deque([(start, ())])
+    visited = {start.canonical_key()}
+    depth_limited = False
+    while queue:
+        state, script = queue.popleft()
+        if len(script) >= max_depth:
+            depth_limited = True
+            continue
+        for tactic in actions(state.first):
+            try:
+                child = step_hyperstate(state, tactic)
+            except TacticError:
+                continue
+            if child.is_empty:
+                found = script + (tactic,)
+                return OracleResult(True, ProofScript(found), len(found), False)
+            key = child.canonical_key()
+            if key in visited:
+                continue
+            visited.add(key)
+            queue.append((child, script + (tactic,)))
+    return OracleResult(False, None, None, depth_limited)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), family=st.integers(0, 2), max_depth=st.integers(0, 10))
+def test_shortest_proof_matches_a_step_by_step_reference_bfs(trained_predictor, data, seed, family, max_depth):
+    # the start is a random theorem, or the hyperstate (or one obligation of
+    # it) reached after a random prefix of its proof; the candidates are all
+    # applicable tactics, the predictor's top n or every tactic shuffled
+    entry = _random_entry(seed, family)
+    state = Hyperstate((entry.theorem.statement,))
+    for tactic in entry.proof.steps[: data.draw(st.integers(0, len(entry.proof.steps) - 1))]:
+        state = step_hyperstate(state, tactic)
+    if data.draw(st.booleans()):
+        state = Hyperstate((data.draw(st.sampled_from(state.obligations)),))
+    first = state.first
+    if first.hypotheses() and data.draw(st.booleans()):
+        # a renamed copy of a hypothesis ties every rewrite by the original,
+        # so that only the candidate order picks the returned script
+        h = data.draw(st.sampled_from(first.hypotheses()))
+        context = first.context + (Hypothesis(h.name + "_twin", h.lhs, h.rhs),)
+        state = Hyperstate((Obligation(first.binders, context, first.goal_lhs, first.goal_rhs),) + state.obligations[1:])
+    provider = data.draw(st.sampled_from(("all", "top_n", "shuffled")))
+    if provider == "all":
+        actions = None
+    elif provider == "top_n":
+        actions = _top_n(trained_predictor, data.draw(st.integers(1, 6)))
+    else:
+        actions = _shuffled_candidates(seed)
+    assert shortest_proof(state, max_depth, actions) == _reference_shortest_proof(state, max_depth, actions)
