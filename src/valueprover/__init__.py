@@ -11,8 +11,8 @@ The package is organized bottom-up:
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
 - search: greedy / DFS / best-first / A* proof search
-- trainer: pretraining, the demonstration curriculum, the RL loop and the
-  actor/learner distributed mode
+- trainer: pretraining, the demonstration curriculum, the single-actor RL
+  loop and checkpoints
 - reports, cli: evaluation reports and the command-line interface
 """
 

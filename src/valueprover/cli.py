@@ -2,8 +2,8 @@
 
 Subcommands tie the pieces together: gen-corpus, pretrain, train, prove,
 eval, ablate and oracle. Every command with a --seed is deterministic and
-writes byte-identical outputs across runs (single-actor mode). Exit codes:
-0 success, 1 usage error, 2 runtime error.
+writes byte-identical outputs across runs. Exit codes: 0 success, 1 usage
+error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ def _counts(text: str) -> tuple[int, int, int]:
     return values
 
 
+def _add_training_arguments(p: argparse.ArgumentParser) -> None:
+    """The options that pretrain, train and ablate share; _config_from_args reads them."""
+    p.add_argument("--gamma", type=_gamma, default=0.9)
+    p.add_argument("--width", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--test-ratio", type=_ratio, default=0.25)
+    p.add_argument("--rl-epochs", type=int, default=1)
+    p.add_argument("--pretrain-epochs", type=int, default=800)
+    p.add_argument("--min-drop-length", type=int, default=2)
+    p.add_argument("--max-drop-length", type=int, default=6)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="valueprover", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,15 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a value model from a corpus")
         p.add_argument("--corpus", required=True)
         p.add_argument("--out", required=True, help="checkpoint path; report written next to it")
-        p.add_argument("--gamma", type=_gamma, default=0.9)
-        p.add_argument("--width", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--actors", type=int, default=1)
-        p.add_argument("--test-ratio", type=_ratio, default=0.25)
-        p.add_argument("--rl-epochs", type=int, default=1)
-        p.add_argument("--pretrain-epochs", type=int, default=800)
-        p.add_argument("--min-drop-length", type=int, default=2)
-        p.add_argument("--max-drop-length", type=int, default=6)
+        _add_training_arguments(p)
         p.add_argument("--no-subproof-tasks", action="store_true")
 
     p = sub.add_parser("prove", help="search for a proof of one theorem")
@@ -112,15 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("width", "gamma", "scorer", "obligation-training"), required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="sweep output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=_gamma, default=0.9)
-    p.add_argument("--width", type=int, default=5)
+    _add_training_arguments(p)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--test-ratio", type=_ratio, default=0.25)
-    p.add_argument("--rl-epochs", type=int, default=1)
-    p.add_argument("--pretrain-epochs", type=int, default=800)
-    p.add_argument("--min-drop-length", type=int, default=2)
-    p.add_argument("--max-drop-length", type=int, default=6)
 
     p = sub.add_parser("oracle", help="brute-force shortest proof of one obligation")
     p.add_argument("obligation", help="canonical obligation text")
@@ -141,14 +138,15 @@ def cmd_gen_corpus(args) -> int:
 
 
 def _config_from_args(args, rl: bool) -> TrainerConfig:
+    """The config of pretrain (rl False), train or ablate; ablate has no
+    --no-subproof-tasks and always trains on sub-proofs."""
     return TrainerConfig(
         gamma=args.gamma,
         width=args.width,
         seed=args.seed,
         test_ratio=args.test_ratio,
-        actor_count=getattr(args, "actors", 1),
         rl_epochs=args.rl_epochs if rl else 0,
-        pretrain_epochs=getattr(args, "pretrain_epochs", 800),
+        pretrain_epochs=args.pretrain_epochs,
         min_drop_length=args.min_drop_length,
         max_drop_length=args.max_drop_length,
         subproof_tasks=not getattr(args, "no_subproof_tasks", False),
@@ -248,21 +246,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _base_config(args) -> TrainerConfig:
-    return TrainerConfig(
-        gamma=args.gamma,
-        width=args.width,
-        seed=args.seed,
-        test_ratio=args.test_ratio,
-        rl_epochs=args.rl_epochs,
-        pretrain_epochs=args.pretrain_epochs,
-        min_drop_length=args.min_drop_length,
-        max_drop_length=args.max_drop_length,
-    )
-
-
 def cmd_ablate(args) -> int:
-    base = _base_config(args)
+    base = _config_from_args(args, rl=True)
     os.makedirs(args.out, exist_ok=True)
     sweep_rows = []
 

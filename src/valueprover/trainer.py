@@ -9,21 +9,15 @@ update the true-target buffer (minimum known length); obligations where
 every prediction errors land in the negative buffer. Batches mix the three
 sources and regress on bootstrapped targets.
 
-Both modes share one learner loop, which owns the parameters and all
-buffers, and one episode plan (epochs x tasks x prefixes x episodes, with
-the epsilon schedule). They differ only in where episodes come from.
-Single-actor runs play the plan in turn against the learner's model and are
-bit-reproducible per seed. The distributed mode is a thin layer over the
-same loop: actor threads play the plans of disjoint task partitions against
-parameter snapshots and communicate only through queues.
+One learner owns the parameters and all buffers. The episode plan (epochs
+x tasks x prefixes x episodes, with the epsilon schedule) is played in turn
+against the learner's own model, so a run is bit-reproducible per seed.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import random
-import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -57,20 +51,12 @@ __all__ = [
     "demonstration_schedule",
     "run_episode",
     "train",
-    "distributed_run",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_VERSION",
 ]
 
 CHECKPOINT_VERSION = 1
-
-# Failures of one task after which the distributed runner drops it instead
-# of respawning an actor at it again.
-MAX_TASK_FAILURES = 3
-
-# Seconds to wait for each actor thread once every actor has reported.
-ACTOR_JOIN_TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -104,6 +90,8 @@ class TrainerConfig:
     negative_fraction: float = 0.25
     replay_capacity: int = 4096
     learning_rate: float = 0.02
+    # recorded for checkpoints of the removed actor/learner mode; train
+    # accepts only actor_count == 1 and reads neither field otherwise
     sync_interval: int = 16
     actor_count: int = 1
     # tasks with demo length <= min_drop or >= max_drop are filtered out
@@ -122,10 +110,22 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.width < 1:
-            raise ValueError("width must be at least 1")
-        if self.actor_count < 1:
-            raise ValueError("actor_count must be at least 1")
+        for name in ("rl_epochs", "pretrain_epochs", "predictor_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        for name in (
+            "width",
+            "actor_count",
+            "episode_budget",
+            "episodes_per_prefix",
+            "updates_per_episode",
+            "batch_size",
+            "replay_capacity",
+            "encoder_dim",
+            "hidden_dim",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         fractions = (self.replay_fraction, self.true_fraction, self.negative_fraction)
         if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("batch mix fractions must be nonnegative and sum to 1")
@@ -274,9 +274,8 @@ class _Learner:
 
     The predictor is frozen during RL, so the learner reads each
     obligation's applicable actions from the predictor's shared action
-    cache, which the task filter has started to fill and which validation
-    and single-actor episodes share. Actor threads keep their own and never
-    touch the table, whose ids the buffers hold.
+    cache, which the task filter has started to fill and which episodes and
+    validation share. The buffers hold the table's ids.
     """
 
     def __init__(self, model: ValueModel, predictor: Predictor, config: TrainerConfig):
@@ -355,22 +354,13 @@ def train(
 ) -> tuple[ValueModel, TrainingReport]:
     """Pretraining followed by episodic RL over the demonstration schedules.
 
-    Bit-reproducible for a fixed seed in single-actor mode; actor_count >= 2
-    dispatches to the distributed runner.
+    Episodes run in turn against the learner's own model and action cache,
+    so each one sees every update before it. Each episode is ingested and
+    followed by updates_per_episode updates, and validation runs after every
+    epoch's worth of episodes. Bit-reproducible for a fixed seed.
     """
-    if config.actor_count > 1:
-        return distributed_run(split, predictor, config, tasks)
-    return _run(split, predictor, config, tasks, _single_actor_episodes)
-
-
-def _run(split, predictor, config, tasks, episodes) -> tuple[ValueModel, TrainingReport]:
-    """The one learner loop behind both modes.
-
-    episodes(tasks, learner) yields one (transitions, discharged) pair per
-    episode. Each is ingested and followed by updates_per_episode updates.
-    Validation runs after every epoch's worth of episodes, and once more
-    after a final partial epoch (tasks dropped by the distributed runner).
-    """
+    if config.actor_count != 1:
+        raise ValueError("actor_count must be 1: the actor/learner mode was removed")
     if tasks is None:
         tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
@@ -394,16 +384,16 @@ def _run(split, predictor, config, tasks, episodes) -> tuple[ValueModel, Trainin
     learner.ingest([], [(task.obligation, task.demo_length) for task in tasks])
 
     validation = tasks[: config.validation_tasks]
-    epoch_episodes = max(1, _episodes_per_epoch(tasks, config))
-    for transitions, discharged in episodes(tasks, learner):
+    epoch_episodes = _episodes_per_epoch(tasks, config)
+    rng = random.Random(config.seed + 2)
+    for task, prefix, epsilon in _episode_plan(tasks, config):
+        transitions, discharged = run_episode(task, model, learner.actions, config, prefix, rng, epsilon)
         learner.ingest(transitions, discharged)
         for _ in range(config.updates_per_episode):
             learner.update_once()
         report.episodes += 1
         if report.episodes % epoch_episodes == 0:
             report.validation_success.append(_validation_success(model, predictor, validation, config))
-    if report.episodes % epoch_episodes:
-        report.validation_success.append(_validation_success(model, predictor, validation, config))
     report.updates = learner.updates
     report.update_losses = learner.losses
     report.buffer_sizes = learner.buffer_sizes()
@@ -416,197 +406,17 @@ def _episodes_per_epoch(tasks: list[TrainingTask], config: TrainerConfig) -> int
 
 
 def _episode_plan(tasks: list[TrainingTask], config: TrainerConfig):
-    """(task index, task, demonstration prefix, epsilon) for every episode
-    of rl_epochs passes over the tasks, with epsilon on the linear schedule
-    over the whole plan."""
+    """(task, demonstration prefix, epsilon) for every episode of rl_epochs
+    passes over the tasks, with epsilon on the linear schedule over the
+    whole plan."""
     total = config.rl_epochs * _episodes_per_epoch(tasks, config)
     index = 0
     for _ in range(config.rl_epochs):
-        for task_index, task in enumerate(tasks):
+        for task in tasks:
             for prefix in demonstration_schedule(task):
                 for _ in range(config.episodes_per_prefix):
-                    yield task_index, task, prefix, _epsilon_at(index, total, config)
+                    yield task, prefix, _epsilon_at(index, total, config)
                     index += 1
-
-
-def _single_actor_episodes(tasks, learner):
-    """Episodes run in turn against the learner's own model and action
-    cache, so each one sees every update before it."""
-    config = learner.config
-    rng = random.Random(config.seed + 2)
-    for _, task, prefix, epsilon in _episode_plan(tasks, config):
-        yield run_episode(task, learner.model, learner.actions, config, prefix, rng, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Distributed actor/learner mode
-# ---------------------------------------------------------------------------
-
-
-def _resumed_plan(tasks: list[TrainingTask], config: TrainerConfig, start: int, skip):
-    """(plan index, task, demonstration prefix, epsilon) for the entries of
-    the tasks' episode plan from index start on, leaving out the tasks in
-    skip. Epsilons stay those of the whole plan."""
-    for index, (_, task, prefix, epsilon) in enumerate(_episode_plan(tasks, config)):
-        if index >= start and task not in skip:
-            yield index, task, prefix, epsilon
-
-
-def _actor_loop(
-    actor_id: int,
-    tasks: list[TrainingTask],
-    start: int,
-    skip: frozenset,
-    predictor: Predictor,
-    config: TrainerConfig,
-    snapshot_queue: "queue.Queue",
-    out_queue: "queue.Queue",
-    initial_params,
-    encoder,
-    episode_runner,
-) -> None:
-    """Runs the episode plan of its partition, from entry start on and
-    without the tasks in skip, against a local model built from the latest
-    published snapshot and its own action cache; never touches shared state.
-    A failure is reported with the plan index and task of its episode."""
-    local = ValueModel(encoder, config.encoder_dim, config.gamma, config.hidden_dim, seed=config.seed)
-    local.set_flat_params(initial_params)
-    actions = ActionCache(predictor, config.width)
-    rng = random.Random(config.seed + 100 + actor_id)
-    index = task = None
-    try:
-        for index, task, prefix, epsilon in _resumed_plan(tasks, config, start, skip):
-            # adopt the freshest snapshot at an episode boundary
-            latest = None
-            while True:
-                try:
-                    latest = snapshot_queue.get_nowait()
-                except queue.Empty:
-                    break
-            if latest is not None:
-                local.set_flat_params(latest)
-            transitions, discharged = episode_runner(task, local, actions, config, prefix, rng, epsilon)
-            out_queue.put(("episode", actor_id, transitions, discharged))
-        out_queue.put(("done", actor_id, None, None))
-    except Exception as err:  # noqa: BLE001 - reported to the learner
-        out_queue.put(("failed", actor_id, f"plan entry {index}: {err}", (index, task)))
-
-
-def _actor_episodes(tasks, learner, failures, predictor, episode_runner):
-    """Episodes from actor threads on disjoint task partitions, in arrival
-    order. A snapshot of the learner's parameters goes to every actor once
-    sync_interval updates have passed since the last one. Actor failures,
-    dropped tasks and threads still alive after their join are appended to
-    failures."""
-    config = learner.config
-    model = learner.model
-    partitions = [tasks[i :: config.actor_count] for i in range(config.actor_count)]
-    partitions = [p for p in partitions if p]
-    out_queue: queue.Queue = queue.Queue()
-    snapshot_queues: list[queue.Queue] = []
-    threads: list[threading.Thread] = []
-    task_failures: dict[TrainingTask, int] = {}
-    dropped: list[TrainingTask] = []
-    actor_partitions: list[list[TrainingTask]] = []
-
-    def spawn(partition: list[TrainingTask], start: int) -> None:
-        snapshots: queue.Queue = queue.Queue()
-        snapshot_queues.append(snapshots)
-        actor_id = len(threads)
-        actor_partitions.append(partition)
-        thread = threading.Thread(
-            target=_actor_loop,
-            args=(
-                actor_id,
-                partition,
-                start,
-                frozenset(dropped),
-                predictor,
-                config,
-                snapshots,
-                out_queue,
-                model.get_flat_params(),
-                model.encoder,
-                episode_runner,
-            ),
-            name=f"actor {actor_id}",
-            daemon=True,
-        )
-        threads.append(thread)
-        thread.start()
-
-    for partition in partitions:
-        spawn(partition, 0)
-
-    live = len(partitions)
-    synced_at = learner.updates
-    while live > 0:
-        kind, actor_id, payload, extra = out_queue.get()
-        if kind == "done":
-            live -= 1
-            continue
-        if kind == "failed":
-            failures.append(f"actor {actor_id}: {payload}")
-            live -= 1
-            start, failed_task = extra
-            task_failures[failed_task] = task_failures.get(failed_task, 0) + 1
-            if task_failures[failed_task] >= MAX_TASK_FAILURES:
-                failures.append(
-                    f"dropped task {failed_task.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
-                )
-                dropped.append(failed_task)
-            # a new actor resumes the same partition's plan at the failed episode
-            partition = actor_partitions[actor_id]
-            if next(_resumed_plan(partition, config, start, frozenset(dropped)), None) is not None:
-                spawn(partition, start)
-                live += 1
-            continue
-        yield payload, extra
-        if learner.updates - synced_at >= config.sync_interval:
-            params = model.get_flat_params()
-            for snapshots in snapshot_queues:
-                snapshots.put(params)
-            synced_at = learner.updates
-    for thread in threads:
-        thread.join(timeout=ACTOR_JOIN_TIMEOUT_S)
-        if thread.is_alive():
-            failures.append(f"{thread.name}: still running {ACTOR_JOIN_TIMEOUT_S} s after its last report")
-    if len(dropped) == len(tasks):
-        raise RuntimeError(
-            f"every training task was dropped after {MAX_TASK_FAILURES} actor failures: "
-            + "; ".join(task.obligation.canonical() for task in dropped)
-        )
-
-
-def distributed_run(
-    split: CorpusSplit,
-    predictor: Predictor,
-    config: TrainerConfig,
-    tasks: list[TrainingTask] | None = None,
-    episode_runner=run_episode,
-) -> tuple[ValueModel, TrainingReport]:
-    """Actor/learner training: one learner owns the model and buffers; actor
-    threads run episodes on disjoint task partitions with parameter
-    snapshots published every sync_interval updates.
-
-    A failed actor is respawned at the episode it failed on and continues
-    its partition's plan from there, with the same epsilons. A task that
-    fails MAX_TASK_FAILURES times is dropped, and its remaining episodes are
-    skipped. Failures, drops and actors still running at shutdown are listed
-    in buffer_sizes["actor_failures"]. Raises RuntimeError, listing the
-    dropped tasks, when every task was dropped.
-    """
-    if config.actor_count < 2:
-        raise ValueError("distributed_run requires at least 2 actors")
-    failures: list[str] = []
-
-    def episodes(tasks, learner):
-        return _actor_episodes(tasks, learner, failures, predictor, episode_runner)
-
-    model, report = _run(split, predictor, config, tasks, episodes)
-    if failures:
-        report.buffer_sizes["actor_failures"] = failures
-    return model, report
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as err:
         main(["definitely-not-a-command"])
     assert err.value.code == 1
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--corpus", "x", "--out", "y", "--actors", "2"])
+    assert err.value.code == 1
+
+
+def test_negative_rl_epochs_is_runtime_error(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--corpus", str(tiny_corpus), "--out", str(out), "--rl-epochs", "-1"]) == 2
+    assert "rl_epochs must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_command(capsys):
@@ -178,6 +188,23 @@ def test_checkpoint_with_an_unknown_config_key_is_runtime_error(tiny_checkpoint,
 
     assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
     assert "unknown trainer config keys: actor_threads" in capsys.readouterr().err
+
+
+def test_checkpoint_trained_with_two_actors_still_loads(tiny_checkpoint, tmp_path, capsys):
+    # checkpoints of the removed actor/learner mode record actor_count 2
+    def edit(payload):
+        payload["config"]["actor_count"] = 2
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["status"] == "proved"
+
+
+def test_checkpoint_config_is_validated(tiny_checkpoint, tmp_path, capsys):
+    def edit(payload):
+        payload["config"]["rl_epochs"] = -1
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert "rl_epochs must be at least 0" in capsys.readouterr().err
 
 
 def test_prove_budget_zero(tiny_checkpoint, capsys):
@@ -315,27 +342,3 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env, check=True, capture_output=True)
         blobs.append([(out / name).read_bytes() for name in outputs])
     assert blobs[0] == blobs[1]
-
-
-def test_train_with_actors_flag(tiny_corpus, tmp_path, capsys):
-    out = tmp_path / "dist.ckpt"
-    code = main(
-        [
-            "train",
-            "--corpus",
-            str(tiny_corpus),
-            "--out",
-            str(out),
-            "--actors",
-            "2",
-            "--pretrain-epochs",
-            "200",
-            "--min-drop-length",
-            "0",
-            "--max-drop-length",
-            "9",
-        ]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "dist.ckpt.report.json").read_text())
-    assert report["actor_count"] == 2 and out.exists()

@@ -1,5 +1,6 @@
 """The benchmark's tracer replaces package functions by name, at the module
-or class they are called through; every such name must still exist."""
+or class they are called through; every such name must still exist, and the
+package must still call through it."""
 
 import importlib.util
 from pathlib import Path
@@ -14,3 +15,21 @@ def test_every_traced_name_resolves():
     assert layers._WRAPPED
     for owner, attribute, span in layers._WRAPPED:
         assert callable(getattr(owner, attribute, None)), f"{owner.__name__}.{attribute} ({span}) is gone"
+
+
+def test_train_runs_each_episode_through_the_module_name(monkeypatch):
+    # bench/worker.py times episodes by rebinding trainer.run_episode and
+    # checks one timing per reported episode
+    from test_trainer import NO_F_EQUAL, _fast_config, _tiny_split
+    from valueprover import trainer
+
+    played = []
+    run_episode = trainer.run_episode
+
+    def counted(task, *rest):
+        played.append(task)
+        return run_episode(task, *rest)
+
+    monkeypatch.setattr(trainer, "run_episode", counted)
+    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
+    assert report.episodes > 0 and len(played) == report.episodes

@@ -1,6 +1,4 @@
 import random
-import threading
-import time
 from collections import deque
 from types import SimpleNamespace
 
@@ -22,7 +20,6 @@ from valueprover.env import (
 )
 from valueprover.predictor import predict_top_n
 from valueprover.trainer import (
-    MAX_TASK_FAILURES,
     TrainerConfig,
     TrainingTask,
     demonstration_schedule,
@@ -31,7 +28,6 @@ from valueprover.trainer import (
     run_episode,
     save_checkpoint,
     train,
-    distributed_run,
 )
 from valueprover import value_model as value_model_module
 from valueprover.value_model import ActionCache, ValueModel, bellman_backup, bellman_target
@@ -235,20 +231,19 @@ def test_episode_plan_matches_the_nested_loop():
     total = config.rl_epochs * config.episodes_per_prefix * sum(t.demo_length for t in tasks)
     expected = []
     for _ in range(config.rl_epochs):
-        for index, task in enumerate(tasks):
+        for task in tasks:
             for prefix in demonstration_schedule(task):
                 for _ in range(config.episodes_per_prefix):
                     epsilon = trainer_module._epsilon_at(len(expected), total, config)
-                    expected.append((index, task, prefix, epsilon))
+                    expected.append((task, prefix, epsilon))
     plan = list(trainer_module._episode_plan(tasks, config))
     assert len(plan) == total and plan == expected
-    assert plan[0][3] == config.epsilon_start and plan[-1][3] == pytest.approx(config.epsilon_end)
+    assert plan[0][2] == config.epsilon_start and plan[-1][2] == pytest.approx(config.epsilon_end)
 
 
-@pytest.mark.parametrize("actors", [1, 2])
 @pytest.mark.parametrize("epochs", [0, 2])
-def test_validation_runs_once_per_epoch(actors, epochs):
-    config = _fast_config(actor_count=actors, rl_epochs=epochs)
+def test_validation_runs_once_per_epoch(epochs):
+    config = _fast_config(rl_epochs=epochs)
     _, report = train(_tiny_split(), NO_F_EQUAL, config)
     tasks = prepare_tasks(_tiny_split(), NO_F_EQUAL, config.width, config)
     assert report.episodes == epochs * config.episodes_per_prefix * sum(t.demo_length for t in tasks)
@@ -290,114 +285,6 @@ def test_learner_true_target_min_rule():
     learner.ingest([Transition(dead, None, (), dead_end=True)], [])
     assert learner.table.intern(dead) in learner.negatives and len(learner.replay) == 1
     assert len(learner.table.obligations) == 2
-
-
-def test_distributed_covers_all_partitions():
-    split = _tiny_split()
-    ran = []
-
-    def spy_runner(task, model, actions, config, prefix, rng, epsilon):
-        ran.append(task.obligation.canonical())
-        return run_episode(task, model, actions, config, prefix, rng, epsilon)
-
-    config = _fast_config(actor_count=2)
-    model, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=spy_runner)
-    assert report.actor_count == 2
-    assert report.episodes > 0
-    task_canons = set(ran)
-    assert len(task_canons) == report.task_count  # every task was exercised
-    assert report.buffer_sizes["replay"] > 0
-
-
-def test_distributed_redistributes_failed_partition():
-    split = _tiny_split()
-    config = _fast_config(actor_count=2)
-    poisoned = {"armed": True}
-
-    def flaky_runner(task, model, actions, config, prefix, rng, epsilon):
-        if poisoned["armed"]:
-            poisoned["armed"] = False
-            raise RuntimeError("actor crash")
-        return run_episode(task, model, actions, config, prefix, rng, epsilon)
-
-    model, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=flaky_runner)
-    failures = report.buffer_sizes.get("actor_failures", [])
-    assert len(failures) == 1 and "actor crash" in failures[0]
-    assert report.episodes > 0
-
-
-def test_distributed_resumes_a_failed_actor_at_its_episode():
-    split = _tiny_split()
-    config = _fast_config(actor_count=2, rl_epochs=2)
-    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)
-    # every episode of both partitions' plans, with its epsilon
-    planned = sorted(
-        (task.obligation.canonical(), prefix, epsilon)
-        for partition in (tasks[0::2], tasks[1::2])
-        for _, task, prefix, epsilon in trainer_module._episode_plan(partition, config)
-    )
-    assert len(planned) == 50
-    calls = {"count": 0}
-    ran = []
-    lock = threading.Lock()
-
-    def flaky_runner(task, model, actions, config, prefix, rng, epsilon):
-        with lock:
-            calls["count"] += 1
-            crash = calls["count"] == 40
-        if crash:
-            raise RuntimeError("actor crash")
-        ran.append((task.obligation.canonical(), prefix, epsilon))
-        return run_episode(task, model, actions, config, prefix, rng, epsilon)
-
-    _, report = distributed_run(split, NO_F_EQUAL, config, episode_runner=flaky_runner)
-    failures = report.buffer_sizes["actor_failures"]
-    assert len(failures) == 1 and "plan entry" in failures[0] and "actor crash" in failures[0]
-    assert report.episodes == 50
-    assert sorted(ran) == planned
-
-
-def test_distributed_drops_a_task_that_always_fails():
-    split = _tiny_split()
-    config = _fast_config(actor_count=2)
-    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)
-    poisoned = tasks[0]
-
-    def failing_runner(task, model, actions, config, prefix, rng, epsilon):
-        if task == poisoned:
-            raise RuntimeError("poisoned task")
-        return run_episode(task, model, actions, config, prefix, rng, epsilon)
-
-    result = {}
-
-    def run():
-        result["report"] = distributed_run(split, NO_F_EQUAL, config, episode_runner=failing_runner)[1]
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=120)
-    assert not runner.is_alive(), "distributed_run kept respawning the failing task"
-    report = result["report"]
-    failures = report.buffer_sizes["actor_failures"]
-    assert sum("poisoned task" in f for f in failures) == MAX_TASK_FAILURES
-    assert [f for f in failures if f.startswith("dropped task")] == [
-        f"dropped task {poisoned.obligation.canonical()} after {MAX_TASK_FAILURES} failures"
-    ]
-    assert report.episodes == sum(t.demo_length for t in tasks if t != poisoned) * config.episodes_per_prefix
-
-
-def test_distributed_reports_actor_alive_after_join(monkeypatch):
-    actor_loop = trainer_module._actor_loop
-
-    def lingering_actor_loop(*args):
-        actor_loop(*args)
-        time.sleep(0.5)
-
-    monkeypatch.setattr(trainer_module, "_actor_loop", lingering_actor_loop)
-    monkeypatch.setattr(trainer_module, "ACTOR_JOIN_TIMEOUT_S", 0.01)
-    _, report = distributed_run(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))
-    failures = report.buffer_sizes["actor_failures"]
-    assert len(failures) == 2 and all("still running" in f for f in failures)
 
 
 def _reference_actions(ob, predictor, n):
@@ -604,27 +491,7 @@ def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, co
     assert len(predicted) == len(set(predicted))
 
 
-def test_distributed_raises_when_every_task_is_dropped():
-    split = _tiny_split()
-    config = _fast_config(actor_count=2)
-    tasks = prepare_tasks(split, NO_F_EQUAL, config.width, config)[:2]
-    assert len(tasks) == 2
-
-    def failing_runner(*args):
-        raise RuntimeError("actor crash")
-
-    with pytest.raises(RuntimeError, match="every training task was dropped") as raised:
-        distributed_run(split, NO_F_EQUAL, config, tasks, episode_runner=failing_runner)
-    for task in tasks:
-        assert task.obligation.canonical() in str(raised.value)
-
-
-def test_train_dispatches_to_distributed():
-    model, report = train(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))
-    assert report.actor_count == 2
-
-
-def test_distributed_four_actors_end_to_end():
+def test_train_end_to_end_learns_its_validation_tasks():
     from valueprover.corpus import generate_corpus, split_corpus
     from valueprover.cli import _training_pairs
     from valueprover.predictor import train_predictor
@@ -632,14 +499,11 @@ def test_distributed_four_actors_end_to_end():
     entries, _ = generate_corpus(3, (8, 6, 6))
     split = split_corpus(entries, 0, 0.25)
     predictor = train_predictor(_training_pairs(split.train), epochs=250, learning_rate=0.5, seed=0)
-    config = TrainerConfig(
-        seed=0, actor_count=4, min_drop_length=0, max_drop_length=9, pretrain_epochs=400
-    )
+    config = TrainerConfig(seed=0, min_drop_length=0, max_drop_length=9, pretrain_epochs=400)
     model, report = train(split, predictor, config)
-    assert report.actor_count == 4
+    assert report.actor_count == 1
     assert report.buffer_sizes["replay"] > 0 and report.buffer_sizes["true_target"] > 0
-    # the distributed run still learns a model good enough to finish its
-    # validation tasks greedily
+    # the trained model finishes its validation tasks greedily
     assert report.validation_success[-1] >= 0.9
 
 
@@ -666,5 +530,22 @@ def test_invalid_configs_rejected():
         TrainerConfig(width=0)
     with pytest.raises(ValueError):
         TrainerConfig(replay_fraction=0.9, true_fraction=0.3, negative_fraction=0.3)
-    with pytest.raises(ValueError):
-        distributed_run(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=1))
+    for name in ("rl_epochs", "pretrain_epochs", "predictor_epochs"):
+        TrainerConfig(**{name: 0})
+        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+            TrainerConfig(**{name: -1})
+    for name in (
+        "actor_count",
+        "episode_budget",
+        "episodes_per_prefix",
+        "updates_per_episode",
+        "batch_size",
+        "replay_capacity",
+        "encoder_dim",
+        "hidden_dim",
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            TrainerConfig(**{name: 0})
+    # the actor/learner mode is gone; its field stays only so that its checkpoints load
+    with pytest.raises(ValueError, match="actor_count must be 1"):
+        train(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))
