@@ -59,6 +59,20 @@ def _ratio(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _counts(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -101,15 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--theorem", required=True, help="canonical obligation text (binders + goal)")
     p.add_argument("--strategy", choices=EVAL_STRATEGIES, default="astar")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
+    p.add_argument("--width", type=_positive_int, default=None)
 
     p = sub.add_parser("eval", help="run strategies over a corpus split and write a report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--strategies", default="astar,dfs", help=f"comma list from {EVAL_STRATEGIES}")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
     p.add_argument("--out", required=True, help="report directory")
 
     p = sub.add_parser("ablate", help="hyperparameter and design sweeps")
@@ -117,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="sweep output directory")
     _add_training_arguments(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("oracle", help="brute-force shortest proof of one obligation")
     p.add_argument("obligation", help="canonical obligation text")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_nonnegative_int, default=10)
     p.add_argument("--gamma", type=_gamma, default=0.9)
 
     return parser
@@ -231,14 +245,18 @@ def run_eval(model, predictor, entries, strategies, width: int, budget: int):
 
 
 def cmd_eval(args) -> int:
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise RuntimeError(f"no strategy given; choose from {EVAL_STRATEGIES}")
+    for strategy in strategies:
+        if strategy not in EVAL_STRATEGIES:
+            raise RuntimeError(f"unknown strategy {strategy!r}; choose from {EVAL_STRATEGIES}")
+        if strategies.count(strategy) > 1:
+            raise RuntimeError(f"strategy {strategy!r} is given more than once")
     model, predictor, config = load_checkpoint(args.checkpoint)
     entries = load_corpus(args.corpus)
     split = split_corpus(entries, config.seed, config.test_ratio)
     chosen = split.test if args.split == "test" else split.train
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for strategy in strategies:
-        if strategy not in EVAL_STRATEGIES:
-            raise RuntimeError(f"unknown strategy {strategy!r}; choose from {EVAL_STRATEGIES}")
     rows = run_eval(model, predictor, chosen, strategies, config.width, args.budget)
     summary = write_report(args.out, rows, strategies)
     proved = {s: summary["strategies"][s]["proved"] for s in strategies}

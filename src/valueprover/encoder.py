@@ -3,8 +3,10 @@ encoder over token unigrams and bigrams of the canonical text, giving
 fixed-dimension real vectors.
 
 Each gram's bucket and sign come from a blake2b digest of the salted gram.
-Grams repeat across obligations, so the digests are memoized per (gram,
-salt, dim); vectors are memoized per canonical text.
+Grams repeat across obligations, so each (salt, dim) keeps one gram table
+from gram to (bucket, sign): a unigram is keyed by its token and a bigram by
+its token pair, so a bigram's text and digest are built only the first time
+it is seen. Vectors are memoized per canonical text.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import hashlib
 import re
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .env import CACHE_SIZE, Obligation
+from .env import CACHE_SIZE, Obligation, cache_put
 
 __all__ = ["tokenize_obligation", "encode_hashed", "hashed_encoder"]
 
@@ -27,7 +30,6 @@ def tokenize_obligation(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
     digest = hashlib.blake2b(f"{salt}:{gram}".encode(), digest_size=8).digest()
     value = int.from_bytes(digest, "big")
@@ -35,21 +37,41 @@ def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
     return (value >> 1) % dim, sign
 
 
+class _GramTable(dict):
+    """gram -> (bucket, sign) for one (salt, dim), filled on first sight and
+    holding at most CACHE_SIZE grams."""
+
+    def __init__(self, salt: int, dim: int):
+        super().__init__()
+        self.salt = salt
+        self.dim = dim
+
+    def __missing__(self, gram: str | tuple[str, str]) -> tuple[int, float]:
+        text = gram if type(gram) is str else f"{gram[0]}\x1f{gram[1]}"
+        entry = _bucket(text, self.salt, self.dim)
+        cache_put(self, gram, entry)
+        return entry
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _gram_table(salt: int, dim: int) -> _GramTable:
+    return _GramTable(salt, dim)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _hashed_vector(canonical: str, dim: int, salt: int) -> tuple[float, ...]:
     tokens = tokenize_obligation(canonical)
-    grams = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-    # sums of +-1.0 are exact, so summing in a list gives the same bits as
-    # adding into the array gram by gram
+    grams = chain(tokens, zip(tokens, tokens[1:]))
+    # sums of +-1.0 and the final division are exact IEEE operations, so
+    # Python floats give the same bits as adding into a numpy array gram by
+    # gram and dividing it by its max-norm
     sums = [0.0] * dim
-    for gram in grams:
-        index, sign = _bucket(gram, salt, dim)
+    for index, sign in map(_gram_table(salt, dim).__getitem__, grams):
         sums[index] += sign
-    vec = np.array(sums)
-    peak = np.abs(vec).max()
+    peak = max(map(abs, sums))
     if peak > 0:
-        vec /= peak
-    return tuple(vec.tolist())
+        return tuple(map(peak.__rtruediv__, sums))
+    return tuple(sums)
 
 
 def encode_hashed(ob: Obligation, dim: int = 64, salt: int = 0) -> np.ndarray:

@@ -44,6 +44,7 @@ __all__ = [
     "TEMPLATE_INDEX",
     "ARG_TEMPLATES",
     "CACHE_SIZE",
+    "cache_put",
     "format_obligation",
     "parse_obligation",
     "parse_tactic",
@@ -64,6 +65,14 @@ ARG_TEMPLATES = frozenset({"induction", "rewrite"})
 # Entry limit of every cache the package keeps for the life of a process or
 # a training run.
 CACHE_SIZE = 65536
+
+
+def cache_put(cache: dict, key, value) -> None:
+    """Store into a dict cache holding at most CACHE_SIZE entries, evicting
+    the oldest entry when it is full."""
+    if len(cache) >= CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import (
+    ARG_TEMPLATES,
     TEMPLATE_INDEX,
     TEMPLATES,
     Hypothesis,
     Obligation,
     Tactic,
+    cache_put,
 )
-from .terms import Plus, Succ, Term, Var, Zero, occurs, term_size
+from .terms import Plus, Succ, Term, Var, Zero, occurs
 
 __all__ = [
     "FEATURE_NAMES",
@@ -56,53 +58,78 @@ FEATURE_NAMES = (
 )
 
 
-def _has_redex(t: Term, left_kind: type) -> bool:
-    if isinstance(t, Plus) and isinstance(t.left, left_kind):
-        return True
-    if isinstance(t, Succ):
-        return _has_redex(t.child, left_kind)
+def _term_summary(t: Term, names: set[str]) -> tuple[int, bool, bool]:
+    """The size of t and whether it holds a Plus(Zero,_) and a
+    Plus(Succ(_),_) redex; adds the names of t's variables to names."""
     if isinstance(t, Plus):
-        return _has_redex(t.left, left_kind) or _has_redex(t.right, left_kind)
-    return False
+        left_size, left_zero, left_succ = _term_summary(t.left, names)
+        right_size, right_zero, right_succ = _term_summary(t.right, names)
+        return (
+            left_size + right_size + 1,
+            left_zero or right_zero or isinstance(t.left, Zero),
+            left_succ or right_succ or isinstance(t.left, Succ),
+        )
+    if isinstance(t, Succ):
+        size, zero, succ = _term_summary(t.child, names)
+        return size + 1, zero, succ
+    if isinstance(t, Var):
+        names.add(t.name)
+    return 1, False, False
+
+
+# The last obligation scanned and its scan: within predict_top_n, featurize
+# and resolve_argument ask for the same obligation object in turn.
+_last_scan: tuple[Obligation, tuple] | None = None
+
+
+def _scan(ob: Obligation) -> tuple[list[float], str | None, Hypothesis | None]:
+    """One pass over ob: its feature values (never to be mutated), the first
+    context variable (in context order) occurring in the goal and the first
+    hypothesis whose left-hand side occurs in the goal, each None when there
+    is none."""
+    global _last_scan
+    last = _last_scan
+    if last is not None and last[0] is ob:
+        return last[1]
+    lhs, rhs = ob.goal_lhs, ob.goal_rhs
+    names: set[str] = set()
+    lhs_size, lhs_zero, lhs_succ = _term_summary(lhs, names)
+    rhs_size, rhs_zero, rhs_succ = _term_summary(rhs, names)
+    var = hyp = None
+    hyps = 0
+    for entry in ob.context:
+        if isinstance(entry, Hypothesis):
+            hyps += 1
+            if hyp is None and (occurs(lhs, entry.lhs) or occurs(rhs, entry.lhs)):
+                hyp = entry
+        elif var is None and entry.name in names:
+            var = entry.name
+    features = [0.0] * len(FEATURE_NAMES)
+    features[0] = 1.0 if ob.binders else 0.0
+    features[1] = 1.0 if lhs == rhs else 0.0
+    features[2] = 1.0 if isinstance(lhs, Succ) and isinstance(rhs, Succ) else 0.0
+    features[3] = 1.0 if lhs_zero or rhs_zero else 0.0
+    features[4] = 1.0 if lhs_succ or rhs_succ else 0.0
+    features[5] = 1.0 if hyp is not None else 0.0
+    features[6] = 1.0 if var is not None else 0.0
+    size = lhs_size + rhs_size
+    if size <= 4:
+        features[7] = 1.0
+    elif size <= 8:
+        features[8] = 1.0
+    elif size <= 16:
+        features[9] = 1.0
+    else:
+        features[10] = 1.0
+    features[11 + min(hyps, 2)] = 1.0
+    scan = (features, var, hyp)
+    _last_scan = (ob, scan)
+    return scan
 
 
 def featurize(ob: Obligation) -> np.ndarray:
     """Fixed-length feature vector; deterministic in the canonical form."""
-    lhs, rhs = ob.goal_lhs, ob.goal_rhs
-    vec = np.zeros(len(FEATURE_NAMES))
-    vec[0] = 1.0 if ob.binders else 0.0
-    vec[1] = 1.0 if lhs == rhs else 0.0
-    vec[2] = 1.0 if isinstance(lhs, Succ) and isinstance(rhs, Succ) else 0.0
-    vec[3] = 1.0 if _has_redex(lhs, Zero) or _has_redex(rhs, Zero) else 0.0
-    vec[4] = 1.0 if _has_redex(lhs, Succ) or _has_redex(rhs, Succ) else 0.0
-    vec[5] = 1.0 if _first_rewritable_hypothesis(ob) is not None else 0.0
-    vec[6] = 1.0 if _first_inductable_variable(ob) is not None else 0.0
-    size = term_size(lhs) + term_size(rhs)
-    if size <= 4:
-        vec[7] = 1.0
-    elif size <= 8:
-        vec[8] = 1.0
-    elif size <= 16:
-        vec[9] = 1.0
-    else:
-        vec[10] = 1.0
-    hyps = len(ob.hypotheses())
-    vec[11 + min(hyps, 2)] = 1.0
-    return vec
-
-
-def _first_inductable_variable(ob: Obligation) -> str | None:
-    for name in ob.context_vars():
-        if occurs(ob.goal_lhs, Var(name)) or occurs(ob.goal_rhs, Var(name)):
-            return name
-    return None
-
-
-def _first_rewritable_hypothesis(ob: Obligation) -> Hypothesis | None:
-    for hyp in ob.hypotheses():
-        if occurs(ob.goal_lhs, hyp.lhs) or occurs(ob.goal_rhs, hyp.lhs):
-            return hyp
-    return None
+    return np.array(_scan(ob)[0])
 
 
 @dataclass(frozen=True)
@@ -121,10 +148,21 @@ class Predictor:
     # they live as long as the predictor; duck-typed predictors get the
     # same attribute on first use.
     _action_caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # template_probabilities per distinct feature vector (at most CACHE_SIZE);
+    # valid while the predictor stays frozen, as the action caches require.
+    _probabilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def template_probabilities(self, ob: Obligation) -> np.ndarray:
-        scores = self.weights @ featurize(ob) + self.bias
-        return softmax(scores)
+        """Softmax over the templates; a read-only array shared by every
+        obligation with the same features."""
+        features = featurize(ob)
+        key = features.tobytes()
+        probs = self._probabilities.get(key)
+        if probs is None:
+            probs = softmax(self.weights @ features + self.bias)
+            probs.flags.writeable = False
+            cache_put(self._probabilities, key, probs)
+        return probs
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -175,6 +213,10 @@ def train_predictor(
     return Predictor(weights, bias, train_losses=losses)
 
 
+# The tactics of the templates that take no argument.
+_PLAIN_TACTICS = {template: Tactic(template) for template in TEMPLATES if template not in ARG_TEMPLATES}
+
+
 def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     """Turn a template into a concrete tactic, or None when unresolvable.
 
@@ -183,12 +225,12 @@ def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     occurs in the goal; the other templates take no argument.
     """
     if template == "induction":
-        var = _first_inductable_variable(ob)
+        var = _scan(ob)[1]
         return Tactic("induction", var) if var is not None else None
     if template == "rewrite":
-        hyp = _first_rewritable_hypothesis(ob)
+        hyp = _scan(ob)[2]
         return Tactic("rewrite", hyp.name) if hyp is not None else None
-    return Tactic(template)
+    return _PLAIN_TACTICS.get(template) or Tactic(template)
 
 
 def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPrediction]:
@@ -199,14 +241,15 @@ def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPr
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    probs = predictor.template_probabilities(ob)
-    order = sorted(range(len(TEMPLATES)), key=lambda i: (-probs[i], i))
+    probs = predictor.template_probabilities(ob).tolist()
+    # sorted() stays stable under reverse=True: ties keep template order
+    order = sorted(range(len(TEMPLATES)), key=probs.__getitem__, reverse=True)
     out: list[TacticPrediction] = []
     for idx in order:
         tactic = resolve_argument(TEMPLATES[idx], ob)
         if tactic is None:
             continue
-        out.append(TacticPrediction(tactic, float(probs[idx])))
+        out.append(TacticPrediction(tactic, probs[idx]))
         if len(out) == n:
             break
     return out

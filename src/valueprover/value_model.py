@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .env import CACHE_SIZE, Hyperstate, Obligation, Tactic, TacticError, apply_tactic
+from .env import Hyperstate, Obligation, Tactic, TacticError, apply_tactic, cache_put
 from .predictor import Predictor, predict_top_n
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "NegativeBuffer",
     "product_value",
     "steps_estimate",
-    "cache_put",
     "predicted_actions",
     "ActionCache",
     "ObligationTable",
@@ -64,14 +63,6 @@ def steps_estimate(value: float, gamma: float) -> float:
     if value > 1.0:
         raise ValueError("value must not exceed 1")
     return math.log(value) / math.log(gamma)
-
-
-def cache_put(cache: dict, key, value) -> None:
-    """Store into a dict cache holding at most CACHE_SIZE entries, evicting
-    the oldest entry when it is full."""
-    if len(cache) >= CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[key] = value
 
 
 class ValueModel:

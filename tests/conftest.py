@@ -1,9 +1,20 @@
 import pytest
+from hypothesis import strategies as st
 
 from valueprover.cli import _training_pairs
 from valueprover.corpus import generate_corpus, split_corpus
-from valueprover.env import Hyperstate, Theorem, parse_obligation, parse_script, step_hyperstate
+from valueprover.env import (
+    ContextVar,
+    Hyperstate,
+    Hypothesis,
+    Obligation,
+    Theorem,
+    parse_obligation,
+    parse_script,
+    step_hyperstate,
+)
 from valueprover.predictor import Predictor, train_predictor
+from valueprover.terms import Plus, Succ, Var, is_identifier
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +55,52 @@ def replay_obligations(small_corpus):
             out.extend(state.obligations)
             state = step_hyperstate(state, tactic)
     return tuple(out)
+
+
+def _renamed_term(t, mapping):
+    if isinstance(t, Var):
+        return Var(mapping[t.name])
+    if isinstance(t, Succ):
+        return Succ(_renamed_term(t.child, mapping))
+    if isinstance(t, Plus):
+        return Plus(_renamed_term(t.left, mapping), _renamed_term(t.right, mapping))
+    return t
+
+
+def _renamed_obligation(ob, mapping):
+    """ob with every name in it (binders, context entries and variables)
+    replaced through mapping."""
+    context = tuple(
+        ContextVar(mapping[e.name])
+        if isinstance(e, ContextVar)
+        else Hypothesis(mapping[e.name], _renamed_term(e.lhs, mapping), _renamed_term(e.rhs, mapping))
+        for e in ob.context
+    )
+    return Obligation(
+        tuple(mapping[b] for b in ob.binders),
+        context,
+        _renamed_term(ob.goal_lhs, mapping),
+        _renamed_term(ob.goal_rhs, mapping),
+    )
+
+
+IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_']{0,3}", fullmatch=True).filter(is_identifier)
+
+
+@pytest.fixture(scope="session")
+def renamed_obligations(replay_obligations):
+    """A hypothesis strategy: a replay obligation with every name in it
+    renamed to fresh identifiers, so that its canonical text is new to the
+    caches keyed by it."""
+
+    @st.composite
+    def renamed(draw):
+        ob = draw(st.sampled_from(replay_obligations))
+        names = sorted(ob.names_in_use())
+        fresh = draw(st.lists(IDENTIFIERS, min_size=len(names), max_size=len(names), unique=True))
+        return _renamed_obligation(ob, dict(zip(names, fresh)))
+
+    return renamed()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import valueprover
-from valueprover.cli import main
+from valueprover.cli import EVAL_STRATEGIES, main
 from valueprover.env import Theorem, parse_obligation, parse_script, script_is_valid
 from valueprover.reports import rows_from_tsv
 
@@ -76,6 +77,24 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as err:
         main(["train", "--corpus", "x", "--out", "y", "--actors", "2"])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--checkpoint", "x", "--theorem", "|- Zero = Zero", "--budget", "-1"],
+        ["prove", "--checkpoint", "x", "--theorem", "|- Zero = Zero", "--width", "0"],
+        ["eval", "--checkpoint", "x", "--corpus", "y", "--out", "z", "--budget", "-5"],
+        ["ablate", "--sweep", "width", "--corpus", "x", "--out", "y", "--budget", "-1"],
+        ["oracle", "|- Zero = Zero", "--depth", "-1"],
+    ],
+    ids=["prove-budget", "prove-width", "eval-budget", "ablate-budget", "oracle-depth"],
+)
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_negative_rl_epochs_is_runtime_error(tiny_corpus, tmp_path, capsys):
@@ -293,6 +312,20 @@ def test_eval_unknown_strategy_is_runtime_error(tiny_checkpoint, tiny_corpus, tm
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [(",", "no strategy given"), ("astar,astar", "strategy 'astar' is given more than once")],
+)
+def test_eval_empty_or_repeated_strategies_are_runtime_errors(
+    tiny_checkpoint, tiny_corpus, tmp_path, capsys, strategies, message
+):
+    out = tmp_path / "r"
+    argv = ["eval", "--checkpoint", str(tiny_checkpoint), "--corpus", str(tiny_corpus), "--strategies", strategies]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_corpus_is_runtime_error(tmp_path):
     code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m")])
     assert code == 2
@@ -342,3 +375,22 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env, check=True, capture_output=True)
         blobs.append([(out / name).read_bytes() for name in outputs])
     assert blobs[0] == blobs[1]
+
+
+# sha256 of the test split's rows.tsv from the seeded chain `gen-corpus --seed
+# 0 --counts 26,14,10`, `train --seed 0 --min-drop-length 0
+# --max-drop-length 9` and a six-strategy `eval`. A change that only makes
+# search faster must leave it as it is. The checkpoint's float bits, and so
+# this hash, depend on the numpy build: it was taken with numpy 2.4.6.
+BASELINE_EVAL_ROWS_SHA256 = "fede3b61ccdbf792e5393f4d8b31d744bd949b8994f765d8a3a46a4ed379bf85"
+
+
+def test_baseline_eval_rows_are_pinned(tmp_path):
+    corpus, checkpoint, report = (str(tmp_path / name) for name in ("c.jsonl", "m.ckpt", "report"))
+    assert main(["gen-corpus", "--seed", "0", "--counts", "26,14,10", "--out", corpus]) == 0
+    train = ["train", "--corpus", corpus, "--out", checkpoint, "--seed", "0"]
+    assert main(train + ["--min-drop-length", "0", "--max-drop-length", "9"]) == 0
+    strategies = ",".join(EVAL_STRATEGIES)
+    assert main(["eval", "--checkpoint", checkpoint, "--corpus", corpus, "--strategies", strategies, "--out", report]) == 0
+    rows = (tmp_path / "report" / "rows.tsv").read_bytes()
+    assert hashlib.sha256(rows).hexdigest() == BASELINE_EVAL_ROWS_SHA256

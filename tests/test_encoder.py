@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valueprover.encoder import _bucket, encode_hashed, tokenize_obligation
+from valueprover import encoder, env
+from valueprover.encoder import encode_hashed, tokenize_obligation
 from valueprover.env import CACHE_SIZE, parse_obligation
 
 
@@ -52,13 +53,50 @@ def _reference_encoding(canonical, dim, salt):
     return vec
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), dim=st.sampled_from((8, 13, 64, 128)), salt=st.sampled_from((0, 1, 7)))
-def test_hashed_encoding_is_bit_identical_to_the_reference(replay_obligations, data, dim, salt):
-    ob = data.draw(st.sampled_from(replay_obligations))
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from((8, 13, 64, 128)),
+    salt=st.sampled_from((0, 1, 7)),
+    renamed=st.booleans(),
+    cleared=st.booleans(),
+)
+def test_hashed_encoding_is_bit_identical_to_the_reference(
+    replay_obligations, renamed_obligations, data, dim, salt, renamed, cleared
+):
+    # renamed binders and a cleared gram table make the table miss
+    ob = data.draw(renamed_obligations if renamed else st.sampled_from(replay_obligations))
+    if cleared:
+        encoder._gram_table.cache_clear()
+        encoder._hashed_vector.cache_clear()
     encoded = encode_hashed(ob, dim, salt)
     assert encoded.tobytes() == _reference_encoding(ob.canonical(), dim, salt).tobytes()
+    assert encode_hashed(ob, dim, salt).tobytes() == encoded.tobytes()
 
 
-def test_gram_buckets_are_memoized_and_bounded():
-    assert _bucket.cache_info().maxsize == CACHE_SIZE
+def test_gram_buckets_are_memoized_and_bounded(monkeypatch, replay_obligations):
+    assert encoder._hashed_vector.cache_info().maxsize == CACHE_SIZE
+    assert encoder._gram_table.cache_info().maxsize == CACHE_SIZE
+    digested = []
+    bucket = encoder._bucket
+    monkeypatch.setattr(encoder, "_bucket", lambda gram, salt, dim: digested.append(gram) or bucket(gram, salt, dim))
+    encoder._gram_table.cache_clear()
+    encoder._hashed_vector.cache_clear()
+    for ob in replay_obligations[:40]:
+        encode_hashed(ob, 64, 3)
+    assert len(digested) == len(set(digested)) == len(encoder._gram_table(3, 64))
+    encoder._hashed_vector.cache_clear()
+    for ob in replay_obligations[:40]:
+        encode_hashed(ob, 64, 3)
+    assert len(digested) == len(encoder._gram_table(3, 64))  # every gram read from the table
+
+    monkeypatch.setattr(env, "CACHE_SIZE", 16)  # the bound cache_put reads
+    encoder._gram_table.cache_clear()
+    encoder._hashed_vector.cache_clear()
+    table = encoder._gram_table(3, 64)
+    for ob in replay_obligations[:40]:
+        assert encode_hashed(ob, 64, 3).tobytes() == _reference_encoding(ob.canonical(), 64, 3).tobytes()
+        assert len(table) <= 16
+    assert len(table) == 16
+    encoder._gram_table.cache_clear()
+    encoder._hashed_vector.cache_clear()

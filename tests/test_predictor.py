@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from valueprover.env import Tactic, parse_obligation
+from conftest import IDENTIFIERS
+from valueprover import env
+from valueprover.env import TEMPLATES, ContextVar, Hypothesis, Obligation, Tactic, parse_obligation
 from valueprover.predictor import (
     FEATURE_NAMES,
+    Predictor,
+    TacticPrediction,
     cross_entropy_loss_and_grads,
     featurize,
     predict_top_n,
     predictor_from_dict,
     predictor_to_dict,
+    softmax,
     train_predictor,
 )
+from valueprover.terms import Plus, Succ, Var, Zero, occurs, term_size
 
 
 def test_featurize_examples():
@@ -147,3 +154,139 @@ def test_checkpoint_round_trip(trained_predictor):
     assert np.array_equal(restored.bias, trained_predictor.bias)
     with pytest.raises(ValueError):
         predictor_from_dict({**data, "feature_schema": 99})
+
+
+# The predictor as it was before featurize and resolve_argument shared one
+# scan and template_probabilities was memoized: the reference the
+# differential tests compare against.
+def _reference_has_redex(t, left_kind):
+    if isinstance(t, Plus) and isinstance(t.left, left_kind):
+        return True
+    if isinstance(t, Succ):
+        return _reference_has_redex(t.child, left_kind)
+    if isinstance(t, Plus):
+        return _reference_has_redex(t.left, left_kind) or _reference_has_redex(t.right, left_kind)
+    return False
+
+
+def _reference_variable(ob):
+    for name in ob.context_vars():
+        if occurs(ob.goal_lhs, Var(name)) or occurs(ob.goal_rhs, Var(name)):
+            return name
+    return None
+
+
+def _reference_hypothesis(ob):
+    for hyp in ob.hypotheses():
+        if occurs(ob.goal_lhs, hyp.lhs) or occurs(ob.goal_rhs, hyp.lhs):
+            return hyp
+    return None
+
+
+def _reference_featurize(ob):
+    lhs, rhs = ob.goal_lhs, ob.goal_rhs
+    vec = np.zeros(len(FEATURE_NAMES))
+    vec[0] = 1.0 if ob.binders else 0.0
+    vec[1] = 1.0 if lhs == rhs else 0.0
+    vec[2] = 1.0 if isinstance(lhs, Succ) and isinstance(rhs, Succ) else 0.0
+    vec[3] = 1.0 if _reference_has_redex(lhs, Zero) or _reference_has_redex(rhs, Zero) else 0.0
+    vec[4] = 1.0 if _reference_has_redex(lhs, Succ) or _reference_has_redex(rhs, Succ) else 0.0
+    vec[5] = 1.0 if _reference_hypothesis(ob) is not None else 0.0
+    vec[6] = 1.0 if _reference_variable(ob) is not None else 0.0
+    size = term_size(lhs) + term_size(rhs)
+    if size <= 4:
+        vec[7] = 1.0
+    elif size <= 8:
+        vec[8] = 1.0
+    elif size <= 16:
+        vec[9] = 1.0
+    else:
+        vec[10] = 1.0
+    vec[11 + min(len(ob.hypotheses()), 2)] = 1.0
+    return vec
+
+
+def _reference_probabilities(predictor, ob):
+    return softmax(predictor.weights @ _reference_featurize(ob) + predictor.bias)
+
+
+def _reference_top_n(predictor, ob, n):
+    probs = _reference_probabilities(predictor, ob)
+    out = []
+    for idx in sorted(range(len(TEMPLATES)), key=lambda i: (-probs[i], i)):
+        template = TEMPLATES[idx]
+        if template == "induction":
+            var = _reference_variable(ob)
+            tactic = Tactic("induction", var) if var is not None else None
+        elif template == "rewrite":
+            hyp = _reference_hypothesis(ob)
+            tactic = Tactic("rewrite", hyp.name) if hyp is not None else None
+        else:
+            tactic = Tactic(template)
+        if tactic is None:
+            continue
+        out.append(TacticPrediction(tactic, float(probs[idx])))
+        if len(out) == n:
+            break
+    return out
+
+
+@st.composite
+def _with_twins(draw, obligations):
+    """An obligation, maybe with a renamed twin of one of its hypotheses or
+    context variables put into its context, and maybe with its context
+    reordered, so that which entry comes first matters."""
+    ob = draw(obligations)
+    context = list(ob.context)
+    taken = ob.names_in_use()
+    for _ in range(draw(st.integers(0, 2))):
+        if not context:
+            break
+        entry = draw(st.sampled_from(context))
+        name = draw(IDENTIFIERS.filter(lambda n: n not in taken))
+        taken |= {name}
+        twin = ContextVar(name) if isinstance(entry, ContextVar) else Hypothesis(name, entry.lhs, entry.rhs)
+        context.insert(draw(st.integers(0, len(context))), twin)
+    if draw(st.booleans()):
+        context = draw(st.permutations(context))
+    return Obligation(ob.binders, tuple(context), ob.goal_lhs, ob.goal_rhs)
+
+
+def _predictors(trained):
+    """The trained predictor, a uniform one (every template ties) and one
+    with coarse integer weights (many ties), each with empty memos."""
+    rng = np.random.default_rng(11)
+    shape = trained.weights.shape
+    return (
+        Predictor(trained.weights.copy(), trained.bias.copy()),
+        Predictor(np.zeros(shape), np.zeros(shape[0])),
+        Predictor(rng.integers(-1, 2, size=shape).astype(float), rng.integers(-1, 2, size=shape[0]).astype(float)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), renamed=st.booleans())
+def test_prediction_matches_the_reference(trained_predictor, replay_obligations, renamed_obligations, data, renamed):
+    source = renamed_obligations if renamed else st.sampled_from(replay_obligations)
+    ob = data.draw(_with_twins(source))
+    assert featurize(ob).tobytes() == _reference_featurize(ob).tobytes()
+    for predictor in _predictors(trained_predictor):
+        expected = _reference_probabilities(predictor, ob).tobytes()
+        # the first call fills the memo, the second reads it
+        assert predictor.template_probabilities(ob).tobytes() == expected
+        assert predictor.template_probabilities(ob).tobytes() == expected
+        for n in range(1, 7):
+            assert predict_top_n(predictor, ob, n) == _reference_top_n(predictor, ob, n)
+
+
+def test_probability_memo_is_bounded(monkeypatch, cold_predictor, replay_obligations):
+    monkeypatch.setattr(env, "CACHE_SIZE", 3)  # the bound cache_put reads
+    predictor = cold_predictor()
+    features = set()
+    for ob in replay_obligations:
+        features.add(featurize(ob).tobytes())
+        probs = predictor.template_probabilities(ob)
+        assert probs.tobytes() == _reference_probabilities(predictor, ob).tobytes()
+        assert not probs.flags.writeable
+        assert len(predictor._probabilities) <= 3
+    assert len(features) > 3 and len(predictor._probabilities) == 3

@@ -1,6 +1,7 @@
 """The benchmark's tracer replaces package functions by name, at the module
 or class they are called through; every such name must still exist, and the
-package must still call through it."""
+package must still call through it. The caches whose hit rates it reports
+must still be LRU caches."""
 
 import importlib.util
 from pathlib import Path
@@ -8,13 +9,26 @@ from pathlib import Path
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def test_every_traced_name_resolves():
+def _layers():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)  # defines the tracer; installs nothing
+    return layers
+
+
+def test_every_traced_name_resolves():
+    layers = _layers()
     assert layers._WRAPPED
     for owner, attribute, span in layers._WRAPPED:
         assert callable(getattr(owner, attribute, None)), f"{owner.__name__}.{attribute} ({span}) is gone"
+
+
+def test_every_traced_cache_reports_its_hits():
+    # the tracer reads LRU hit rates through cache_info()
+    caches = _layers()._LRU_CACHES
+    assert caches
+    for name, cache in caches.items():
+        assert callable(getattr(cache, "cache_info", None)), f"{name} has no cache_info()"
 
 
 def test_train_runs_each_episode_through_the_module_name(monkeypatch):

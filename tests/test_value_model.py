@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from valueprover.encoder import hashed_encoder
 from valueprover.env import Hyperstate, Tactic, parse_obligation
-from valueprover import value_model as value_model_module
+from valueprover import env as env_module, value_model as value_model_module
 from valueprover.predictor import Predictor, predict_top_n
 from valueprover.value_model import (
     ActionCache,
@@ -182,7 +182,7 @@ def test_batched_targets_match_per_child_v_value(trained_predictor, replay_oblig
 
 
 def test_action_cache_memoizes_and_evicts(monkeypatch, cold_predictor, replay_obligations):
-    monkeypatch.setattr(value_model_module, "CACHE_SIZE", 8)
+    monkeypatch.setattr(env_module, "CACHE_SIZE", 8)  # the bound cache_put reads
     calls = []
 
     def counted(predictor, state, n):
@@ -247,7 +247,7 @@ def test_bellman_backup_formula_with_table():
 
 
 def test_model_caches_are_bounded(monkeypatch, model, replay_obligations):
-    monkeypatch.setattr(value_model_module, "CACHE_SIZE", 8)
+    monkeypatch.setattr(env_module, "CACHE_SIZE", 8)  # the bound cache_put reads
     distinct = list({state.canonical(): state for state in replay_obligations}.values())
     assert len(distinct) > 8
     fresh = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
