@@ -10,7 +10,8 @@ The package is organized bottom-up:
 - encoder: hashed obligation encodings
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
-- search: greedy / DFS / best-first / A* proof search
+- search: greedy / DFS / best-first / A* proof search, and the table of
+  the six strategies that eval and prove run by name
 - trainer: pretraining, the demonstration curriculum, the single-actor RL
   loop and checkpoints
 - reports, cli: evaluation reports and the command-line interface
@@ -45,12 +46,14 @@ from .value_model import (
     steps_estimate,
 )
 from .search import (
+    EVAL_STRATEGIES,
     SearchNode,
     SearchResult,
     astar_search,
     best_first_search,
     dfs_search,
     greedy_search,
+    run_strategy,
 )
 from .trainer import TrainerConfig, TrainingTask, demonstration_schedule, prepare_tasks, run_episode, train
 

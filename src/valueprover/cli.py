@@ -19,22 +19,14 @@ from .env import Hyperstate, Theorem, parse_obligation
 from .oracle import optimal_value, shortest_proof
 from .predictor import train_predictor
 from .reports import build_summary, write_report
-from .search import (
-    DEFAULT_BUDGET,
-    ProbabilityScorer,
-    ValueScorer,
-    astar_search,
-    best_first_search,
-    dfs_search,
-    greedy_search,
-)
+from .search import DEFAULT_BUDGET, EVAL_STRATEGIES, run_strategy
 from .trainer import TrainerConfig, load_checkpoint, save_checkpoint, train
 
 __all__ = ["main", "build_parser"]
 
-EVAL_STRATEGIES = ("astar", "bestfirst", "bestfirst_prob", "dfs", "greedy", "greedy_prob")
-
-WIDTH_SWEEP = (3, 5, 7, 9, 11)
+# Top-n never ranks more than the six templates, so a width above
+# len(TEMPLATES) repeats width 6.
+WIDTH_SWEEP = (2, 3, 4, 5, 6)
 GAMMA_SWEEP = (0.5, 0.7, 0.9, 0.99)
 
 
@@ -203,24 +195,6 @@ def cmd_train(args, rl: bool) -> int:
         fh.write("\n")
     print(f"wrote checkpoint {args.out} and report {report_path}")
     return 0
-
-
-def run_strategy(strategy: str, theorem: Theorem, model, predictor, width: int, budget: int):
-    value_scorer = ValueScorer.for_model(model)
-    prob_scorer = ProbabilityScorer()
-    if strategy == "astar":
-        return astar_search(theorem, value_scorer, predictor, width, budget)
-    if strategy == "bestfirst":
-        return best_first_search(theorem, value_scorer, predictor, width, budget)
-    if strategy == "bestfirst_prob":
-        return best_first_search(theorem, prob_scorer, predictor, width, budget)
-    if strategy == "dfs":
-        return dfs_search(theorem, predictor, width, budget)
-    if strategy == "greedy":
-        return greedy_search(theorem, value_scorer, predictor, width, budget)
-    if strategy == "greedy_prob":
-        return greedy_search(theorem, prob_scorer, predictor, width, budget)
-    raise RuntimeError(f"unknown strategy {strategy!r}")
 
 
 def cmd_prove(args) -> int:

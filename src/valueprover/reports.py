@@ -17,7 +17,6 @@ __all__ = [
     "build_summary",
     "matched_pair_stats",
     "rows_to_tsv",
-    "rows_from_tsv",
     "write_report",
 ]
 
@@ -104,20 +103,6 @@ def rows_to_tsv(rows: list[dict]) -> str:
 
 def _cell(value) -> str:
     return "" if value is None else str(value)
-
-
-def rows_from_tsv(text: str) -> list[dict]:
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split("\t")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        row = dict(zip(header, cells))
-        for field in ("proof_length", "nodes_expanded", "tactic_executions"):
-            row[field] = int(row[field]) if row[field] else None
-        row["proof"] = row["proof"] if row["proof"] or row["status"] == "proved" else None
-        rows.append(row)
-    return rows
 
 
 def write_report(out_dir: str, rows: list[dict], strategies: list[str]) -> dict:

@@ -1,5 +1,8 @@
 """Proof search over hyperstates: greedy, weighted DFS, best-first and A*.
 
+`EVAL_STRATEGIES` names the six strategies that `eval` and `prove` run, and
+`run_strategy` runs one of them by name. A* and both best-first searches
+share one priority loop and differ only in the priority they give a node.
 Every strategy draws candidate tactics for the first open obligation from
 the predictor's top-n list, drops the ones that error, and dedups states by
 the hyperstate's canonical multiset form. The applicable actions come from
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .env import Hyperstate, Obligation, ProofScript, Tactic, Theorem
@@ -35,7 +38,8 @@ __all__ = [
     "dfs_search",
     "greedy_search",
     "greedy_from_hyperstate",
-    "SEARCH_STRATEGIES",
+    "EVAL_STRATEGIES",
+    "run_strategy",
 ]
 
 PROVED = "proved"
@@ -54,7 +58,6 @@ def f_score(g: int, h: float) -> float:
 class ValueScorer:
     """Steps-convertible scorer backed by an obligation value function."""
 
-    kind = "value_model"
     steps_convertible = True
 
     def __init__(self, value_of: Callable[[Obligation], float], gamma: float):
@@ -78,8 +81,11 @@ class ProbabilityScorer:
     """Orders nodes by the product of chosen tactic probabilities along the
     path; not convertible to a steps-remaining estimate."""
 
-    kind = "probability_product"
     steps_convertible = False
+
+    @classmethod
+    def for_model(cls, model) -> "ProbabilityScorer":
+        return cls()
 
 
 @dataclass
@@ -87,9 +93,6 @@ class SearchNode:
     hyperstate: Hyperstate
     script: tuple[Tactic, ...]
     g: int
-    h: float
-    f: float
-    seq: int
     path_prob: float = 1.0
 
 
@@ -101,7 +104,6 @@ class SearchResult:
     nodes_expanded: int
     tactic_executions: int
     wall_time: float
-    dead_ends: tuple[Obligation, ...] = field(default_factory=tuple)
 
     @property
     def proved(self) -> bool:
@@ -126,7 +128,6 @@ class _Tally:
     def __init__(self):
         self.expanded = 0
         self.executions = 0
-        self.dead_ends: list[Obligation] = []
         self.started = time.perf_counter()
 
     def result(self, status: str, script: tuple[Tactic, ...] | None = None) -> SearchResult:
@@ -139,7 +140,6 @@ class _Tally:
             self.expanded,
             self.executions,
             wall,
-            tuple(self.dead_ends),
         )
 
 
@@ -150,14 +150,11 @@ def _children(
     the predictor's shared action cache.
 
     Every prediction counts as a tactic execution; erroring ones are
-    dropped, and if all of them error, the first obligation is recorded as
-    a dead end for the negative buffer.
+    dropped.
     """
     state = node.hyperstate
     tried, actions = ActionCache.of(predictor, n).entry(state.first)
     tally.executions += tried
-    if not actions:
-        tally.dead_ends.append(state.first)
     rest = state.obligations[1:]
     return [(tactic, prob, Hyperstate(children + rest)) for tactic, prob, children in actions]
 
@@ -168,16 +165,16 @@ def astar_search(
     predictor: Predictor,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    depth_limit: int = SAFETY_DEPTH,
 ) -> SearchResult:
     """Min-f priority queue: f = tactics taken + estimated tactics remaining.
 
-    Ties break FIFO by insertion order; duplicate hyperstates are never
-    re-enqueued; returns on the first empty hyperstate popped.
+    A hyperstate with a dead obligation has no steps estimate, so it is
+    never enqueued, and a dead root leaves the search exhausted.
     """
     if not scorer.steps_convertible:
         raise ValueError("A* requires a steps-convertible scorer")
-    return _priority_search(thm, scorer, predictor, n, budget, depth_limit, order="f")
+    steps = scorer.hyperstate_steps
+    return _priority_search(thm, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)))
 
 
 def best_first_search(
@@ -186,41 +183,40 @@ def best_first_search(
     predictor: Predictor,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    depth_limit: int = SAFETY_DEPTH,
 ) -> SearchResult:
-    """Max-score priority queue; same dedup, tie-break and budget as A*."""
-    order = "value" if scorer.steps_convertible else "probability"
-    return _priority_search(thm, scorer, predictor, n, budget, depth_limit, order=order)
+    """Max-score priority queue: the hyperstate value under a value scorer,
+    the product of the path's tactic probabilities under a probability
+    scorer."""
+    if scorer.steps_convertible:
+        value = scorer.hyperstate_value
+        return _priority_search(thm, predictor, n, budget, lambda node: -value(node.hyperstate))
+    return _priority_search(thm, predictor, n, budget, lambda node: -node.path_prob)
 
 
 def _priority_search(
     thm: Theorem,
-    scorer,
     predictor: Predictor,
     n: int,
     budget: int,
-    depth_limit: int,
-    order: str,
+    priority: Callable[[SearchNode], float],
 ) -> SearchResult:
+    """Expand the lowest-priority node first; returns on the first empty
+    hyperstate popped.
+
+    Ties break FIFO by insertion order, and a hyperstate is enqueued at most
+    once. A node whose priority raises UndefinedStepsError is dropped. A
+    node SAFETY_DEPTH tactics deep is still expanded and counted, but its
+    children are not enqueued.
+    """
     tally = _Tally()
-    root = SearchNode(Hyperstate((thm.statement,)), (), 0, 0.0, 0.0, 0)
-    if order == "f":
-        try:
-            root.h = scorer.hyperstate_steps(root.hyperstate)
-        except UndefinedStepsError:
-            return tally.result(EXHAUSTED)
-        root.f = root.h
-
-    def priority(node: SearchNode) -> float:
-        if order == "f":
-            return node.f
-        if order == "value":
-            return -scorer.hyperstate_value(node.hyperstate)
-        return -node.path_prob
-
-    seq = 0
-    heap: list[tuple[float, int, SearchNode]] = [(priority(root), seq, root)]
+    root = SearchNode(Hyperstate((thm.statement,)), (), 0)
+    try:
+        heap = [(priority(root), 0, root)]
+    except UndefinedStepsError:
+        return tally.result(EXHAUSTED)
     enqueued = {root.hyperstate.canonical_key()}
+    seq = 0
+    depth_cap = SAFETY_DEPTH
     while heap:
         _, _, node = heapq.heappop(heap)
         if node.hyperstate.is_empty:
@@ -228,23 +224,21 @@ def _priority_search(
         if tally.expanded >= budget:
             return tally.result(BUDGET_EXCEEDED)
         tally.expanded += 1
-        for tactic, prob, hyperstate in _children(node, predictor, n, tally):
-            if node.g + 1 > depth_limit:
-                continue
+        children = _children(node, predictor, n, tally)
+        if node.g >= depth_cap:
+            continue
+        for tactic, prob, hyperstate in children:
             key = hyperstate.canonical_key()
             if key in enqueued:
                 continue
-            child = SearchNode(hyperstate, node.script + (tactic,), node.g + 1, 0.0, 0.0, 0, node.path_prob * prob)
-            if order == "f" and not hyperstate.is_empty:
-                try:
-                    child.h = scorer.hyperstate_steps(hyperstate)
-                except UndefinedStepsError:
-                    continue
-            child.f = f_score(child.g, child.h)
+            child = SearchNode(hyperstate, node.script + (tactic,), node.g + 1, node.path_prob * prob)
+            try:
+                score = priority(child)
+            except UndefinedStepsError:
+                continue
             enqueued.add(key)
             seq += 1
-            child.seq = seq
-            heapq.heappush(heap, (priority(child), seq, child))
+            heapq.heappush(heap, (score, seq, child))
     return tally.result(EXHAUSTED)
 
 
@@ -261,7 +255,7 @@ def dfs_search(
     if depth_limit < 1:
         raise ValueError("depth_limit must be at least 1")
     tally = _Tally()
-    root = SearchNode(Hyperstate((thm.statement,)), (), 0, 0.0, 0.0, 0)
+    root = SearchNode(Hyperstate((thm.statement,)), (), 0)
     stack = [root]
     visited = {root.hyperstate.canonical_key()}
     while stack:
@@ -279,7 +273,7 @@ def dfs_search(
             if key in visited:
                 continue
             visited.add(key)
-            children.append(SearchNode(hyperstate, node.script + (tactic,), node.g + 1, 0.0, 0.0, 0, prob))
+            children.append(SearchNode(hyperstate, node.script + (tactic,), node.g + 1))
         # Reversed so the highest-probability child is popped first.
         for child in reversed(children):
             stack.append(child)
@@ -323,7 +317,7 @@ def greedy_from_hyperstate(
         if len(script) >= SAFETY_DEPTH:
             return tally.result(EXHAUSTED)
         tally.expanded += 1
-        node = SearchNode(state, script, len(script), 0.0, 0.0, 0)
+        node = SearchNode(state, script, len(script))
         options = _children(node, predictor, n, tally)
         if not options:
             return tally.result(EXHAUSTED)
@@ -336,4 +330,26 @@ def greedy_from_hyperstate(
     return tally.result(PROVED, script)
 
 
-SEARCH_STRATEGIES = ("astar", "bestfirst", "dfs", "greedy")
+# Each strategy's search and the scorer it builds from the model; DFS takes
+# no scorer. The `_prob` strategies order by the predictor's probabilities.
+_STRATEGIES = {
+    "astar": (astar_search, ValueScorer),
+    "bestfirst": (best_first_search, ValueScorer),
+    "bestfirst_prob": (best_first_search, ProbabilityScorer),
+    "dfs": (dfs_search, None),
+    "greedy": (greedy_search, ValueScorer),
+    "greedy_prob": (greedy_search, ProbabilityScorer),
+}
+EVAL_STRATEGIES = tuple(_STRATEGIES)
+
+
+def run_strategy(
+    strategy: str, theorem: Theorem, model, predictor: Predictor, width: int, budget: int
+) -> SearchResult:
+    """Run the strategy named in EVAL_STRATEGIES on one theorem."""
+    if strategy not in _STRATEGIES:
+        raise RuntimeError(f"unknown strategy {strategy!r}")
+    search, scorer = _STRATEGIES[strategy]
+    if scorer is None:
+        return search(theorem, predictor, width, budget)
+    return search(theorem, scorer.for_model(model), predictor, width, budget)

@@ -350,7 +350,6 @@ def train(
     split: CorpusSplit,
     predictor: Predictor,
     config: TrainerConfig,
-    tasks: list[TrainingTask] | None = None,
 ) -> tuple[ValueModel, TrainingReport]:
     """Pretraining followed by episodic RL over the demonstration schedules.
 
@@ -361,8 +360,7 @@ def train(
     """
     if config.actor_count != 1:
         raise ValueError("actor_count must be 1: the actor/learner mode was removed")
-    if tasks is None:
-        tasks = prepare_tasks(split, predictor, config.width, config)
+    tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
         raise ValueError("no training tasks survive the filters")
     encoder = hashed_encoder(config.encoder_dim, config.encoder_salt)

@@ -9,9 +9,23 @@ from pathlib import Path
 import pytest
 
 import valueprover
-from valueprover.cli import EVAL_STRATEGIES, main
-from valueprover.env import Theorem, parse_obligation, parse_script, script_is_valid
-from valueprover.reports import rows_from_tsv
+from valueprover.cli import EVAL_STRATEGIES, WIDTH_SWEEP, main
+from valueprover.env import TEMPLATES, Theorem, parse_obligation, parse_script, script_is_valid
+
+
+def rows_from_tsv(text: str) -> list[dict]:
+    """The rows of a rows.tsv report, typed as run_eval returns them."""
+    lines = [line for line in text.split("\n") if line]
+    header = lines[0].split("\t")
+    rows = []
+    for line in lines[1:]:
+        cells = line.split("\t")
+        row = dict(zip(header, cells))
+        for field in ("proof_length", "nodes_expanded", "tactic_executions"):
+            row[field] = int(row[field]) if row[field] else None
+        row["proof"] = row["proof"] if row["proof"] or row["status"] == "proved" else None
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +109,13 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
         main(argv)
     assert err.value.code == 1
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_width_sweep_settings_are_distinct_top_n_widths():
+    # top-n never ranks more than the templates, so a wider setting would
+    # repeat width len(TEMPLATES)
+    assert len(set(WIDTH_SWEEP)) == len(WIDTH_SWEEP)
+    assert all(1 <= width <= len(TEMPLATES) for width in WIDTH_SWEEP)
 
 
 def test_negative_rl_epochs_is_runtime_error(tiny_corpus, tmp_path, capsys):

@@ -1,7 +1,7 @@
+from test_cli import rows_from_tsv
 from valueprover.reports import (
     build_summary,
     matched_pair_stats,
-    rows_from_tsv,
     rows_to_tsv,
     strategy_aggregates,
 )

@@ -1,9 +1,11 @@
+import heapq
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from valueprover import search as search_module
-from valueprover.cli import EVAL_STRATEGIES, run_strategy
 from valueprover.corpus import generate_corpus
 from valueprover.encoder import hashed_encoder
 from valueprover.env import (
@@ -19,14 +21,14 @@ from valueprover.env import (
 )
 from valueprover.oracle import optimal_value, shortest_proof
 from valueprover.predictor import predict_top_n
-from valueprover.value_model import ValueModel
+from valueprover.value_model import ActionCache, UndefinedStepsError, ValueModel
 from valueprover.search import (
     BUDGET_EXCEEDED,
+    EVAL_STRATEGIES,
     EXHAUSTED,
     PROVED,
     SAFETY_DEPTH,
     ProbabilityScorer,
-    SearchNode,
     ValueScorer,
     astar_search,
     best_first_search,
@@ -34,6 +36,7 @@ from valueprover.search import (
     f_score,
     greedy_from_hyperstate,
     greedy_search,
+    run_strategy,
 )
 
 
@@ -80,8 +83,6 @@ def test_zero_budget_is_budget_exceeded(trained_predictor):
 
 def test_f_score_example():
     assert f_score(3, 2.9) == pytest.approx(5.9, abs=1e-12)
-    node = SearchNode(Hyperstate(()), (), 3, 2.9, f_score(3, 2.9), 0)
-    assert node.f == pytest.approx(5.9, abs=1e-12)
 
 
 def test_astar_requires_steps_convertible_scorer(trained_predictor):
@@ -184,7 +185,7 @@ def test_greedy_dead_end_is_exhausted():
     ranked = RankedPredictor(("simpl", "reflexivity", "f_equal", "intros", "induction", "rewrite"))
     result = greedy_from_hyperstate(Hyperstate((dead,)), oracle_scorer(), ranked, 6, 16)
     assert result.status == EXHAUSTED and result.nodes_expanded == 1
-    assert result.dead_ends == (dead,)
+    assert not ActionCache.of(ranked, 6)(dead)  # every prediction errors
 
 
 def test_greedy_stops_at_safety_depth():
@@ -230,8 +231,6 @@ def _reference_children(node, predictor, n, tally):
         except TacticError:
             continue
         out.append((prediction.tactic, prediction.probability, child))
-    if not out:
-        tally.dead_ends.append(node.hyperstate.first)
     return out
 
 
@@ -248,7 +247,7 @@ def test_shared_action_cache_does_not_change_any_search(
     cold_predictor, corpus_seed, pick, model_seed, ranking, width, budget
 ):
     # a cold cache, a cache the other five strategies warmed, and no cache
-    # at all must give the same record and dead ends for every strategy
+    # at all must give the same record for every strategy
     entries, _ = generate_corpus(corpus_seed, (1, 1, 1))
     theorem = entries[pick].theorem
     model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed)
@@ -258,7 +257,7 @@ def test_shared_action_cache_does_not_change_any_search(
 
     def run(strategy, predictor):
         result = run_strategy(strategy, theorem, model, predictor, width, budget)
-        return result.to_record(theorem.id, strategy, include_wall=False), result.dead_ends
+        return result.to_record(theorem.id, strategy, include_wall=False)
 
     for strategy in EVAL_STRATEGIES:
         cold = run(strategy, fresh_predictor())
@@ -271,6 +270,108 @@ def test_shared_action_cache_does_not_change_any_search(
             patch.setattr(search_module, "_children", _reference_children)
             reference = run(strategy, fresh_predictor())
         assert cold == warm == reference
-        record = cold[0]
-        if record["status"] == PROVED:
-            assert script_is_valid(theorem, parse_script(record["proof"]))
+        if cold["status"] == PROVED:
+            assert script_is_valid(theorem, parse_script(cold["proof"]))
+
+
+@dataclass
+class _ReferenceNode:
+    hyperstate: Hyperstate
+    script: tuple
+    g: int
+    h: float
+    f: float
+    seq: int
+    path_prob: float = 1.0
+
+
+def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, order):
+    """The priority loop as it was when A* and best-first each chose their
+    priority by an order string: "f", "value" or "probability"."""
+    tally = search_module._Tally()
+    root = _ReferenceNode(Hyperstate((thm.statement,)), (), 0, 0.0, 0.0, 0)
+    if order == "f":
+        try:
+            root.h = scorer.hyperstate_steps(root.hyperstate)
+        except UndefinedStepsError:
+            return tally.result(EXHAUSTED)
+        root.f = root.h
+
+    def priority(node):
+        if order == "f":
+            return node.f
+        if order == "value":
+            return -scorer.hyperstate_value(node.hyperstate)
+        return -node.path_prob
+
+    seq = 0
+    heap = [(priority(root), seq, root)]
+    enqueued = {root.hyperstate.canonical_key()}
+    while heap:
+        _, _, node = heapq.heappop(heap)
+        if node.hyperstate.is_empty:
+            return tally.result(PROVED, node.script)
+        if tally.expanded >= budget:
+            return tally.result(BUDGET_EXCEEDED)
+        tally.expanded += 1
+        for tactic, prob, hyperstate in search_module._children(node, predictor, n, tally):
+            if node.g + 1 > depth_limit:
+                continue
+            key = hyperstate.canonical_key()
+            if key in enqueued:
+                continue
+            child = _ReferenceNode(hyperstate, node.script + (tactic,), node.g + 1, 0.0, 0.0, 0, node.path_prob * prob)
+            if order == "f" and not hyperstate.is_empty:
+                try:
+                    child.h = scorer.hyperstate_steps(hyperstate)
+                except UndefinedStepsError:
+                    continue
+            child.f = f_score(child.g, child.h)
+            enqueued.add(key)
+            seq += 1
+            child.seq = seq
+            heapq.heappush(heap, (priority(child), seq, child))
+    return tally.result(EXHAUSTED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    pick=st.integers(0, 4),
+    oracle_depth=st.none() | st.sampled_from((3, 7, 10)),
+    model_seed=st.integers(0, 3),
+    ranking=st.none() | st.permutations(TEMPLATES),
+    width=st.integers(1, 6),
+    budget=st.sampled_from((4, 16, 128)),
+    depth_cap=st.integers(1, 8),
+)
+# A* meets dead children six tactics deep
+@example(8869, 3, 7, 0, ("intros", "f_equal", "rewrite", "reflexivity", "induction", "simpl"), 6, 128, 6)
+# A* pops one of two nodes of equal f; the FIFO tie-break decides which
+@example(4848, 2, 10, 3, None, 5, 16, 5)
+def test_priority_loop_matches_the_order_string_loop(
+    cold_predictor, corpus_seed, pick, oracle_depth, model_seed, ranking, width, budget, depth_cap
+):
+    # The oracle scorer values an obligation it cannot prove within its
+    # depth at 0, so A* meets dead roots and dead children; a ValueModel
+    # scorer values everything above 0. Caps of 1-8 tactics are reached.
+    entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
+    theorem = entries[pick].theorem
+    if oracle_depth is None:
+        value_scorer = ValueScorer.for_model(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed))
+    else:
+        value_scorer = oracle_scorer(depth=oracle_depth)
+    runs = (
+        (astar_search, value_scorer, "f"),
+        (best_first_search, value_scorer, "value"),
+        (best_first_search, ProbabilityScorer(), "probability"),
+    )
+    for search, scorer, order in runs:
+        predictor = cold_predictor() if ranking is None else RankedPredictor(ranking)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "SAFETY_DEPTH", depth_cap)
+            result = search(theorem, scorer, predictor, width, budget)
+        reference = _reference_priority_search(theorem, scorer, predictor, width, budget, depth_cap, order)
+        assert result.to_record(theorem.id, order, include_wall=False) == reference.to_record(
+            theorem.id, order, include_wall=False
+        )

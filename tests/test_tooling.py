@@ -4,9 +4,11 @@ package must still call through it. The caches whose hit rates it reports
 must still be LRU caches."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
 
 
 def _layers():
@@ -21,6 +23,19 @@ def test_every_traced_name_resolves():
     assert layers._WRAPPED
     for owner, attribute, span in layers._WRAPPED:
         assert callable(getattr(owner, attribute, None)), f"{owner.__name__}.{attribute} ({span}) is gone"
+
+
+def test_the_benchmark_reads_the_strategy_table_through_cli():
+    # bench/worker.py and bench/layers.py read cli.EVAL_STRATEGIES and call
+    # cli.run_strategy; BENCHMARK.json names one search.<strategy>.* block
+    # per strategy, in table order
+    from valueprover import cli, search
+
+    assert cli.run_strategy is search.run_strategy
+    assert cli.EVAL_STRATEGIES == search.EVAL_STRATEGIES
+    names = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    benchmarked = dict.fromkeys(name.split(".")[1] for name in names if name.startswith("search."))
+    assert cli.EVAL_STRATEGIES == tuple(benchmarked)
 
 
 def test_every_traced_cache_reports_its_hits():
