@@ -17,6 +17,7 @@ against the learner's own model, so a run is bit-reproducible per seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 
@@ -108,10 +109,21 @@ class TrainerConfig:
     predictor_learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
+        # every test is written so that NaN fails it: loaded checkpoints
+        # can hold NaN and infinities
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("rl_epochs", "pretrain_epochs", "predictor_epochs"):
-            if getattr(self, name) < 0:
+        for name in ("test_ratio", "epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("learning_rate", "pretrain_learning_rate", "predictor_learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # epsilon_decay_episodes 0 means a constant epsilon_end
+        if self.epsilon_decay_episodes is not None and not self.epsilon_decay_episodes >= 0:
+            raise ValueError("epsilon_decay_episodes must be at least 0")
+        for name in ("rl_epochs", "pretrain_epochs", "predictor_epochs", "validation_tasks"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be at least 0")
         for name in (
             "width",
@@ -124,10 +136,10 @@ class TrainerConfig:
             "encoder_dim",
             "hidden_dim",
         ):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         fractions = (self.replay_fraction, self.true_fraction, self.negative_fraction)
-        if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ValueError("batch mix fractions must be nonnegative and sum to 1")
 
     def to_dict(self) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -132,10 +133,10 @@ class ValueModel:
         d_out = 2.0 * diff / n
         d_pre = d_out * out * (1.0 - out)
         grad_w_out = d_pre @ hidden
-        grad_b_out = float(d_pre.sum())
+        grad_b_out = float(np.add.reduce(d_pre))
         d_hidden = d_pre[:, None] * self.w_out * (1.0 - hidden * hidden)
         grad_w_hidden = d_hidden.T @ inputs
-        grad_b_hidden = d_hidden.sum(axis=0)
+        grad_b_hidden = np.add.reduce(d_hidden, axis=0)
         return loss, (grad_w_hidden, grad_b_hidden, grad_w_out, grad_b_out)
 
     def update_batch(self, inputs: np.ndarray, targets: Sequence[float], learning_rate: float) -> float:
@@ -144,9 +145,11 @@ class ValueModel:
         through them)."""
         if not len(targets):
             raise ValueError("empty batch")
-        if min(targets) < 0.0 or max(targets) > 1.0:
+        targets = np.asarray(targets, dtype=float)
+        # written so that a NaN anywhere fails the test
+        if not (np.minimum.reduce(targets) >= 0.0 and np.maximum.reduce(targets) <= 1.0):
             raise ValueError("targets must lie in [0, 1]")
-        loss, (gwh, gbh, gwo, gbo) = self.loss_and_grads(inputs, np.asarray(targets, dtype=float))
+        loss, (gwh, gbh, gwo, gbo) = self.loss_and_grads(inputs, targets)
         self.w_hidden -= learning_rate * gwh
         self.b_hidden -= learning_rate * gbh
         self.w_out -= learning_rate * gwo
@@ -235,10 +238,15 @@ def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float
 
     A discharging action contributes exactly gamma (empty product); with no
     applicable action the obligation is a dead end and the target is 0.
+    The product is the left fold from 1.0 that product_value computes,
+    written out to save a call per action.
     """
     best = 0.0
     for children in actions:
-        candidate = gamma * product_value(map(value_of, children))
+        product = 1.0
+        for child in children:
+            product *= value_of(child)
+        candidate = gamma * product
         if candidate > best:
             best = candidate
     return best
@@ -279,8 +287,9 @@ class ObligationTable:
         return children
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
-        """The encodings of the ids, one row each, in one gather."""
-        return self._rows[ids]
+        """The encodings of the ids, one row each, in one gather (take
+        converts a list of ids faster than fancy indexing does)."""
+        return self._rows.take(ids, axis=0)
 
 
 def bellman_target(model: ValueModel, table: ObligationTable, sources: Sequence[int]) -> list[float]:
@@ -289,11 +298,13 @@ def bellman_target(model: ValueModel, table: ObligationTable, sources: Sequence[
     appearance, are valued in one forward pass (the v_value of each up to
     float rounding; the value cache is untouched), then each target is
     bellman_backup over those values."""
-    batch_actions = {source: table.children(source) for source in sources}
-    children = list(dict.fromkeys(c for actions in batch_actions.values() for action in actions for c in action))
-    values = dict(zip(children, model._forward(table.rows(children))[1].tolist()))
-    targets = {source: bellman_backup(acts, values.__getitem__, model.gamma) for source, acts in batch_actions.items()}
-    return [targets[source] for source in sources]
+    distinct = dict.fromkeys(sources)
+    batch_actions = list(map(table.children, distinct))
+    children = list(dict.fromkeys(chain.from_iterable(chain.from_iterable(batch_actions))))
+    value_of = dict(zip(children, model._forward(table.rows(children))[1].tolist())).__getitem__
+    gamma = model.gamma
+    targets = dict(zip(distinct, [bellman_backup(actions, value_of, gamma) for actions in batch_actions]))
+    return list(map(targets.__getitem__, sources))
 
 
 def pretrain(
@@ -314,19 +325,35 @@ def pretrain(
         raise ValueError("proof lengths must be at least 1")
     inputs = np.stack([model.encode(ob) for ob, _ in tasks])
     targets = np.array([model.gamma**length for _, length in tasks])
-    flat_m = np.zeros_like(model.get_flat_params())
-    flat_v = np.zeros_like(flat_m)
+    # The Adam moments, the gradient and the step live in flat buffers laid
+    # out like get_flat_params; each expression below keeps the operation
+    # order of m = 0.9*m + 0.1*g, v = 0.999*v + (0.001*g)*g and
+    # step = (lr*m_hat) / (sqrt(v_hat) + 1e-8), so the bits are those of
+    # the plain numpy expressions.
+    h, d = model.hidden_dim, model.input_dim
+    grad, flat_m, flat_v, m_hat, v_hat = (np.zeros(h * d + 2 * h + 1) for _ in range(5))
+    slices = (slice(0, h * d), slice(h * d, h * d + h), slice(h * d + h, h * d + 2 * h))
     losses = []
     for step in range(1, epochs + 1):
         loss, (gwh, gbh, gwo, gbo) = model.loss_and_grads(inputs, targets)
         losses.append(loss)
-        grad = np.concatenate([gwh.ravel(), gbh, gwo, [gbo]])
-        flat_m = 0.9 * flat_m + 0.1 * grad
-        flat_v = 0.999 * flat_v + 0.001 * grad * grad
-        m_hat = flat_m / (1.0 - 0.9**step)
-        v_hat = flat_v / (1.0 - 0.999**step)
-        params = model.get_flat_params() - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        model.set_flat_params(params)
+        np.concatenate([gwh.ravel(), gbh, gwo, [gbo]], out=grad)
+        flat_m *= 0.9
+        flat_m += np.multiply(0.1, grad, out=m_hat)
+        flat_v *= 0.999
+        np.multiply(0.001, grad, out=v_hat)
+        flat_v += np.multiply(v_hat, grad, out=v_hat)
+        np.divide(flat_m, 1.0 - 0.9**step, out=m_hat)
+        np.divide(flat_v, 1.0 - 0.999**step, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += 1e-8
+        np.multiply(learning_rate, m_hat, out=m_hat)
+        m_hat /= v_hat
+        model.w_hidden -= m_hat[slices[0]].reshape(h, d)
+        model.b_hidden -= m_hat[slices[1]]
+        model.w_out -= m_hat[slices[2]]
+        model.b_out = float(model.b_out - m_hat[-1])
+    model._value_cache.clear()
     return losses
 
 
@@ -356,8 +383,18 @@ class _IdBuffer:
         """k seeded draws; none at all when the buffer is empty."""
         if not self.ids:
             return []
-        ids, n, randrange = self.ids, len(self.ids), rng.randrange
-        return [ids[randrange(n)] for _ in range(k)]
+        # rng.randrange(n) inlined: the same rejection loop over
+        # getrandbits(n.bit_length()), so the same draws and the same
+        # generator state, without two method layers per row
+        ids, n, getrandbits = self.ids, len(self.ids), rng.getrandbits
+        bits = n.bit_length()
+        drawn = []
+        for _ in range(k):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            drawn.append(ids[r])
+        return drawn
 
 
 class ReplayBuffer(_IdBuffer):

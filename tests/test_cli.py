@@ -247,6 +247,16 @@ def test_checkpoint_config_is_validated(tiny_checkpoint, tmp_path, capsys):
     assert "rl_epochs must be at least 0" in capsys.readouterr().err
 
 
+def test_checkpoint_config_with_nan_is_refused(tiny_checkpoint, tmp_path, capsys):
+    # json writes and reads NaN; a NaN fails every comparison, so the
+    # range checks must be written to reject it
+    def edit(payload):
+        payload["config"]["learning_rate"] = math.nan
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+
+
 def test_prove_budget_zero(tiny_checkpoint, capsys):
     code = main(
         [
@@ -398,11 +408,15 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-# sha256 of the test split's rows.tsv from the seeded chain `gen-corpus --seed
-# 0 --counts 26,14,10`, `train --seed 0 --min-drop-length 0
-# --max-drop-length 9` and a six-strategy `eval`. A change that only makes
-# search faster must leave it as it is. The checkpoint's float bits, and so
-# this hash, depend on the numpy build: it was taken with numpy 2.4.6.
+# sha256 of the checkpoint, its report and the test split's rows.tsv from the
+# seeded chain `gen-corpus --seed 0 --counts 26,14,10`, `train --seed 0
+# --min-drop-length 0 --max-drop-length 9` and a six-strategy `eval`. A change
+# that only makes training or search faster must leave them as they are; the
+# checkpoint and report catch float drift in the weights that leaves the eval
+# rows unchanged. The float bits, and so these hashes, depend on the numpy
+# build and its BLAS: they were taken with numpy 2.4.6.
+BASELINE_CHECKPOINT_SHA256 = "f9dbfb57bbf4240f6ba756b7dab9988deccca3a21eb562933bd1af585b8b440a"
+BASELINE_REPORT_SHA256 = "c396d8d62b69a2ee9edd77008df1b0ba100e5c4aef24a15d82892f016dab2bfe"
 BASELINE_EVAL_ROWS_SHA256 = "fede3b61ccdbf792e5393f4d8b31d744bd949b8994f765d8a3a46a4ed379bf85"
 
 
@@ -413,5 +427,10 @@ def test_baseline_eval_rows_are_pinned(tmp_path):
     assert main(train + ["--min-drop-length", "0", "--max-drop-length", "9"]) == 0
     strategies = ",".join(EVAL_STRATEGIES)
     assert main(["eval", "--checkpoint", checkpoint, "--corpus", corpus, "--strategies", strategies, "--out", report]) == 0
-    rows = (tmp_path / "report" / "rows.tsv").read_bytes()
-    assert hashlib.sha256(rows).hexdigest() == BASELINE_EVAL_ROWS_SHA256
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert sha256(tmp_path / "m.ckpt") == BASELINE_CHECKPOINT_SHA256
+    assert sha256(tmp_path / "m.ckpt.report.json") == BASELINE_REPORT_SHA256
+    assert sha256(tmp_path / "report" / "rows.tsv") == BASELINE_EVAL_ROWS_SHA256

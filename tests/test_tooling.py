@@ -62,3 +62,30 @@ def test_train_runs_each_episode_through_the_module_name(monkeypatch):
     monkeypatch.setattr(trainer, "run_episode", counted)
     _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
     assert report.episodes > 0 and len(played) == report.episodes
+
+
+def test_train_runs_each_update_through_the_traced_names(monkeypatch):
+    # bench/layers.py counts value_model.bellman_target and
+    # value_model.update_batch by rebinding trainer.bellman_target and
+    # ValueModel.update_batch; an update that reached either another way
+    # would read as zero calls in traced runs
+    from test_trainer import NO_F_EQUAL, _fast_config, _tiny_split
+    from valueprover import trainer, value_model
+
+    calls = {"bellman_target": 0, "update_batch": 0}
+    bellman_target = trainer.bellman_target
+    update_batch = value_model.ValueModel.update_batch
+
+    def counted_target(*args):
+        calls["bellman_target"] += 1
+        return bellman_target(*args)
+
+    def counted_update(*args):
+        calls["update_batch"] += 1
+        return update_batch(*args)
+
+    monkeypatch.setattr(trainer, "bellman_target", counted_target)
+    monkeypatch.setattr(value_model.ValueModel, "update_batch", counted_update)
+    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
+    assert report.updates > 0
+    assert calls == {"bellman_target": report.updates, "update_batch": report.updates}

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -546,6 +547,30 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             TrainerConfig(**{name: 0})
+    # NaN fails every comparison, so each check must be written to reject it
+    for mix in ({"replay_fraction": math.nan}, {"true_fraction": math.inf}, {"negative_fraction": -0.25}):
+        with pytest.raises(ValueError, match="batch mix fractions"):
+            TrainerConfig(**mix)
+    for name in ("learning_rate", "pretrain_learning_rate", "predictor_learning_rate"):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -0.02):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                TrainerConfig(**{name: bad})
+    for name in ("epsilon_start", "epsilon_end", "test_ratio"):
+        TrainerConfig(**{name: 0.0})
+        TrainerConfig(**{name: 1.0})
+        for bad in (3.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                TrainerConfig(**{name: bad})
+    for name, bad in (("validation_tasks", -2), ("rl_epochs", math.nan), ("batch_size", math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be at least"):
+            TrainerConfig(**{name: bad})
+    TrainerConfig(validation_tasks=0)
+    # epsilon_decay_episodes 0 is a constant epsilon_end; None is half the run
+    TrainerConfig(epsilon_decay_episodes=0)
+    TrainerConfig(epsilon_decay_episodes=None)
+    for bad in (-5, math.nan):
+        with pytest.raises(ValueError, match="epsilon_decay_episodes must be at least 0"):
+            TrainerConfig(epsilon_decay_episodes=bad)
     # the actor/learner mode is gone; its field stays only so that its checkpoints load
     with pytest.raises(ValueError, match="actor_count must be 1"):
         train(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))

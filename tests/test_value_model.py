@@ -271,8 +271,13 @@ def test_update_batch_edges(model):
     assert np.array_equal(model.get_flat_params(), before)
     with pytest.raises(ValueError):
         model.update_batch(inputs[:0], [], 0.1)
-    with pytest.raises(ValueError):
-        model.update_batch(inputs, [1.5], 0.1)
+    # min and max over a list skip a NaN that is not first; no bad target
+    # may move a parameter
+    pair = np.concatenate([inputs, inputs])
+    for targets in ([1.5], [math.nan, 0.5], [0.5, math.nan], [0.5, math.inf], [-math.inf, 0.5]):
+        with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
+            model.update_batch(pair[: len(targets)], targets, 0.1)
+        assert np.array_equal(model.get_flat_params(), before)
 
 
 def test_update_batch_converges(model):
@@ -337,6 +342,111 @@ def test_replay_buffer_fifo_and_sampling():
 def _draws(seed, n, k):
     rng = random.Random(seed)
     return [rng.randrange(n) for _ in range(k)]
+
+
+# buffer sizes around every power of two up to 4096, where randrange's
+# rejection loop changes the number of bits it draws
+BUFFER_SIZES = st.one_of(
+    st.integers(1, 5000),
+    st.builds(lambda j, d: max(1, 2**j + d), st.integers(0, 12), st.sampled_from((-1, 0, 1))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=BUFFER_SIZES, k=st.integers(0, 64), seed=st.integers(0, 2**64))
+def test_sampling_consumes_the_randrange_stream(n, k, seed):
+    buffer = ReplayBuffer(capacity=n)
+    for ob_id in range(n):
+        buffer.push(7 * ob_id + 3)
+    ids = buffer.ids
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    # the sampler as it was, one randrange call per row
+    expected = [ids[reference_rng.randrange(n)] for _ in range(k)]
+    assert buffer.sample(k, rng) == expected
+    assert rng.getstate() == reference_rng.getstate()
+    # an empty buffer draws nothing
+    state = rng.getstate()
+    assert NegativeBuffer().sample(k, rng) == [] and rng.getstate() == state
+
+
+def _reference_backup(actions, value_of, gamma):
+    """bellman_backup as it was, through product_value per action."""
+    best = 0.0
+    for children in actions:
+        candidate = gamma * math.prod(map(value_of, children), start=1.0)
+        if candidate > best:
+            best = candidate
+    return best
+
+
+CHILD_VALUES = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(CHILD_VALUES, min_size=1, max_size=12),
+    data=st.data(),
+    gamma=st.one_of(st.just(0.9), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+def test_bellman_backup_matches_the_product_value_formula(values, data, gamma):
+    # actions are tuples of child indexes; () is a discharging action
+    children = st.lists(st.integers(0, len(values) - 1), max_size=6).map(tuple)
+    actions = data.draw(st.lists(children, max_size=6))
+    got = bellman_backup(actions, values.__getitem__, gamma)
+    assert got.hex() == _reference_backup(actions, values.__getitem__, gamma).hex()
+
+
+def _reference_loss_and_grads(model, inputs, targets):
+    """ValueModel.loss_and_grads as it was, with ndarray.sum."""
+    hidden, out = model._forward(inputs)
+    diff = out - targets
+    n = len(targets)
+    loss = float(np.add.reduce(diff * diff)) / n
+    d_out = 2.0 * diff / n
+    d_pre = d_out * out * (1.0 - out)
+    grad_w_out = d_pre @ hidden
+    grad_b_out = float(d_pre.sum())
+    d_hidden = d_pre[:, None] * model.w_out * (1.0 - hidden * hidden)
+    grad_w_hidden = d_hidden.T @ inputs
+    grad_b_hidden = d_hidden.sum(axis=0)
+    return loss, (grad_w_hidden, grad_b_hidden, grad_w_out, grad_b_out)
+
+
+def _reference_pretrain(model, tasks, epochs, learning_rate):
+    """pretrain as it was: new arrays for every Adam expression and a
+    get_flat_params/set_flat_params round trip per step."""
+    inputs = np.stack([model.encode(ob) for ob, _ in tasks])
+    targets = np.array([model.gamma**length for _, length in tasks])
+    flat_m = np.zeros_like(model.get_flat_params())
+    flat_v = np.zeros_like(flat_m)
+    losses = []
+    for step in range(1, epochs + 1):
+        loss, (gwh, gbh, gwo, gbo) = _reference_loss_and_grads(model, inputs, targets)
+        losses.append(loss)
+        grad = np.concatenate([gwh.ravel(), gbh, gwo, [gbo]])
+        flat_m = 0.9 * flat_m + 0.1 * grad
+        flat_v = 0.999 * flat_v + 0.001 * grad * grad
+        m_hat = flat_m / (1.0 - 0.9**step)
+        v_hat = flat_v / (1.0 - 0.999**step)
+        params = model.get_flat_params() - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        model.set_flat_params(params)
+    return losses
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    epochs=st.integers(0, 40),
+    learning_rate=st.one_of(st.just(0.02), st.floats(1e-4, 1.0)),
+    hidden_dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_pretrain_matches_the_reference_adam_loop(replay_obligations, data, epochs, learning_rate, hidden_dim, seed):
+    tasks = data.draw(st.lists(st.tuples(st.sampled_from(replay_obligations), st.integers(1, 9)), min_size=1, max_size=8))
+    model, reference = (ValueModel(hashed_encoder(16, 0), 16, 0.9, hidden_dim, seed) for _ in range(2))
+    assert pretrain(model, tasks, epochs, learning_rate) == _reference_pretrain(reference, tasks, epochs, learning_rate)
+    assert model.get_flat_params().tobytes() == reference.get_flat_params().tobytes()
+    assert type(model.b_out) is float
 
 
 def test_true_target_buffer_min_rule():
