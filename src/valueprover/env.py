@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 from .terms import (
     ZERO,
@@ -55,6 +56,7 @@ __all__ = [
     "replay_script",
     "script_is_valid",
     "extract_subproof_tasks",
+    "applicable_among",
     "enumerate_applicable",
 ]
 
@@ -499,6 +501,18 @@ def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obli
     return tasks  # type: ignore[return-value]
 
 
+def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
+    """The given tactics that apply to `ob` without error, in the given
+    order, with their results."""
+    pairs = []
+    for tactic in tactics:
+        try:
+            pairs.append((tactic, apply_tactic(ob, tactic)))
+        except TacticError:
+            continue
+    return pairs
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
     """Every tactic that applies to `ob` without error, with its results.
@@ -513,10 +527,4 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     candidates.extend(Tactic("rewrite", h.name) for h in ob.hypotheses())
     candidates.append(Tactic("f_equal"))
     candidates.append(Tactic("reflexivity"))
-    out = []
-    for tactic in candidates:
-        try:
-            out.append((tactic, apply_tactic(ob, tactic)))
-        except TacticError:
-            continue
-    return tuple(out)
+    return tuple(applicable_among(ob, candidates))

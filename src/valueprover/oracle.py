@@ -11,15 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .env import (
-    Hyperstate,
-    Obligation,
-    ProofScript,
-    Tactic,
-    TacticError,
-    apply_tactic,
-    enumerate_applicable,
-)
+from .env import Hyperstate, Obligation, ProofScript, Tactic, applicable_among, enumerate_applicable
 from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces oracle.step_hyperstate
 from .value_model import ActionCache
 
@@ -44,17 +36,6 @@ class OracleResult:
     depth_limited: bool
 
 
-def _applicable_among(ob: Obligation, actions: ActionProvider) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
-    """The provider's tactics that apply to `ob`, with their results."""
-    pairs = []
-    for tactic in actions(ob):
-        try:
-            pairs.append((tactic, apply_tactic(ob, tactic)))
-        except TacticError:
-            continue
-    return pairs
-
-
 def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | None = None) -> OracleResult:
     """BFS over hyperstates; returns a minimum-length valid script.
 
@@ -76,7 +57,7 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
             depth_limited = True
             continue
         first, rest = state.obligations[0], state.obligations[1:]
-        pairs = enumerate_applicable(first) if actions is None else _applicable_among(first, actions)
+        pairs = enumerate_applicable(first) if actions is None else applicable_among(first, actions(first))
         for tactic, produced in pairs:
             child = Hyperstate(produced + rest)
             if child.is_empty:

@@ -1,8 +1,10 @@
 """Proof search over hyperstates: greedy, weighted DFS, best-first and A*.
 
 `EVAL_STRATEGIES` names the six strategies that `eval` and `prove` run, and
-`run_strategy` runs one of them by name. A* and both best-first searches
-share one priority loop and differ only in the priority they give a node.
+`run_strategy` runs one of them by name. Every backtracking search (A*,
+both best-first searches and DFS) runs through one priority loop and
+differs only in the priority it gives a node and its depth cap; DFS's
+priority is the negated depth, so the deepest node comes first.
 Every strategy draws candidate tactics for the first open obligation from
 the predictor's top-n list, drops the ones that error, and dedups states by
 the hyperstate's canonical multiset form. The applicable actions come from
@@ -174,7 +176,9 @@ def astar_search(
     if not scorer.steps_convertible:
         raise ValueError("A* requires a steps-convertible scorer")
     steps = scorer.hyperstate_steps
-    return _priority_search(thm, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)))
+    return _priority_search(
+        thm, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)), SAFETY_DEPTH
+    )
 
 
 def best_first_search(
@@ -189,8 +193,23 @@ def best_first_search(
     scorer."""
     if scorer.steps_convertible:
         value = scorer.hyperstate_value
-        return _priority_search(thm, predictor, n, budget, lambda node: -value(node.hyperstate))
-    return _priority_search(thm, predictor, n, budget, lambda node: -node.path_prob)
+        return _priority_search(thm, predictor, n, budget, lambda node: -value(node.hyperstate), SAFETY_DEPTH)
+    return _priority_search(thm, predictor, n, budget, lambda node: -node.path_prob, SAFETY_DEPTH)
+
+
+def dfs_search(
+    thm: Theorem,
+    predictor: Predictor,
+    n: int,
+    budget: int = DEFAULT_BUDGET,
+    depth_limit: int = 10,
+) -> SearchResult:
+    """Depth-first baseline: the deepest node first, siblings in descending
+    predictor probability, backtracking on errors, dead ends, the depth
+    limit and already-visited hyperstates."""
+    if depth_limit < 1:
+        raise ValueError("depth_limit must be at least 1")
+    return _priority_search(thm, predictor, n, budget, lambda node: -node.g, depth_limit)
 
 
 def _priority_search(
@@ -199,14 +218,15 @@ def _priority_search(
     n: int,
     budget: int,
     priority: Callable[[SearchNode], float],
+    depth_cap: int,
 ) -> SearchResult:
     """Expand the lowest-priority node first; returns on the first empty
     hyperstate popped.
 
     Ties break FIFO by insertion order, and a hyperstate is enqueued at most
     once. A node whose priority raises UndefinedStepsError is dropped. A
-    node SAFETY_DEPTH tactics deep is still expanded and counted, but its
-    children are not enqueued.
+    node `depth_cap` tactics deep is skipped when popped: it is neither
+    counted nor expanded, though it still proves the theorem if it is empty.
     """
     tally = _Tally()
     root = SearchNode(Hyperstate((thm.statement,)), (), 0)
@@ -216,18 +236,16 @@ def _priority_search(
         return tally.result(EXHAUSTED)
     enqueued = {root.hyperstate.canonical_key()}
     seq = 0
-    depth_cap = SAFETY_DEPTH
     while heap:
         _, _, node = heapq.heappop(heap)
         if node.hyperstate.is_empty:
             return tally.result(PROVED, node.script)
         if tally.expanded >= budget:
             return tally.result(BUDGET_EXCEEDED)
-        tally.expanded += 1
-        children = _children(node, predictor, n, tally)
         if node.g >= depth_cap:
             continue
-        for tactic, prob, hyperstate in children:
+        tally.expanded += 1
+        for tactic, prob, hyperstate in _children(node, predictor, n, tally):
             key = hyperstate.canonical_key()
             if key in enqueued:
                 continue
@@ -239,44 +257,6 @@ def _priority_search(
             enqueued.add(key)
             seq += 1
             heapq.heappush(heap, (score, seq, child))
-    return tally.result(EXHAUSTED)
-
-
-def dfs_search(
-    thm: Theorem,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    depth_limit: int = 10,
-) -> SearchResult:
-    """Depth-first baseline: children visited in descending predictor
-    probability, backtracking on errors, dead ends, the depth limit and
-    already-visited hyperstates."""
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be at least 1")
-    tally = _Tally()
-    root = SearchNode(Hyperstate((thm.statement,)), (), 0)
-    stack = [root]
-    visited = {root.hyperstate.canonical_key()}
-    while stack:
-        node = stack.pop()
-        if node.hyperstate.is_empty:
-            return tally.result(PROVED, node.script)
-        if tally.expanded >= budget:
-            return tally.result(BUDGET_EXCEEDED)
-        if node.g >= depth_limit:
-            continue
-        tally.expanded += 1
-        children = []
-        for tactic, prob, hyperstate in _children(node, predictor, n, tally):
-            key = hyperstate.canonical_key()
-            if key in visited:
-                continue
-            visited.add(key)
-            children.append(SearchNode(hyperstate, node.script + (tactic,), node.g + 1))
-        # Reversed so the highest-probability child is popped first.
-        for child in reversed(children):
-            stack.append(child)
     return tally.result(EXHAUSTED)
 
 

@@ -70,6 +70,10 @@ class TrainingTask:
         return len(self.demo_script.steps)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainerConfig:
     gamma: float = 0.9
@@ -109,8 +113,18 @@ class TrainerConfig:
     predictor_learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        # every test is written so that NaN fails it: loaded checkpoints
-        # can hold NaN and infinities
+        # A loaded checkpoint can hold any JSON value, NaN and infinities
+        # included. Every field must first be a number (a bool where one is
+        # declared) so that the range checks can compare it, and every range
+        # check is written so that NaN fails it. Integer fields are checked
+        # last, so that a NaN count is reported as out of range.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be true or false")
+            elif not (value is None and f.type == "int | None") and not _is_number(value):
+                raise ValueError(f"{f.name} must be a number")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         for name in ("test_ratio", "epsilon_start", "epsilon_end"):
@@ -122,7 +136,7 @@ class TrainerConfig:
         # epsilon_decay_episodes 0 means a constant epsilon_end
         if self.epsilon_decay_episodes is not None and not self.epsilon_decay_episodes >= 0:
             raise ValueError("epsilon_decay_episodes must be at least 0")
-        for name in ("rl_epochs", "pretrain_epochs", "predictor_epochs", "validation_tasks"):
+        for name in ("seed", "rl_epochs", "pretrain_epochs", "predictor_epochs", "validation_tasks"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be at least 0")
         for name in (
@@ -141,15 +155,23 @@ class TrainerConfig:
         fractions = (self.replay_fraction, self.true_fraction, self.negative_fraction)
         if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ValueError("batch mix fractions must be nonnegative and sum to 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("int") and value is not None and not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainerConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
         if unknown:
             raise ValueError(f"unknown trainer config keys: {', '.join(unknown)}")
+        missing = sorted(names - set(data))
+        if missing:
+            raise ValueError(f"missing trainer config keys: {', '.join(missing)}")
         return cls(**data)
 
 
@@ -457,8 +479,10 @@ def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
 
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     """Raises ValueError on a checkpoint of another version or encoder mode,
-    unknown config keys, parameters of the wrong shape or not finite, and an
-    encoder dimension other than the value model's input dimension."""
+    unknown or missing config keys, parameters of the wrong shape or not
+    finite, an encoder dimension other than the value model's input
+    dimension, and a config whose gamma, hidden_dim, encoder_dim or
+    encoder_salt differs from the value model or encoder section."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -480,6 +504,14 @@ def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
         raise ValueError(f"unsupported encoder mode {encoder_info['mode']!r}")
     if encoder_info["dim"] != net["input_dim"]:
         raise ValueError(f"checkpoint encoder dim {encoder_info['dim']} != value_model input_dim {net['input_dim']}")
+    for name, section, recorded in (
+        ("gamma", "value_model.gamma", net["gamma"]),
+        ("hidden_dim", "value_model.hidden_dim", hidden),
+        ("encoder_dim", "encoder.dim", encoder_info["dim"]),
+        ("encoder_salt", "encoder.salt", encoder_info["salt"]),
+    ):
+        if getattr(config, name) != recorded:
+            raise ValueError(f"checkpoint config.{name} {getattr(config, name)!r} != {section} {recorded!r}")
     encoder = hashed_encoder(encoder_info["dim"], encoder_info["salt"])
     model = value_model_from_dict(net, encoder)
     predictor = predictor_from_dict(payload["predictor"])

@@ -257,6 +257,55 @@ def test_checkpoint_config_with_nan_is_refused(tiny_checkpoint, tmp_path, capsys
     assert "learning_rate must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("width", 2.5, "width must be an integer"),
+        ("width", True, "width must be a number"),
+        ("gamma", "0.9", "gamma must be a number"),
+        ("seed", -4, "seed must be at least 0"),
+    ],
+)
+def test_checkpoint_config_types_are_checked(tiny_checkpoint, tmp_path, capsys, name, bad, message):
+    def edit(payload):
+        payload["config"][name] = bad
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_checkpoint_config_with_a_missing_key_is_refused(tiny_checkpoint, tmp_path, capsys):
+    def edit(payload):
+        del payload["config"]["hidden_dim"]
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    assert "missing trainer config keys: hidden_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, section",
+    [
+        ("gamma", "value_model.gamma"),
+        ("hidden_dim", "value_model.hidden_dim"),
+        ("encoder_dim", "encoder.dim"),
+        ("encoder_salt", "encoder.salt"),
+    ],
+)
+def test_checkpoint_config_must_match_the_model_sections(tiny_checkpoint, tmp_path, capsys, name, section):
+    def edit(payload):
+        payload["config"][name] = 0.5 if name == "gamma" else payload["config"][name] + 1
+
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint config.{name}" in err and section in err
+
+
+def test_train_negative_seed_is_refused_before_loading_the_corpus(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["train", "--corpus", str(missing), "--out", str(tmp_path / "m.ckpt"), "--seed", "-1"]) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
+
+
 def test_prove_budget_zero(tiny_checkpoint, capsys):
     code = main(
         [

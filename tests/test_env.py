@@ -13,6 +13,7 @@ from valueprover.env import (
     Tactic,
     TacticError,
     Theorem,
+    applicable_among,
     apply_tactic,
     enumerate_applicable,
     extract_subproof_tasks,
@@ -265,6 +266,15 @@ def test_enumerate_applicable_orders_and_filters():
     # parsed afresh gets the very tuple computed first
     assert enumerate_applicable.cache_info().maxsize == CACHE_SIZE
     assert enumerate_applicable(ob("n |- Plus(Var(n),Zero) = Var(n)")) is applicable
+
+
+def test_applicable_among_keeps_the_given_order():
+    state = ob("n, IH_n : Plus(Var(n),Zero) = Var(n) |- Succ(Plus(Zero,Var(n))) = Succ(Plus(Var(n),Zero))")
+    assert [str(t) for t, _ in enumerate_applicable(state)] == ["simpl", "rewrite IH_n", "f_equal"]
+    tactics = [parse_tactic(text) for text in ("f_equal", "intros", "simpl", "reflexivity", "rewrite IH_n")]
+    pairs = applicable_among(state, tactics)
+    assert [str(t) for t, _ in pairs] == ["f_equal", "simpl", "rewrite IH_n"]
+    assert all(children == apply_tactic(state, tactic) for tactic, children in pairs)
 
 
 def test_theorem_requires_empty_context():

@@ -154,6 +154,78 @@ def test_dfs_depth_limit(trained_predictor):
         dfs_search(thm, trained_predictor, 5, 64, depth_limit=0)
 
 
+def _reference_dfs_search(thm, predictor, n, budget, depth_limit):
+    """dfs_search as it was with a stack loop of its own."""
+    if depth_limit < 1:
+        raise ValueError("depth_limit must be at least 1")
+    tally = search_module._Tally()
+    root = search_module.SearchNode(Hyperstate((thm.statement,)), (), 0)
+    stack = [root]
+    visited = {root.hyperstate.canonical_key()}
+    while stack:
+        node = stack.pop()
+        if node.hyperstate.is_empty:
+            return tally.result(PROVED, node.script)
+        if tally.expanded >= budget:
+            return tally.result(BUDGET_EXCEEDED)
+        if node.g >= depth_limit:
+            continue
+        tally.expanded += 1
+        children = []
+        for tactic, prob, hyperstate in search_module._children(node, predictor, n, tally):
+            key = hyperstate.canonical_key()
+            if key in visited:
+                continue
+            visited.add(key)
+            children.append(search_module.SearchNode(hyperstate, node.script + (tactic,), node.g + 1))
+        # Reversed so the highest-probability child is popped first.
+        for child in reversed(children):
+            stack.append(child)
+    return tally.result(EXHAUSTED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    pick=st.integers(0, 4),
+    predictor_kind=st.sampled_from(("trained", "cold")) | st.permutations(TEMPLATES),
+    width=st.integers(1, 6),
+    budget=st.sampled_from((4, 16, 128)),
+    depth_limit=st.integers(1, 12),
+)
+def test_dfs_matches_the_stack_loop(
+    trained_predictor, cold_predictor, corpus_seed, pick, predictor_kind, width, budget, depth_limit
+):
+    # deepest-first with FIFO ties pops what a LIFO stack with reversed
+    # sibling pushes pops
+    entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
+    theorem = entries[pick].theorem
+    if predictor_kind == "trained":
+        predictor = trained_predictor
+    elif predictor_kind == "cold":
+        predictor = cold_predictor()
+    else:
+        predictor = RankedPredictor(predictor_kind)
+    result = dfs_search(theorem, predictor, width, budget, depth_limit)
+    reference = _reference_dfs_search(theorem, predictor, width, budget, depth_limit)
+    assert result.to_record(theorem.id, "dfs", include_wall=False) == reference.to_record(
+        theorem.id, "dfs", include_wall=False
+    )
+
+
+def test_priority_searches_skip_a_node_at_the_cap(monkeypatch, trained_predictor):
+    # the theorem needs two tactics; with a cap of one, only the root is
+    # expanded and its children are popped without being counted
+    monkeypatch.setattr(search_module, "SAFETY_DEPTH", 1)
+    thm = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
+    for result in (
+        astar_search(thm, oracle_scorer(), trained_predictor, 5, 64),
+        best_first_search(thm, oracle_scorer(), trained_predictor, 5, 64),
+        best_first_search(thm, ProbabilityScorer(), trained_predictor, 5, 64),
+    ):
+        assert result.status == EXHAUSTED and result.nodes_expanded == 1
+
+
 def test_dfs_dives_while_astar_proves():
     # the good tactic (simpl) is ranked below f_equal at the root, so DFS
     # keeps peeling Succs within its depth limit and burns the budget while
@@ -313,10 +385,10 @@ def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, o
             return tally.result(PROVED, node.script)
         if tally.expanded >= budget:
             return tally.result(BUDGET_EXCEEDED)
+        if node.g >= depth_limit:
+            continue
         tally.expanded += 1
         for tactic, prob, hyperstate in search_module._children(node, predictor, n, tally):
-            if node.g + 1 > depth_limit:
-                continue
             key = hyperstate.canonical_key()
             if key in enqueued:
                 continue

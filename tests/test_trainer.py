@@ -571,6 +571,23 @@ def test_invalid_configs_rejected():
     for bad in (-5, math.nan):
         with pytest.raises(ValueError, match="epsilon_decay_episodes must be at least 0"):
             TrainerConfig(epsilon_decay_episodes=bad)
+    # loaded configs can hold any JSON value; a refusal names the field
+    for name, bad, message in (
+        ("width", 2.5, "width must be an integer"),
+        ("batch_size", 32.0, "batch_size must be an integer"),
+        ("epsilon_decay_episodes", 2.5, "epsilon_decay_episodes must be an integer"),
+        ("width", True, "width must be a number"),
+        ("learning_rate", False, "learning_rate must be a number"),
+        ("gamma", "0.9", "gamma must be a number"),
+        ("hidden_dim", None, "hidden_dim must be a number"),
+        ("subproof_tasks", 1, "subproof_tasks must be true or false"),
+        ("seed", -1, "seed must be at least 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrainerConfig(**{name: bad})
+    TrainerConfig(gamma=np.float64(0.5), learning_rate=1, seed=0)
+    with pytest.raises(ValueError, match="missing trainer config keys: gamma, width"):
+        TrainerConfig.from_dict({k: v for k, v in TrainerConfig().to_dict().items() if k not in ("gamma", "width")})
     # the actor/learner mode is gone; its field stays only so that its checkpoints load
     with pytest.raises(ValueError, match="actor_count must be 1"):
         train(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))
