@@ -16,7 +16,7 @@ import sys
 
 from .corpus import generate_corpus, load_corpus, save_corpus, split_corpus
 from .env import Hyperstate, Theorem, parse_obligation
-from .oracle import optimal_value, shortest_proof
+from .oracle import shortest_proof
 from .predictor import train_predictor
 from .reports import build_summary, write_report
 from .search import DEFAULT_BUDGET, EVAL_STRATEGIES, run_strategy
@@ -28,6 +28,15 @@ __all__ = ["main", "build_parser"]
 # len(TEMPLATES) repeats width 6.
 WIDTH_SWEEP = (2, 3, 4, 5, 6)
 GAMMA_SWEEP = (0.5, 0.7, 0.9, 0.99)
+
+# Each sweep that trains one model per setting and evaluates A* on it: the
+# config field it varies and its (label, value) settings. A setting's report
+# goes to `<sweep>-<label>/` and its sweep.json row reads `<sweep>=<label>`.
+_TRAINING_SWEEPS = {
+    "width": ("width", tuple((str(width), width) for width in WIDTH_SWEEP)),
+    "gamma": ("gamma", tuple((str(gamma), gamma) for gamma in GAMMA_SWEEP)),
+    "obligation-training": ("subproof_tasks", (("on", True), ("off", False))),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,23 +252,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sweep_rows = []
 
-    def run_setting(name: str, config: TrainerConfig, strategies: list[str]) -> dict:
-        model, predictor, _, split = run_training(args.corpus, config)
-        rows = run_eval(model, predictor, split.test, strategies, config.width, args.budget)
-        summary = write_report(os.path.join(args.out, name), rows, strategies)
-        return summary
-
-    if args.sweep == "width":
-        for width in WIDTH_SWEEP:
-            config = dataclasses.replace(base, width=width)
-            summary = run_setting(f"width-{width}", config, ["astar"])
-            sweep_rows.append({"setting": f"width={width}", **summary["strategies"]["astar"]})
-    elif args.sweep == "gamma":
-        for gamma in GAMMA_SWEEP:
-            config = dataclasses.replace(base, gamma=gamma)
-            summary = run_setting(f"gamma-{gamma}", config, ["astar"])
-            sweep_rows.append({"setting": f"gamma={gamma}", **summary["strategies"]["astar"]})
-    elif args.sweep == "scorer":
+    if args.sweep == "scorer":
         model, predictor, _, split = run_training(args.corpus, base)
         both_rows = run_eval(
             model, predictor, split.test, ["bestfirst", "bestfirst_prob"], base.width, args.budget
@@ -270,13 +263,14 @@ def cmd_ablate(args) -> int:
             sweep_rows.append({"setting": f"scorer={scorer}", **summary["strategies"][strategy]})
         union = build_summary(both_rows, ["bestfirst", "bestfirst_prob"])["union_proved"]
         sweep_rows.append({"setting": "union_of_proved", "proved": union})
-    elif args.sweep == "obligation-training":
-        for label, on in (("on", True), ("off", False)):
-            config = dataclasses.replace(base, subproof_tasks=on)
-            summary = run_setting(f"obligation-training-{label}", config, ["astar"])
-            sweep_rows.append({"setting": f"obligation-training={label}", **summary["strategies"]["astar"]})
     else:
-        raise RuntimeError(f"unknown sweep {args.sweep!r}")
+        field, settings = _TRAINING_SWEEPS[args.sweep]
+        for label, value in settings:
+            config = dataclasses.replace(base, **{field: value})
+            model, predictor, _, split = run_training(args.corpus, config)
+            rows = run_eval(model, predictor, split.test, ["astar"], config.width, args.budget)
+            summary = write_report(os.path.join(args.out, f"{args.sweep}-{label}"), rows, ["astar"])
+            sweep_rows.append({"setting": f"{args.sweep}={label}", **summary["strategies"]["astar"]})
 
     with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"sweep": args.sweep, "settings": sweep_rows}, fh, sort_keys=True, indent=2)
@@ -293,7 +287,7 @@ def cmd_oracle(args) -> int:
         "shortest_length": result.shortest_length,
         "shortest_script": str(result.shortest_script) if result.shortest_script else None,
         "depth_limited": result.depth_limited,
-        "optimal_value": optimal_value(obligation, args.gamma, args.depth),
+        "optimal_value": args.gamma**result.shortest_length if result.provable else 0.0,
     }
     print(json.dumps(record, sort_keys=True))
     return 0

@@ -1,10 +1,12 @@
 """Proof search over hyperstates: greedy, weighted DFS, best-first and A*.
 
 `EVAL_STRATEGIES` names the six strategies that `eval` and `prove` run, and
-`run_strategy` runs one of them by name. Every backtracking search (A*,
-both best-first searches and DFS) runs through one priority loop and
-differs only in the priority it gives a node and its depth cap; DFS's
-priority is the negated depth, so the deepest node comes first.
+`run_strategy` runs one of them by name. Every strategy, and the greedy
+search that training validation runs from a lone obligation, expands
+through one priority loop; they differ only in the priority they give a
+node, their depth cap and whether they backtrack. DFS's priority is the
+negated depth, so the deepest node comes first; greedy shares best-first's
+priority but keeps only the children of the node it has just expanded.
 Every strategy draws candidate tactics for the first open obligation from
 the predictor's top-n list, drops the ones that error, and dedups states by
 the hyperstate's canonical multiset form. The applicable actions come from
@@ -145,22 +147,6 @@ class _Tally:
         )
 
 
-def _children(
-    node: SearchNode, predictor: Predictor, n: int, tally: _Tally
-) -> list[tuple[Tactic, float, Hyperstate]]:
-    """Apply each top-n prediction to the node's first obligation, through
-    the predictor's shared action cache.
-
-    Every prediction counts as a tactic execution; erroring ones are
-    dropped.
-    """
-    state = node.hyperstate
-    tried, actions = ActionCache.of(predictor, n).entry(state.first)
-    tally.executions += tried
-    rest = state.obligations[1:]
-    return [(tactic, prob, Hyperstate(children + rest)) for tactic, prob, children in actions]
-
-
 def astar_search(
     thm: Theorem,
     scorer: ValueScorer,
@@ -176,9 +162,20 @@ def astar_search(
     if not scorer.steps_convertible:
         raise ValueError("A* requires a steps-convertible scorer")
     steps = scorer.hyperstate_steps
+    start = Hyperstate((thm.statement,))
     return _priority_search(
-        thm, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)), SAFETY_DEPTH
+        start, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)), SAFETY_DEPTH
     )
+
+
+def _best_score_first(scorer) -> Callable[[SearchNode], float]:
+    """The priority of best-first and greedy search: the negated hyperstate
+    value under a value scorer, the negated product of the path's tactic
+    probabilities under a probability scorer."""
+    if scorer.steps_convertible:
+        value = scorer.hyperstate_value
+        return lambda node: -value(node.hyperstate)
+    return lambda node: -node.path_prob
 
 
 def best_first_search(
@@ -191,10 +188,7 @@ def best_first_search(
     """Max-score priority queue: the hyperstate value under a value scorer,
     the product of the path's tactic probabilities under a probability
     scorer."""
-    if scorer.steps_convertible:
-        value = scorer.hyperstate_value
-        return _priority_search(thm, predictor, n, budget, lambda node: -value(node.hyperstate), SAFETY_DEPTH)
-    return _priority_search(thm, predictor, n, budget, lambda node: -node.path_prob, SAFETY_DEPTH)
+    return _priority_search(Hyperstate((thm.statement,)), predictor, n, budget, _best_score_first(scorer), SAFETY_DEPTH)
 
 
 def dfs_search(
@@ -209,35 +203,46 @@ def dfs_search(
     limit and already-visited hyperstates."""
     if depth_limit < 1:
         raise ValueError("depth_limit must be at least 1")
-    return _priority_search(thm, predictor, n, budget, lambda node: -node.g, depth_limit)
+    return _priority_search(Hyperstate((thm.statement,)), predictor, n, budget, lambda node: -node.g, depth_limit)
 
 
 def _priority_search(
-    thm: Theorem,
+    start: Hyperstate,
     predictor: Predictor,
     n: int,
     budget: int,
     priority: Callable[[SearchNode], float],
     depth_cap: int,
+    backtrack: bool = True,
 ) -> SearchResult:
     """Expand the lowest-priority node first; returns on the first empty
     hyperstate popped.
 
-    Ties break FIFO by insertion order, and a hyperstate is enqueued at most
-    once. A node whose priority raises UndefinedStepsError is dropped. A
-    node `depth_cap` tactics deep is skipped when popped: it is neither
-    counted nor expanded, though it still proves the theorem if it is empty.
+    An expansion applies the top-n predictions, through the predictor's
+    shared action cache, to the node's first obligation; each prediction is
+    a tactic execution, and erroring ones are dropped. Ties break FIFO by
+    insertion order, and a hyperstate is enqueued at most once. A node whose
+    priority raises UndefinedStepsError is dropped. A node `depth_cap`
+    tactics deep is skipped when popped: it is neither counted nor expanded,
+    though it still proves the goal if it is empty. Without `backtrack`
+    (greedy), popping a node forgets the queue and the enqueued set, so the
+    next node popped is this node's best child, which may be a hyperstate
+    expanded before.
     """
     tally = _Tally()
-    root = SearchNode(Hyperstate((thm.statement,)), (), 0)
+    actions = ActionCache.of(predictor, n)
+    root = SearchNode(start, (), 0)
     try:
         heap = [(priority(root), 0, root)]
     except UndefinedStepsError:
         return tally.result(EXHAUSTED)
-    enqueued = {root.hyperstate.canonical_key()}
+    enqueued = {start.canonical_key()}
     seq = 0
     while heap:
         _, _, node = heapq.heappop(heap)
+        if not backtrack:
+            heap.clear()
+            enqueued.clear()
         if node.hyperstate.is_empty:
             return tally.result(PROVED, node.script)
         if tally.expanded >= budget:
@@ -245,7 +250,11 @@ def _priority_search(
         if node.g >= depth_cap:
             continue
         tally.expanded += 1
-        for tactic, prob, hyperstate in _children(node, predictor, n, tally):
+        tried, applicable = actions.entry(node.hyperstate.first)
+        tally.executions += tried
+        rest = node.hyperstate.obligations[1:]
+        for tactic, prob, produced in applicable:
+            hyperstate = Hyperstate(produced + rest)
             key = hyperstate.canonical_key()
             if key in enqueued:
                 continue
@@ -282,32 +291,11 @@ def greedy_from_hyperstate(
     n: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Greedy search from an arbitrary hyperstate (e.g. a lone obligation).
-
-    Gives up as exhausted once the script reaches SAFETY_DEPTH tactics:
-    without backtracking, a goal that keeps growing would otherwise be
-    rewritten until the budget runs out or its terms grow too deep to hash.
-    """
-    tally = _Tally()
-    state = start
-    script: tuple[Tactic, ...] = ()
-    while not state.is_empty:
-        if tally.expanded >= budget:
-            return tally.result(BUDGET_EXCEEDED)
-        if len(script) >= SAFETY_DEPTH:
-            return tally.result(EXHAUSTED)
-        tally.expanded += 1
-        node = SearchNode(state, script, len(script))
-        options = _children(node, predictor, n, tally)
-        if not options:
-            return tally.result(EXHAUSTED)
-        if scorer.steps_convertible:
-            best = max(options, key=lambda opt: scorer.hyperstate_value(opt[2]))
-        else:
-            best = options[0]  # predictions arrive in descending probability
-        tactic, _, state = best
-        script = script + (tactic,)
-    return tally.result(PROVED, script)
+    """Greedy search from any hyperstate (e.g. a lone obligation): the
+    priority loop of best-first search, without backtracking. Gives up as
+    exhausted once the script reaches SAFETY_DEPTH tactics, since a goal that
+    keeps growing would otherwise be rewritten until the budget runs out."""
+    return _priority_search(start, predictor, n, budget, _best_score_first(scorer), SAFETY_DEPTH, backtrack=False)
 
 
 # Each strategy's search and the scorer it builds from the model; DFS takes

@@ -477,16 +477,34 @@ def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
         raise ValueError(f"checkpoint parameter {name} is not finite")
 
 
+# The keys load_checkpoint reads from each section; TrainerConfig checks config's.
+_CHECKPOINT_SECTIONS = {
+    "config": (),
+    "value_model": ("input_dim", "hidden_dim", "gamma", "w_hidden", "b_hidden", "w_out", "b_out"),
+    "encoder": ("mode", "dim", "salt"),
+    "predictor": ("feature_schema", "weights", "bias"),
+}
+
+
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
-    """Raises ValueError on a checkpoint of another version or encoder mode,
+    """Raises ValueError on a checkpoint that is not a JSON object, lacks a
+    section or a key of one, is of another version or encoder mode, has
     unknown or missing config keys, parameters of the wrong shape or not
     finite, an encoder dimension other than the value model's input
-    dimension, and a config whose gamma, hidden_dim, encoder_dim or
+    dimension, or a config whose gamma, hidden_dim, encoder_dim or
     encoder_salt differs from the value model or encoder section."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"incompatible checkpoint version {payload.get('version')!r}")
+    for section, keys in _CHECKPOINT_SECTIONS.items():
+        if not isinstance(payload.get(section), dict):
+            raise ValueError(f"checkpoint {path} has no {section!r} object")
+        for key in keys:
+            if key not in payload[section]:
+                raise ValueError(f"checkpoint {path} has no key {key!r} in its {section!r} section")
     config = TrainerConfig.from_dict(payload["config"])
     net = payload["value_model"]
     hidden = net["hidden_dim"]

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .env import Hyperstate, Obligation, Tactic, TacticError, apply_tactic, cache_put
+from .env import Hyperstate, Obligation, Tactic, applicable_among, cache_put
+from .env import apply_tactic  # noqa: F401 - bench/layers.py traces value_model.apply_tactic
 from .predictor import Predictor, predict_top_n
 
 __all__ = [
@@ -184,14 +185,11 @@ def predicted_actions(predictor: Predictor, ob: Obligation, n: int) -> tuple[int
     (tactic, probability, children) for each of them that applies to ob, in
     prediction order; predictions that raise TacticError are dropped."""
     predictions = predict_top_n(predictor, ob, n)
-    actions = []
-    for prediction in predictions:
-        try:
-            children = apply_tactic(ob, prediction.tactic)
-        except TacticError:
-            continue
-        actions.append((prediction.tactic, prediction.probability, children))
-    return len(predictions), tuple(actions)
+    # one tactic per template, so keying by tactic keeps every prediction,
+    # in prediction order
+    probability = {prediction.tactic: prediction.probability for prediction in predictions}
+    applicable = applicable_among(ob, probability)
+    return len(predictions), tuple((tactic, probability[tactic], children) for tactic, children in applicable)
 
 
 class ActionCache:

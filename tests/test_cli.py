@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import valueprover
+from valueprover import cli, oracle
 from valueprover.cli import EVAL_STRATEGIES, WIDTH_SWEEP, main
 from valueprover.env import TEMPLATES, Theorem, parse_obligation, parse_script, script_is_valid
 
@@ -138,6 +139,28 @@ def test_oracle_unprovable(capsys):
     assert main(["oracle", "|- Zero = Succ(Zero)", "--depth", "5"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["provable"] is False and record["optimal_value"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "obligation, depth, gamma",
+    [("|- Plus(Zero,Zero) = Zero", 6, 0.9), ("|- Zero = Succ(Zero)", 5, 0.5), ("forall n, |- Zero = Zero", 1, 0.7)],
+)
+def test_oracle_runs_one_breadth_first_search(monkeypatch, capsys, obligation, depth, gamma):
+    # optimal_value is gamma to the shortest length, so the command takes it
+    # from the search it has run instead of running another one
+    calls = []
+    shortest_proof = oracle.shortest_proof
+
+    def counted(*args):
+        calls.append(args)
+        return shortest_proof(*args)
+
+    expected = oracle.optimal_value(parse_obligation(obligation), gamma, depth)
+    monkeypatch.setattr(cli, "shortest_proof", counted)
+    monkeypatch.setattr(oracle, "shortest_proof", counted)
+    assert main(["oracle", obligation, "--depth", str(depth), "--gamma", str(gamma)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["optimal_value"] == expected
 
 
 def test_prove_trivial_theorem(tiny_checkpoint, capsys):
@@ -272,6 +295,39 @@ def test_checkpoint_config_types_are_checked(tiny_checkpoint, tmp_path, capsys, 
 
     assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
     assert message in capsys.readouterr().err
+
+
+def _without(mapping, key):
+    return {name: value for name, value in mapping.items() if name != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: [payload], "is not a JSON object"),
+        (lambda payload: _without(payload, "encoder"), "has no 'encoder' object"),
+        (lambda payload: {**payload, "config": [payload["config"]]}, "has no 'config' object"),
+        (lambda payload: {**payload, "predictor": None}, "has no 'predictor' object"),
+        (
+            lambda payload: {**payload, "value_model": _without(payload["value_model"], "w_out")},
+            "has no key 'w_out' in its 'value_model' section",
+        ),
+        (
+            lambda payload: {**payload, "encoder": _without(payload["encoder"], "salt")},
+            "has no key 'salt' in its 'encoder' section",
+        ),
+        (
+            lambda payload: {**payload, "predictor": _without(payload["predictor"], "feature_schema")},
+            "has no key 'feature_schema' in its 'predictor' section",
+        ),
+    ],
+    ids=["not-an-object", "no-encoder", "config-not-an-object", "predictor-null", "no-w_out", "no-salt", "no-schema"],
+)
+def test_checkpoint_sections_are_checked(tiny_checkpoint, tmp_path, capsys, edit, message):
+    path = tmp_path / "edited.ckpt"
+    path.write_text(json.dumps(edit(json.loads(tiny_checkpoint.read_text()))))
+    assert main(["prove", "--checkpoint", str(path), "--theorem", "|- Zero = Zero"]) == 2
+    assert f"valueprover: checkpoint {path} {message}" in capsys.readouterr().err
 
 
 def test_checkpoint_config_with_a_missing_key_is_refused(tiny_checkpoint, tmp_path, capsys):

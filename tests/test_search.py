@@ -15,9 +15,10 @@ from valueprover.env import (
     TacticError,
     Theorem,
     parse_obligation,
+    apply_tactic,
+    extract_subproof_tasks,
     parse_script,
     script_is_valid,
-    step_hyperstate,
 )
 from valueprover.oracle import optimal_value, shortest_proof
 from valueprover.predictor import predict_top_n
@@ -125,16 +126,17 @@ def test_budget_monotonicity(small_corpus, trained_predictor):
 
 
 def test_no_hyperstate_expanded_twice(monkeypatch, small_corpus, trained_predictor):
-    import valueprover.search as search_mod
-
+    # every node a backtracking search pops is a hyperstate it has not
+    # popped before, so none is expanded twice
     seen_keys = []
-    original = search_mod._children
+    heappop = heapq.heappop
 
-    def recording(node, predictor, n, tally):
-        seen_keys.append(node.hyperstate.canonical_key())
-        return original(node, predictor, n, tally)
+    def recording(heap):
+        entry = heappop(heap)
+        seen_keys.append(entry[-1].hyperstate.canonical_key())
+        return entry
 
-    monkeypatch.setattr(search_mod, "_children", recording)
+    monkeypatch.setattr(search_module.heapq, "heappop", recording)
     thm = next(e.theorem for e in small_corpus if e.proof_length == 7)
     for run in (
         lambda: astar_search(thm, oracle_scorer(), trained_predictor, 5, 512),
@@ -143,7 +145,7 @@ def test_no_hyperstate_expanded_twice(monkeypatch, small_corpus, trained_predict
     ):
         seen_keys.clear()
         run()
-        assert len(seen_keys) == len(set(seen_keys))
+        assert len(seen_keys) > 1 and len(seen_keys) == len(set(seen_keys))
 
 
 def test_dfs_depth_limit(trained_predictor):
@@ -152,6 +154,17 @@ def test_dfs_depth_limit(trained_predictor):
     assert dfs_search(thm, trained_predictor, 5, 64, depth_limit=2).status == PROVED
     with pytest.raises(ValueError):
         dfs_search(thm, trained_predictor, 5, 64, depth_limit=0)
+
+
+def _cached_children(node, predictor, n, tally):
+    """One expansion as the search loops did it before the priority loop
+    read the action cache itself: every prediction counts as an execution,
+    and the applicable ones give children."""
+    state = node.hyperstate
+    tried, actions = ActionCache.of(predictor, n).entry(state.first)
+    tally.executions += tried
+    rest = state.obligations[1:]
+    return [(tactic, prob, Hyperstate(children + rest)) for tactic, prob, children in actions]
 
 
 def _reference_dfs_search(thm, predictor, n, budget, depth_limit):
@@ -172,7 +185,7 @@ def _reference_dfs_search(thm, predictor, n, budget, depth_limit):
             continue
         tally.expanded += 1
         children = []
-        for tactic, prob, hyperstate in search_module._children(node, predictor, n, tally):
+        for tactic, prob, hyperstate in _cached_children(node, predictor, n, tally):
             key = hyperstate.canonical_key()
             if key in visited:
                 continue
@@ -283,6 +296,104 @@ def test_greedy_probability_takes_top_ranked(trained_predictor):
     assert result.status == PROVED and result.proof_length == 2
 
 
+@pytest.mark.parametrize(
+    "goal",
+    [
+        # reflexivity errors, so rewrite H is the only way on
+        "n, H : Var(n) = Var(n) |- Plus(Var(n),Zero) = Var(n)",
+        # reflexivity would close the goal, but it is never the best child,
+        # not even at the cap, where the best child is dropped unexpanded
+        "n, H : Var(n) = Var(n) |- Var(n) = Var(n)",
+    ],
+)
+def test_greedy_may_come_back_to_a_hyperstate(goal):
+    # rewrite H gives back the same hyperstate, and greedy commits to it
+    # until the safety depth; a loop that remembered the hyperstates of
+    # earlier expansions would be exhausted after one
+    ranked = RankedPredictor(("rewrite", "reflexivity", "simpl", "intros", "induction", "f_equal"))
+    result = greedy_from_hyperstate(Hyperstate((parse_obligation(goal),)), ProbabilityScorer(), ranked, 6)
+    assert result.status == EXHAUSTED
+    assert result.nodes_expanded == SAFETY_DEPTH == 50
+    assert result.tactic_executions == 300
+
+
+def _reference_greedy(start, scorer, predictor, n, budget, depth_cap):
+    """greedy_from_hyperstate as it was with a loop of its own."""
+    tally = search_module._Tally()
+    state = start
+    script = ()
+    while not state.is_empty:
+        if tally.expanded >= budget:
+            return tally.result(BUDGET_EXCEEDED)
+        if len(script) >= depth_cap:
+            return tally.result(EXHAUSTED)
+        tally.expanded += 1
+        node = search_module.SearchNode(state, script, len(script))
+        options = _cached_children(node, predictor, n, tally)
+        if not options:
+            return tally.result(EXHAUSTED)
+        if scorer.steps_convertible:
+            best = max(options, key=lambda opt: scorer.hyperstate_value(opt[2]))
+        else:
+            best = options[0]  # predictions arrive in descending probability
+        tactic, _, state = best
+        script = script + (tactic,)
+    return tally.result(PROVED, script)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    pick=st.integers(0, 4),
+    task=st.integers(0, 20),
+    scorer_kind=st.sampled_from(("model", "oracle", "probability")),
+    model_seed=st.integers(0, 3),
+    predictor_kind=st.sampled_from(("trained", "cold")) | st.permutations(TEMPLATES),
+    width=st.integers(1, 6),
+    budget=st.integers(0, 64),
+    depth_cap=st.integers(1, 8),
+)
+def test_greedy_matches_its_own_loop(
+    trained_predictor,
+    cold_predictor,
+    corpus_seed,
+    pick,
+    task,
+    scorer_kind,
+    model_seed,
+    predictor_kind,
+    width,
+    budget,
+    depth_cap,
+):
+    # greedy is the priority loop without backtracking: the FIFO tie-break
+    # picks the child max() and options[0] picked. Sub-proof obligations
+    # start with binders introduced and hypotheses in the context.
+    entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
+    entry = entries[pick]
+    tasks = extract_subproof_tasks(entry.theorem, entry.proof)
+    start = Hyperstate((tasks[task % len(tasks)][0],))
+    if scorer_kind == "model":
+        scorer = ValueScorer.for_model(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed))
+    elif scorer_kind == "oracle":
+        scorer = oracle_scorer(depth=7)
+    else:
+        scorer = ProbabilityScorer()
+    if predictor_kind == "trained":
+        predictor = trained_predictor
+    elif predictor_kind == "cold":
+        predictor = cold_predictor()
+    else:
+        predictor = RankedPredictor(predictor_kind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "SAFETY_DEPTH", depth_cap)
+        result = greedy_from_hyperstate(start, scorer, predictor, width, budget)
+    reference = _reference_greedy(start, scorer, predictor, width, budget, depth_cap)
+    assert result.to_record("task", "greedy", include_wall=False) == reference.to_record(
+        "task", "greedy", include_wall=False
+    )
+
+
 def test_search_result_record(trained_predictor):
     result = astar_search(one_step_theorem(), oracle_scorer(), trained_predictor, 5, 16)
     record = result.to_record("refl", "astar")
@@ -292,18 +403,28 @@ def test_search_result_record(trained_predictor):
     assert "wall_ms" not in result.to_record("refl", "astar", include_wall=False)
 
 
-def _reference_children(node, predictor, n, tally):
-    """search._children as it was before the shared action cache: predict
-    and step afresh at every expansion."""
-    out = []
-    for prediction in predict_top_n(predictor, node.hyperstate.first, n):
-        tally.executions += 1
-        try:
-            child = step_hyperstate(node.hyperstate, prediction.tactic)
-        except TacticError:
-            continue
-        out.append((prediction.tactic, prediction.probability, child))
-    return out
+class _UncachedActions:
+    """ActionCache as it was before the shared action cache: predict and
+    apply afresh at every expansion."""
+
+    def __init__(self, predictor, n):
+        self.predictor = predictor
+        self.n = n
+
+    @classmethod
+    def of(cls, predictor, n):
+        return cls(predictor, n)
+
+    def entry(self, ob):
+        predictions = predict_top_n(self.predictor, ob, self.n)
+        actions = []
+        for prediction in predictions:
+            try:
+                children = apply_tactic(ob, prediction.tactic)
+            except TacticError:
+                continue
+            actions.append((prediction.tactic, prediction.probability, children))
+        return len(predictions), tuple(actions)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,7 +460,7 @@ def test_shared_action_cache_does_not_change_any_search(
                 run(other, warmed)
         warm = run(strategy, warmed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search_module, "_children", _reference_children)
+            patch.setattr(search_module, "ActionCache", _UncachedActions)
             reference = run(strategy, fresh_predictor())
         assert cold == warm == reference
         if cold["status"] == PROVED:
@@ -388,7 +509,7 @@ def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, o
         if node.g >= depth_limit:
             continue
         tally.expanded += 1
-        for tactic, prob, hyperstate in search_module._children(node, predictor, n, tally):
+        for tactic, prob, hyperstate in _cached_children(node, predictor, n, tally):
             key = hyperstate.canonical_key()
             if key in enqueued:
                 continue

@@ -38,6 +38,28 @@ def test_the_benchmark_reads_the_strategy_table_through_cli():
     assert cli.EVAL_STRATEGIES == tuple(benchmarked)
 
 
+def test_every_strategy_expands_through_the_priority_loop(monkeypatch, trained_predictor):
+    # the priority loop is the one place a tracer instruments search
+    from valueprover import search
+    from valueprover.encoder import hashed_encoder
+    from valueprover.env import Theorem, parse_obligation
+    from valueprover.value_model import ValueModel
+
+    calls = []
+    priority_search = search._priority_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return priority_search(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_priority_search", counted)
+    theorem = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
+    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    for strategy in search.EVAL_STRATEGIES:
+        assert search.run_strategy(strategy, theorem, model, trained_predictor, 5, 64).proved, strategy
+    assert len(calls) == len(search.EVAL_STRATEGIES) == 6
+
+
 def test_every_traced_cache_reports_its_hits():
     # the tracer reads LRU hit rates through cache_info()
     caches = _layers()._LRU_CACHES
