@@ -23,7 +23,7 @@ from .env import (
     parse_script,
     script_is_valid,
 )
-from .oracle import shortest_proof
+from .oracle import OracleResult, shortest_proof
 from .terms import Plus, Succ, Term, Var, numeral, succ_tower
 
 __all__ = [
@@ -122,19 +122,26 @@ def generate_corpus(seed: int, counts: tuple[int, int, int]) -> tuple[list[Corpu
     """Deterministically generate theorems and attach oracle proofs.
 
     Entries whose oracle search exceeds the generation depth are discarded
-    and reported in the summary.
+    and reported in the summary. A statement drawn again repeats its first
+    draw's oracle result, so the oracle runs once per distinct statement.
     """
+    if len(counts) != len(_FAMILIES) or any(isinstance(c, bool) or not isinstance(c, int) for c in counts):
+        raise ValueError(f"counts must be {len(_FAMILIES)} integers, one per family, not {counts!r}")
     if any(c < 0 for c in counts):
         raise ValueError("family counts must be nonnegative")
     rng = random.Random(seed)
     entries: list[CorpusEntry] = []
     generated = [0, 0, 0]
     discarded = 0
+    results: dict[str, OracleResult] = {}
     for family_index, ((family, make), count) in enumerate(zip(_FAMILIES, counts)):
         for i in range(count):
             statement = make(rng)
             theorem = Theorem(f"{family}-{i:03d}", statement)
-            result = shortest_proof(Hyperstate((statement,)), GENERATION_DEPTH)
+            key = statement.canonical()
+            result = results.get(key)
+            if result is None:
+                result = results[key] = shortest_proof(Hyperstate((statement,)), GENERATION_DEPTH)
             if not result.provable:
                 discarded += 1
                 continue

@@ -24,7 +24,7 @@ from .terms import (
     format_term,
     is_identifier,
     normalize,
-    occurs,
+    occurs_var,
     parse_term_at,
     replace_leftmost_innermost,
     substitute,
@@ -152,7 +152,10 @@ class Hyperstate:
         return self.obligations[0]
 
     def canonical_key(self) -> tuple[str, ...]:
-        return tuple(sorted(ob.canonical() for ob in self.obligations))
+        obligations = self.obligations
+        if len(obligations) == 1:
+            return (obligations[0].canonical(),)
+        return tuple(sorted(ob.canonical() for ob in obligations))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hyperstate):
@@ -354,11 +357,10 @@ def _apply_induction(ob: Obligation, var: str) -> tuple[Obligation, ...]:
         raise TacticError("induction: binders must be introduced first")
     if var not in ob.context_vars():
         raise TacticError(f"induction: {var} is not an introduced variable")
-    target = Var(var)
-    if not (occurs(ob.goal_lhs, target) or occurs(ob.goal_rhs, target)):
+    if not (occurs_var(ob.goal_lhs, var) or occurs_var(ob.goal_rhs, var)):
         raise TacticError(f"induction: {var} does not occur in the goal")
     for hyp in ob.hypotheses():
-        if occurs(hyp.lhs, target) or occurs(hyp.rhs, target):
+        if occurs_var(hyp.lhs, var) or occurs_var(hyp.rhs, var):
             raise TacticError(f"induction: {var} occurs in hypothesis {hyp.name}")
     taken = ob.names_in_use()
     fresh = _fresh_name(var + "'", taken)
@@ -385,7 +387,7 @@ def _apply_induction(ob: Obligation, var: str) -> tuple[Obligation, ...]:
 def _apply_simpl(ob: Obligation) -> tuple[Obligation, ...]:
     lhs = normalize(ob.goal_lhs)
     rhs = normalize(ob.goal_rhs)
-    if lhs == ob.goal_lhs and rhs == ob.goal_rhs:
+    if lhs is ob.goal_lhs and rhs is ob.goal_rhs:
         raise TacticError("simpl: the goal is already in normal form")
     return (Obligation(ob.binders, ob.context, lhs, rhs),)
 
@@ -513,6 +515,10 @@ def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Ta
     return pairs
 
 
+# One shared instance of each argument-free tactic for enumerate_applicable.
+_INTROS, _SIMPL, _F_EQUAL, _REFLEXIVITY = (Tactic(name) for name in ("intros", "simpl", "f_equal", "reflexivity"))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
     """Every tactic that applies to `ob` without error, with its results.
@@ -521,10 +527,10 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     Memoized per obligation, so the failing candidates, which apply_tactic's
     cache never stores, are tried once per process rather than per call.
     """
-    candidates: list[Tactic] = [Tactic("intros")]
+    candidates: list[Tactic] = [_INTROS]
     candidates.extend(Tactic("induction", v) for v in ob.context_vars())
-    candidates.append(Tactic("simpl"))
+    candidates.append(_SIMPL)
     candidates.extend(Tactic("rewrite", h.name) for h in ob.hypotheses())
-    candidates.append(Tactic("f_equal"))
-    candidates.append(Tactic("reflexivity"))
+    candidates.append(_F_EQUAL)
+    candidates.append(_REFLEXIVITY)
     return tuple(applicable_among(ob, candidates))

@@ -29,8 +29,8 @@ __all__ = [
     "term_vars",
     "substitute",
     "occurs",
+    "occurs_var",
     "replace_leftmost_innermost",
-    "reduce_leftmost_outermost",
     "normalize",
 ]
 
@@ -82,15 +82,20 @@ class TermSyntaxError(ValueError):
 
 
 def format_term(t: Term) -> str:
+    # A Succ chain is walked in a loop, so a numeral costs no recursion.
+    depth = 0
+    while isinstance(t, Succ):
+        t = t.child
+        depth += 1
     if isinstance(t, Zero):
-        return "Zero"
-    if isinstance(t, Succ):
-        return f"Succ({format_term(t.child)})"
-    if isinstance(t, Plus):
-        return f"Plus({format_term(t.left)},{format_term(t.right)})"
-    if isinstance(t, Var):
-        return f"Var({t.name})"
-    raise TypeError(f"not a term: {t!r}")
+        text = "Zero"
+    elif isinstance(t, Plus):
+        text = f"Plus({format_term(t.left)},{format_term(t.right)})"
+    elif isinstance(t, Var):
+        text = f"Var({t.name})"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return "Succ(" * depth + text + ")" * depth
 
 
 def parse_term_at(text: str, pos: int) -> tuple[Term, int]:
@@ -184,12 +189,17 @@ def term_vars(t: Term) -> tuple[str, ...]:
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
+    """`t` with every Var(name) replaced; subtrees without one are returned
+    as they are, not rebuilt."""
     if isinstance(t, Var):
         return replacement if t.name == name else t
     if isinstance(t, Succ):
-        return Succ(substitute(t.child, name, replacement))
+        child = substitute(t.child, name, replacement)
+        return t if child is t.child else Succ(child)
     if isinstance(t, Plus):
-        return Plus(substitute(t.left, name, replacement), substitute(t.right, name, replacement))
+        left = substitute(t.left, name, replacement)
+        right = substitute(t.right, name, replacement)
+        return t if left is t.left and right is t.right else Plus(left, right)
     return t
 
 
@@ -202,6 +212,21 @@ def occurs(t: Term, sub: Term) -> bool:
     if isinstance(t, Plus):
         return occurs(t.left, sub) or occurs(t.right, sub)
     return False
+
+
+def occurs_var(t: Term, name: str) -> bool:
+    """True when Var(name) appears in `t`; compares names only."""
+    while True:
+        if isinstance(t, Var):
+            return t.name == name
+        if isinstance(t, Succ):
+            t = t.child
+        elif isinstance(t, Plus):
+            if occurs_var(t.left, name):
+                return True
+            t = t.right
+        else:
+            return False
 
 
 def replace_leftmost_innermost(t: Term, target: Term, replacement: Term) -> Term | None:
@@ -226,40 +251,35 @@ def replace_leftmost_innermost(t: Term, target: Term, replacement: Term) -> Term
     return None
 
 
-def _reduce_at_root(t: Term) -> Term | None:
-    # The two computation rules: Plus(Zero,n) -> n, Plus(Succ(m),n) -> Succ(Plus(m,n)).
-    if isinstance(t, Plus):
-        if isinstance(t.left, Zero):
-            return t.right
-        if isinstance(t.left, Succ):
-            return Succ(Plus(t.left.child, t.right))
-    return None
-
-
-def reduce_leftmost_outermost(t: Term) -> Term | None:
-    """One reduction step at the leftmost-outermost redex, or None if normal."""
-    root = _reduce_at_root(t)
-    if root is not None:
-        return root
-    if isinstance(t, Succ):
-        inner = reduce_leftmost_outermost(t.child)
-        if inner is not None:
-            return Succ(inner)
-    elif isinstance(t, Plus):
-        left = reduce_leftmost_outermost(t.left)
-        if left is not None:
-            return Plus(left, t.right)
-        right = reduce_leftmost_outermost(t.right)
-        if right is not None:
-            return Plus(t.left, right)
-    return None
-
-
 def normalize(t: Term) -> Term:
-    """Reduce to the (unique) normal form; terminates because every step
-    strictly shrinks the summed size of left Plus arguments."""
-    while True:
-        step = reduce_leftmost_outermost(t)
-        if step is None:
-            return t
-        t = step
+    """The unique normal form under Plus(Zero,n) -> n and
+    Plus(Succ(m),n) -> Succ(Plus(m,n)), in one bottom-up pass. A term that
+    is already normal is returned itself, so `normalize(t) is t` tests
+    normality."""
+    depth = 0
+    inner = t
+    while isinstance(inner, Succ):
+        inner = inner.child
+        depth += 1
+    if not isinstance(inner, Plus):
+        return t
+    normal = _normalize_plus(inner)
+    return t if normal is inner else succ_tower(depth, normal)
+
+
+def _normalize_plus(t: Plus) -> Term:
+    left = normalize(t.left)
+    right = normalize(t.right)
+    # With both sides normal, Plus(Succ^k(base), right) reduces to
+    # Succ^k(right) when base is Zero and to Succ^k(Plus(base, right))
+    # otherwise; neither has a redex left.
+    k = 0
+    base = left
+    while isinstance(base, Succ):
+        base = base.child
+        k += 1
+    if isinstance(base, Zero):
+        return succ_tower(k, right)
+    if k == 0 and left is t.left and right is t.right:
+        return t
+    return succ_tower(k, Plus(base, right))

@@ -472,9 +472,9 @@ def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: 
 def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
     array = np.array(values, dtype=float)
     if array.shape != shape:
-        raise ValueError(f"checkpoint parameter {name} has shape {array.shape}, expected {shape}")
+        raise ValueError(f"parameter {name} has shape {array.shape}, expected {shape}")
     if not np.isfinite(array).all():
-        raise ValueError(f"checkpoint parameter {name} is not finite")
+        raise ValueError(f"parameter {name} is not finite")
 
 
 # The keys load_checkpoint reads from each section; TrainerConfig checks config's.
@@ -487,24 +487,37 @@ _CHECKPOINT_SECTIONS = {
 
 
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
-    """Raises ValueError on a checkpoint that is not a JSON object, lacks a
-    section or a key of one, is of another version or encoder mode, has
-    unknown or missing config keys, parameters of the wrong shape or not
-    finite, an encoder dimension other than the value model's input
-    dimension, or a config whose gamma, hidden_dim, encoder_dim or
-    encoder_salt differs from the value model or encoder section."""
+    """Raises ValueError, naming the file, on a checkpoint that is not a
+    JSON object, lacks a section or a key of one, is of another version or
+    encoder mode, has unknown or missing config keys, parameters of the
+    wrong shape or not finite, an encoder dimension other than the value
+    model's input dimension, or a config whose gamma, hidden_dim,
+    encoder_dim or encoder_salt differs from the value model or encoder
+    section."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # malformed JSON, or bytes that are not UTF-8
+            raise ValueError(f"checkpoint {path}: {err}") from err
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"incompatible checkpoint version {payload.get('version')!r}")
+        raise ValueError(f"checkpoint {path}: incompatible checkpoint version {payload.get('version')!r}")
     for section, keys in _CHECKPOINT_SECTIONS.items():
         if not isinstance(payload.get(section), dict):
             raise ValueError(f"checkpoint {path} has no {section!r} object")
         for key in keys:
             if key not in payload[section]:
                 raise ValueError(f"checkpoint {path} has no key {key!r} in its {section!r} section")
+    try:
+        return _checkpoint_parts(payload)
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path}: {err}") from err
+
+
+def _checkpoint_parts(payload: dict) -> tuple[ValueModel, Predictor, TrainerConfig]:
+    """The model, predictor and config of a checkpoint of this version that
+    has every section and key; raises ValueError on bad content."""
     config = TrainerConfig.from_dict(payload["config"])
     net = payload["value_model"]
     hidden = net["hidden_dim"]
@@ -521,7 +534,7 @@ def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     if encoder_info["mode"] != "hashed":
         raise ValueError(f"unsupported encoder mode {encoder_info['mode']!r}")
     if encoder_info["dim"] != net["input_dim"]:
-        raise ValueError(f"checkpoint encoder dim {encoder_info['dim']} != value_model input_dim {net['input_dim']}")
+        raise ValueError(f"encoder dim {encoder_info['dim']} != value_model input_dim {net['input_dim']}")
     for name, section, recorded in (
         ("gamma", "value_model.gamma", net["gamma"]),
         ("hidden_dim", "value_model.hidden_dim", hidden),

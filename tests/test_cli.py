@@ -330,6 +330,37 @@ def test_checkpoint_sections_are_checked(tiny_checkpoint, tmp_path, capsys, edit
     assert f"valueprover: checkpoint {path} {message}" in capsys.readouterr().err
 
 
+def _set(section, key, value):
+    def edit(payload):
+        payload[section][key] = value
+        return payload
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: json.dumps(payload)[:-1], "Expecting"),
+        (lambda payload: {**payload, "version": 0}, "incompatible checkpoint version 0"),
+        (_set("config", "rl_epochs", -1), "rl_epochs must be at least 0"),
+        (_set("value_model", "b_out", [0.0]), "value_model.b_out has shape"),
+        (_set("predictor", "bias", [math.nan] * 6), "predictor.bias is not finite"),
+        (_set("encoder", "mode", "onehot"), "unsupported encoder mode 'onehot'"),
+        (_set("encoder", "dim", 3), "encoder dim 3 != value_model input_dim"),
+        (_set("value_model", "gamma", 0.5), "config.gamma"),
+    ],
+    ids=["malformed-json", "version", "config-range", "shape", "not-finite", "encoder-mode", "encoder-dim", "config-vs-section"],
+)
+def test_every_checkpoint_error_names_the_file(tiny_checkpoint, tmp_path, capsys, edit, message):
+    path = tmp_path / "named.ckpt"
+    edited = edit(json.loads(tiny_checkpoint.read_text()))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    assert main(["prove", "--checkpoint", str(path), "--theorem", "|- Zero = Zero"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valueprover: checkpoint {path}: ") and message in err
+
+
 def test_checkpoint_config_with_a_missing_key_is_refused(tiny_checkpoint, tmp_path, capsys):
     def edit(payload):
         del payload["config"]["hidden_dim"]

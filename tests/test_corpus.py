@@ -1,18 +1,23 @@
 import dataclasses
 import hashlib
 import json
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from valueprover import corpus, oracle
 from valueprover.corpus import (
+    CorpusEntry,
     CorpusFormatError,
+    GenerationSummary,
     generate_corpus,
     load_corpus,
     save_corpus,
     split_corpus,
 )
-from valueprover.env import ProofScript, Tactic, script_is_valid
+from valueprover.env import Hyperstate, ProofScript, Tactic, Theorem, script_is_valid
 
 
 def test_generation_is_deterministic():
@@ -35,6 +40,106 @@ def test_generated_proofs_validate(small_corpus):
 def test_empty_counts_give_empty_corpus():
     entries, summary = generate_corpus(0, (0, 0, 0))
     assert entries == [] and summary.generated == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((1, 2), "one per family"),
+        ((1, 2, 3, 4), "one per family"),
+        ((), "one per family"),
+        ((1, 2.0, 3), "one per family"),
+        ((1, True, 3), "one per family"),
+        ((1, "2", 3), "one per family"),
+        ((1, -1, 2), "nonnegative"),
+    ],
+)
+def test_counts_must_be_three_nonnegative_integers(counts, message):
+    with pytest.raises(ValueError, match=message):
+        generate_corpus(0, counts)
+
+
+def _generate_one_search_per_draw(seed, counts):
+    """generate_corpus as a plain loop that runs the oracle on every drawn
+    statement; also returns the statements in draw order."""
+    rng = random.Random(seed)
+    entries, drawn = [], []
+    generated = [0, 0, 0]
+    discarded = 0
+    for family_index, ((family, make), count) in enumerate(zip(corpus._FAMILIES, counts)):
+        for i in range(count):
+            statement = make(rng)
+            drawn.append(statement)
+            theorem = Theorem(f"{family}-{i:03d}", statement)
+            result = oracle.shortest_proof(Hyperstate((statement,)), corpus.GENERATION_DEPTH)
+            if not result.provable:
+                discarded += 1
+                continue
+            entries.append(CorpusEntry(theorem, result.shortest_script))
+            generated[family_index] += 1
+    return entries, GenerationSummary(tuple(counts), tuple(generated), discarded), drawn
+
+
+def _generate_counting_searches(seed, counts):
+    """generate_corpus, with the start statement of every oracle search it
+    runs through corpus.shortest_proof."""
+    searched = []
+
+    def counting(start, max_depth):
+        searched.append(start.first.canonical())
+        return oracle.shortest_proof(start, max_depth)
+
+    with mock.patch.object(corpus, "shortest_proof", counting):
+        entries, summary = generate_corpus(seed, counts)
+    return entries, summary, searched
+
+
+def _assert_one_search_per_distinct_statement(seed, counts, families=lambda: corpus._FAMILIES):
+    """Compares generate_corpus with the per-draw loop, each run on a fresh
+    `families()`."""
+    with mock.patch.object(corpus, "_FAMILIES", families()):
+        expected_entries, expected_summary, drawn = _generate_one_search_per_draw(seed, counts)
+    with mock.patch.object(corpus, "_FAMILIES", families()):
+        entries, summary, searched = _generate_counting_searches(seed, counts)
+    assert entries == expected_entries and summary == expected_summary
+    assert searched == list(dict.fromkeys(statement.canonical() for statement in drawn))
+    return drawn, searched
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30)))
+def test_generation_runs_the_oracle_once_per_distinct_statement(seed, counts):
+    _assert_one_search_per_distinct_statement(seed, counts)
+
+
+def _families_ending_in_repeats():
+    """The first two families, then one that draws only statements those
+    two have already drawn in the same call."""
+    seen = []
+
+    def recording(make):
+        def draw(rng):
+            statement = make(rng)
+            seen.append(statement)
+            return statement
+
+        return draw
+
+    (ground, make_ground), (plusconst, make_plusconst) = corpus._FAMILIES[:2]
+    return (
+        (ground, recording(make_ground)),
+        (plusconst, recording(make_plusconst)),
+        ("repeat", lambda rng: rng.choice(seen)),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6), st.integers(1, 20))
+def test_a_family_of_repeats_runs_no_new_search(seed, ground, plusconst, repeats):
+    counts = (ground, plusconst, repeats)
+    drawn, searched = _assert_one_search_per_distinct_statement(seed, counts, _families_ending_in_repeats)
+    first_two = {statement.canonical() for statement in drawn[: ground + plusconst]}
+    assert len(searched) == len(first_two)
 
 
 def test_ground_family_has_two_step_proofs():

@@ -7,6 +7,7 @@ from valueprover.env import (
     CACHE_SIZE,
     ContextVar,
     Hyperstate,
+    Hypothesis,
     Obligation,
     ProofScript,
     ReplayError,
@@ -27,6 +28,8 @@ from valueprover.env import (
     step_hyperstate,
 )
 from valueprover.terms import ZERO, Plus, Succ, Var
+
+import reference_primitives
 
 
 def ob(text):
@@ -190,6 +193,14 @@ def test_hyperstate_equality_is_multiset():
     assert Hyperstate((a,)) != Hyperstate((a, a))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_key_is_the_sorted_texts(replay_obligations, data):
+    obligations = data.draw(st.lists(st.sampled_from(replay_obligations), max_size=3))
+    key = Hyperstate(tuple(obligations)).canonical_key()
+    assert key == tuple(sorted(o.canonical() for o in obligations))
+
+
 def test_replay_worked_example(worked_theorem):
     thm, script = worked_theorem
     trace = replay_script(thm, script)
@@ -300,3 +311,66 @@ def test_corpus_obligations_round_trip(small_corpus):
     for entry in small_corpus:
         for obligation, _ in extract_subproof_tasks(entry.theorem, entry.proof):
             assert parse_obligation(format_obligation(obligation)) == obligation
+
+
+_NAMES = ("n", "m", "k")
+
+
+@st.composite
+def random_obligations(draw):
+    """Obligations over up to three variables: either binders only, or
+    introduced variables with up to two hypotheses; the goal sides are
+    sometimes equal or both Succ, so that every template gets its turn."""
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=3))
+    leaves = [st.just(ZERO)] + [st.just(Var(name)) for name in names]
+    terms = st.recursive(
+        st.one_of(leaves),
+        lambda inner: st.one_of(st.builds(Succ, inner), st.builds(Plus, inner, inner)),
+        max_leaves=8,
+    )
+    lhs = draw(terms)
+    rhs = draw(st.one_of(terms, st.just(lhs)))
+    if draw(st.booleans()):
+        lhs, rhs = Succ(lhs), Succ(rhs)
+    if names and draw(st.booleans()):
+        return Obligation(tuple(names), (), lhs, rhs)
+    hypotheses = tuple(
+        Hypothesis(f"H{i}", draw(terms), draw(terms)) for i in range(draw(st.integers(0, 2)))
+    )
+    return Obligation((), tuple(ContextVar(name) for name in names) + hypotheses, lhs, rhs)
+
+
+@pytest.fixture(scope="module")
+def expansion_frontier(replay_obligations):
+    """The replay obligations and every child an applicable tactic gives
+    them, dead ends included."""
+    out = list(replay_obligations)
+    for obligation in replay_obligations:
+        for _, children in reference_primitives.enumerate_applicable(obligation):
+            out.extend(children)
+    return tuple(out)
+
+
+# Equal pairs mean the same tactics in the same order, each with the same
+# children, compared structurally.
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_enumerate_applicable_matches_the_reference_on_corpus_obligations(expansion_frontier, data):
+    obligation = data.draw(st.sampled_from(expansion_frontier))
+    assert enumerate_applicable(obligation) == reference_primitives.enumerate_applicable(obligation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_obligations())
+def test_enumerate_applicable_matches_the_reference_on_random_obligations(obligation):
+    assert enumerate_applicable(obligation) == reference_primitives.enumerate_applicable(obligation)
+
+
+def test_argument_free_tactics_are_shared_across_obligations():
+    first = enumerate_applicable(ob("|- Plus(Zero,Zero) = Zero"))
+    second = enumerate_applicable(ob("|- Plus(Zero,Succ(Zero)) = Succ(Zero)"))
+    assert [str(t) for t, _ in first] == [str(t) for t, _ in second] == ["simpl"]
+    assert first[0][0] is second[0][0]
+    closed = enumerate_applicable(ob("|- Succ(Zero) = Succ(Zero)"))
+    assert [str(t) for t, _ in closed] == ["f_equal", "reflexivity"]
+    assert closed[1][0] is enumerate_applicable(ob("|- Zero = Zero"))[0][0]

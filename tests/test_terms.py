@@ -11,17 +11,26 @@ from valueprover.terms import (
     normalize,
     numeral,
     occurs,
+    occurs_var,
     parse_term,
-    reduce_leftmost_outermost,
     replace_leftmost_innermost,
     substitute,
     term_size,
     term_vars,
 )
 
+from reference_primitives import (
+    normalize_stepwise,
+    reduce_leftmost_outermost,
+    substitute_rebuilding,
+    var_occurs_structurally,
+)
+
+NAMES = st.sampled_from(["n", "m", "x'"])
+
 
 def terms(max_depth=4):
-    leaf = st.one_of(st.just(ZERO), st.builds(Var, st.sampled_from(["n", "m", "x'"])))
+    leaf = st.one_of(st.just(ZERO), st.builds(Var, NAMES))
     return st.recursive(
         leaf,
         lambda inner: st.one_of(st.builds(Succ, inner), st.builds(Plus, inner, inner)),
@@ -81,6 +90,33 @@ def test_reduction_is_leftmost_outermost():
 @given(terms())
 def test_normalize_reaches_fixpoint(t):
     assert reduce_leftmost_outermost(normalize(t)) is None
+
+
+@given(terms())
+def test_normalize_matches_the_stepwise_reduction(t):
+    normal = normalize(t)
+    assert normal == normalize_stepwise(t)
+    # a normal term comes back as the very object, any other as a new one
+    assert (normal is t) == (reduce_leftmost_outermost(t) is None)
+    assert normalize(normal) is normal
+
+
+@given(terms(), NAMES, terms())
+def test_substitute_matches_the_rebuilding_reference(t, name, replacement):
+    assert substitute(t, name, replacement) == substitute_rebuilding(t, name, replacement)
+    if name not in term_vars(t):
+        assert substitute(t, name, replacement) is t
+
+
+@given(terms(), NAMES)
+def test_occurs_var_matches_structural_occurrence(t, name):
+    assert occurs_var(t, name) == var_occurs_structurally(t, name)
+
+
+def test_format_term_walks_succ_chains_without_recursion():
+    deep = numeral(5000)
+    assert format_term(deep) == "Succ(" * 5000 + "Zero" + ")" * 5000
+    assert format_term(Succ(Plus(Var("n"), numeral(2)))) == "Succ(Plus(Var(n),Succ(Succ(Zero))))"
 
 
 def test_replace_leftmost_innermost_scans_depth_first():
