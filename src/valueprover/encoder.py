@@ -20,7 +20,10 @@ import numpy as np
 
 from .env import CACHE_SIZE, Obligation, cache_put
 
-__all__ = ["tokenize_obligation", "encode_hashed", "hashed_encoder"]
+__all__ = ["MIN_ENCODING_DIM", "tokenize_obligation", "encode_hashed"]
+
+# The smallest encoding dimension encode_hashed accepts.
+MIN_ENCODING_DIM = 8
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\|-|[(),=:]")
 
@@ -76,15 +79,7 @@ def _hashed_vector(canonical: str, dim: int, salt: int) -> tuple[float, ...]:
 
 def encode_hashed(ob: Obligation, dim: int = 64, salt: int = 0) -> np.ndarray:
     """Signed token-hashing encoding, scaled to unit max-norm."""
-    if dim < 8:
-        raise ValueError("encoding dimension must be at least 8")
+    if dim < MIN_ENCODING_DIM:
+        raise ValueError(f"encoding dimension must be at least {MIN_ENCODING_DIM}")
     return np.array(_hashed_vector(ob.canonical(), dim, salt))
 
-
-def hashed_encoder(dim: int = 64, salt: int = 0):
-    """An Obligation -> vector callable with the dimension and salt baked in."""
-
-    def encode(ob: Obligation) -> np.ndarray:
-        return encode_hashed(ob, dim, salt)
-
-    return encode

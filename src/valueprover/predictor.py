@@ -25,7 +25,6 @@ from .terms import Plus, Succ, Term, Var, Zero, occurs
 
 __all__ = [
     "FEATURE_NAMES",
-    "FEATURE_SCHEMA_VERSION",
     "TacticPrediction",
     "Predictor",
     "featurize",
@@ -37,8 +36,6 @@ __all__ = [
     "predictor_to_dict",
     "predictor_from_dict",
 ]
-
-FEATURE_SCHEMA_VERSION = 1
 
 FEATURE_NAMES = (
     "has_leading_binder",
@@ -142,7 +139,6 @@ class TacticPrediction:
 class Predictor:
     weights: np.ndarray  # (templates, features)
     bias: np.ndarray  # (templates,)
-    feature_schema: int = FEATURE_SCHEMA_VERSION
     train_losses: list[float] = field(default_factory=list)
     # value_model.ActionCache.of keeps its caches here, one per width, so
     # they live as long as the predictor; duck-typed predictors get the
@@ -257,13 +253,10 @@ def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPr
 
 def predictor_to_dict(predictor: Predictor) -> dict:
     return {
-        "feature_schema": predictor.feature_schema,
         "weights": predictor.weights.tolist(),
         "bias": predictor.bias.tolist(),
     }
 
 
 def predictor_from_dict(data: dict) -> Predictor:
-    if data["feature_schema"] != FEATURE_SCHEMA_VERSION:
-        raise ValueError(f"incompatible predictor feature schema {data['feature_schema']}")
     return Predictor(np.array(data["weights"], dtype=float), np.array(data["bias"], dtype=float))

@@ -25,7 +25,6 @@ __all__ = [
     "parse_term_at",
     "numeral",
     "succ_tower",
-    "term_size",
     "term_vars",
     "substitute",
     "occurs",
@@ -158,16 +157,6 @@ def succ_tower(k: int, base: Term) -> Term:
     for _ in range(k):
         base = Succ(base)
     return base
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, (Zero, Var)):
-        return 1
-    if isinstance(t, Succ):
-        return 1 + term_size(t.child)
-    if isinstance(t, Plus):
-        return 1 + term_size(t.left) + term_size(t.right)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def term_vars(t: Term) -> tuple[str, ...]:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .corpus import CorpusSplit
-from .encoder import hashed_encoder
+from .encoder import MIN_ENCODING_DIM
 from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic
 from .oracle import reproducible_under_predictor
 from .predictor import FEATURE_NAMES, Predictor, predictor_from_dict, predictor_to_dict
@@ -57,7 +57,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ class TrainerConfig:
     negative_fraction: float = 0.25
     replay_capacity: int = 4096
     learning_rate: float = 0.02
-    # recorded for checkpoints of the removed actor/learner mode; train
-    # accepts only actor_count == 1 and reads neither field otherwise
-    sync_interval: int = 16
+    # left from the removed actor/learner mode; train accepts only 1
     actor_count: int = 1
     # tasks with demo length <= min_drop or >= max_drop are filtered out
     min_drop_length: int = 2
@@ -147,11 +145,12 @@ class TrainerConfig:
             "updates_per_episode",
             "batch_size",
             "replay_capacity",
-            "encoder_dim",
             "hidden_dim",
         ):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not self.encoder_dim >= MIN_ENCODING_DIM:
+            raise ValueError(f"encoder_dim must be at least {MIN_ENCODING_DIM}")
         fractions = (self.replay_fraction, self.true_fraction, self.negative_fraction)
         if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ValueError("batch mix fractions must be nonnegative and sum to 1")
@@ -178,7 +177,6 @@ class TrainerConfig:
 @dataclass
 class TrainingReport:
     config: dict
-    actor_count: int
     predictor_losses: list[float]
     pretrain_losses: list[float]
     episodes: int = 0
@@ -397,8 +395,7 @@ def train(
     tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
         raise ValueError("no training tasks survive the filters")
-    encoder = hashed_encoder(config.encoder_dim, config.encoder_salt)
-    model = ValueModel(encoder, config.encoder_dim, config.gamma, config.hidden_dim, seed=config.seed)
+    model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed, config.encoder_salt)
     pretrain_losses = pretrain(
         model,
         [(task.obligation, task.demo_length) for task in tasks],
@@ -407,7 +404,6 @@ def train(
     )
     report = TrainingReport(
         config=config.to_dict(),
-        actor_count=config.actor_count,
         predictor_losses=list(predictor.train_losses),
         pretrain_losses=pretrain_losses,
         task_count=len(tasks),
@@ -457,11 +453,12 @@ def _episode_plan(tasks: list[TrainingTask], config: TrainerConfig):
 
 
 def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: TrainerConfig) -> None:
+    """The config holds every setting; the predictor and value_model
+    sections hold only weights, whose shapes the config gives."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "predictor": predictor_to_dict(predictor),
-        "encoder": {"mode": "hashed", "dim": config.encoder_dim, "salt": config.encoder_salt},
         "value_model": value_model_to_dict(model),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -470,7 +467,10 @@ def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: 
 
 
 def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
-    array = np.array(values, dtype=float)
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError) as err:  # a JSON object or ragged lists, say
+        raise ValueError(f"parameter {name} is not an array of numbers") from err
     if array.shape != shape:
         raise ValueError(f"parameter {name} has shape {array.shape}, expected {shape}")
     if not np.isfinite(array).all():
@@ -480,20 +480,16 @@ def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
 # The keys load_checkpoint reads from each section; TrainerConfig checks config's.
 _CHECKPOINT_SECTIONS = {
     "config": (),
-    "value_model": ("input_dim", "hidden_dim", "gamma", "w_hidden", "b_hidden", "w_out", "b_out"),
-    "encoder": ("mode", "dim", "salt"),
-    "predictor": ("feature_schema", "weights", "bias"),
+    "value_model": ("w_hidden", "b_hidden", "w_out", "b_out"),
+    "predictor": ("weights", "bias"),
 }
 
 
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     """Raises ValueError, naming the file, on a checkpoint that is not a
-    JSON object, lacks a section or a key of one, is of another version or
-    encoder mode, has unknown or missing config keys, parameters of the
-    wrong shape or not finite, an encoder dimension other than the value
-    model's input dimension, or a config whose gamma, hidden_dim,
-    encoder_dim or encoder_salt differs from the value model or encoder
-    section."""
+    JSON object, is of another version, lacks a section or a key of one, has
+    unknown, missing or invalid config keys, or parameters that are not
+    finite arrays of the shapes its config gives."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -517,12 +513,13 @@ def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
 
 def _checkpoint_parts(payload: dict) -> tuple[ValueModel, Predictor, TrainerConfig]:
     """The model, predictor and config of a checkpoint of this version that
-    has every section and key; raises ValueError on bad content."""
+    has every section and key; raises ValueError on bad content. The config
+    is validated first, and every parameter shape is checked against it
+    before any model is built from it."""
     config = TrainerConfig.from_dict(payload["config"])
-    net = payload["value_model"]
-    hidden = net["hidden_dim"]
+    hidden = config.hidden_dim
     for section, name, shape in (
-        ("value_model", "w_hidden", (hidden, net["input_dim"])),
+        ("value_model", "w_hidden", (hidden, config.encoder_dim)),
         ("value_model", "b_hidden", (hidden,)),
         ("value_model", "w_out", (hidden,)),
         ("value_model", "b_out", ()),
@@ -530,20 +527,8 @@ def _checkpoint_parts(payload: dict) -> tuple[ValueModel, Predictor, TrainerConf
         ("predictor", "bias", (len(TEMPLATES),)),
     ):
         _check_parameter(f"{section}.{name}", payload[section][name], shape)
-    encoder_info = payload["encoder"]
-    if encoder_info["mode"] != "hashed":
-        raise ValueError(f"unsupported encoder mode {encoder_info['mode']!r}")
-    if encoder_info["dim"] != net["input_dim"]:
-        raise ValueError(f"encoder dim {encoder_info['dim']} != value_model input_dim {net['input_dim']}")
-    for name, section, recorded in (
-        ("gamma", "value_model.gamma", net["gamma"]),
-        ("hidden_dim", "value_model.hidden_dim", hidden),
-        ("encoder_dim", "encoder.dim", encoder_info["dim"]),
-        ("encoder_salt", "encoder.salt", encoder_info["salt"]),
-    ):
-        if getattr(config, name) != recorded:
-            raise ValueError(f"checkpoint config.{name} {getattr(config, name)!r} != {section} {recorded!r}")
-    encoder = hashed_encoder(encoder_info["dim"], encoder_info["salt"])
-    model = value_model_from_dict(net, encoder)
+    model = value_model_from_dict(
+        payload["value_model"], config.encoder_dim, config.gamma, config.hidden_dim, config.encoder_salt
+    )
     predictor = predictor_from_dict(payload["predictor"])
     return model, predictor, config

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import encoder
 from .env import Hyperstate, Obligation, Tactic, applicable_among, cache_put
 from .env import apply_tactic  # noqa: F401 - bench/layers.py traces value_model.apply_tactic
 from .predictor import Predictor, predict_top_n
@@ -70,25 +71,26 @@ def steps_estimate(value: float, gamma: float) -> float:
 class ValueModel:
     """Encoded obligation -> (0,1) regressor: one tanh hidden layer, logistic output.
 
-    Gradients are hand-derived; update_batch takes one SGD step on mean
-    squared error against the provided targets.
+    Obligations are encoded by encoder.encode_hashed with input_dim buckets
+    and the given salt. Gradients are hand-derived; update_batch takes one
+    SGD step on mean squared error against the provided targets.
     """
 
     def __init__(
         self,
-        encoder: Callable[[Obligation], np.ndarray],
         input_dim: int,
         gamma: float = 0.9,
         hidden_dim: int = 32,
         seed: int = 0,
+        salt: int = 0,
     ):
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         rng = np.random.default_rng(seed)
-        self.encoder = encoder
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.gamma = gamma
+        self.salt = salt
         self.w_hidden = rng.normal(0.0, 0.3, size=(hidden_dim, input_dim))
         self.b_hidden = np.zeros(hidden_dim)
         self.w_out = rng.normal(0.0, 0.3, size=hidden_dim)
@@ -102,7 +104,8 @@ class ValueModel:
         key = ob.canonical()
         vec = self._encoding_cache.get(key)
         if vec is None:
-            vec = self.encoder(ob)
+            # through the module attribute: bench/layers.py traces encoder.encode_hashed
+            vec = encoder.encode_hashed(ob, self.input_dim, self.salt)
             cache_put(self._encoding_cache, key, vec)
         return vec
 
@@ -497,10 +500,8 @@ def tabular_value_iteration(
 
 
 def value_model_to_dict(model: ValueModel) -> dict:
+    """The model's weights; its settings are recorded by whoever saves it."""
     return {
-        "input_dim": model.input_dim,
-        "hidden_dim": model.hidden_dim,
-        "gamma": model.gamma,
         "w_hidden": model.w_hidden.tolist(),
         "b_hidden": model.b_hidden.tolist(),
         "w_out": model.w_out.tolist(),
@@ -508,11 +509,12 @@ def value_model_to_dict(model: ValueModel) -> dict:
     }
 
 
-def value_model_from_dict(data: dict, encoder: Callable[[Obligation], np.ndarray]) -> ValueModel:
-    model = ValueModel(encoder, data["input_dim"], data["gamma"], data["hidden_dim"])
+def value_model_from_dict(data: dict, input_dim: int, gamma: float, hidden_dim: int, salt: int = 0) -> ValueModel:
+    """A model with the given settings and the weights of data, which must
+    have the shapes those settings give."""
+    model = ValueModel(input_dim, gamma, hidden_dim, salt=salt)
     model.w_hidden = np.array(data["w_hidden"], dtype=float)
     model.b_hidden = np.array(data["b_hidden"], dtype=float)
     model.w_out = np.array(data["w_out"], dtype=float)
     model.b_out = float(data["b_out"])
-    model._value_cache.clear()
     return model

@@ -3,7 +3,8 @@
 These are the straightforward forms the package used before its one-pass
 `normalize`, its sharing `substitute`, its name-based occurrence check and
 its shared argument-free tactics. The differential tests in test_terms.py
-and test_env.py hold the package's versions to them.
+and test_env.py hold the package's versions to them. `term_size` serves the
+reference featurizer in test_predictor.py; the package has no caller of it.
 """
 
 from valueprover.env import (
@@ -19,6 +20,18 @@ from valueprover.env import (
     _fresh_name,
 )
 from valueprover.terms import ZERO, Plus, Succ, Term, Var, Zero, occurs
+
+
+def term_size(t: Term) -> int:
+    """The number of constructors in `t`; the predictor's size features
+    count them in one pass with its other goal features."""
+    if isinstance(t, (Zero, Var)):
+        return 1
+    if isinstance(t, Succ):
+        return 1 + term_size(t.child)
+    if isinstance(t, Plus):
+        return 1 + term_size(t.left) + term_size(t.right)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _reduce_at_root(t: Term) -> Term | None:

@@ -14,7 +14,6 @@ import pytest
 
 from valueprover.cli import _training_pairs, main, run_eval
 from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus, split_corpus
-from valueprover.encoder import hashed_encoder
 from valueprover.env import (
     Hyperstate,
     Theorem,
@@ -317,7 +316,7 @@ def test_criterion_9_gradient_checks():
         predictor_ok &= abs(numeric - flat_analytic[i]) / denom < 1e-4
 
     # value model: squared-error loss through the regressor
-    model = ValueModel(hashed_encoder(64, 0), 64, gamma=GAMMA, seed=0)
+    model = ValueModel(64, gamma=GAMMA, seed=0)
     inputs = rng.normal(size=(10, 64))
     targets = rng.uniform(0.05, 0.95, size=10)
     _, (gwh, gbh, gwo, gbo) = model.loss_and_grads(inputs, targets)
@@ -348,7 +347,7 @@ def test_criterion_10_hyperstate_algebra(oracle_suite):
             if obligation.canonical() not in seen:
                 seen.add(obligation.canonical())
                 pool.append(obligation)
-    model = ValueModel(hashed_encoder(64, 0), 64, gamma=GAMMA, seed=3)
+    model = ValueModel(64, gamma=GAMMA, seed=3)
     rng = random.Random(10)
     ok = model.hyperstate_value(Hyperstate(())) == 1.0
     for _ in range(1000):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from valueprover import search as search_module
 from valueprover.corpus import generate_corpus
-from valueprover.encoder import hashed_encoder
 from valueprover.env import (
     Hyperstate,
     TEMPLATE_INDEX,
@@ -374,7 +373,7 @@ def test_greedy_matches_its_own_loop(
     tasks = extract_subproof_tasks(entry.theorem, entry.proof)
     start = Hyperstate((tasks[task % len(tasks)][0],))
     if scorer_kind == "model":
-        scorer = ValueScorer.for_model(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed))
+        scorer = ValueScorer.for_model(ValueModel(64, gamma=0.9, seed=model_seed))
     elif scorer_kind == "oracle":
         scorer = oracle_scorer(depth=7)
     else:
@@ -443,7 +442,7 @@ def test_shared_action_cache_does_not_change_any_search(
     # at all must give the same record for every strategy
     entries, _ = generate_corpus(corpus_seed, (1, 1, 1))
     theorem = entries[pick].theorem
-    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed)
+    model = ValueModel(64, gamma=0.9, seed=model_seed)
 
     def fresh_predictor():
         return cold_predictor() if ranking is None else RankedPredictor(ranking)
@@ -551,7 +550,7 @@ def test_priority_loop_matches_the_order_string_loop(
     entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
     theorem = entries[pick].theorem
     if oracle_depth is None:
-        value_scorer = ValueScorer.for_model(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=model_seed))
+        value_scorer = ValueScorer.for_model(ValueModel(64, gamma=0.9, seed=model_seed))
     else:
         value_scorer = oracle_scorer(depth=oracle_depth)
     runs = (

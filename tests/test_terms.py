@@ -15,7 +15,6 @@ from valueprover.terms import (
     parse_term,
     replace_leftmost_innermost,
     substitute,
-    term_size,
     term_vars,
 )
 
@@ -23,6 +22,7 @@ from reference_primitives import (
     normalize_stepwise,
     reduce_leftmost_outermost,
     substitute_rebuilding,
+    term_size,
     var_occurs_structurally,
 )
 

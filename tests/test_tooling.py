@@ -41,7 +41,6 @@ def test_the_benchmark_reads_the_strategy_table_through_cli():
 def test_every_strategy_expands_through_the_priority_loop(monkeypatch, trained_predictor):
     # the priority loop is the one place a tracer instruments search
     from valueprover import search
-    from valueprover.encoder import hashed_encoder
     from valueprover.env import Theorem, parse_obligation
     from valueprover.value_model import ValueModel
 
@@ -54,7 +53,7 @@ def test_every_strategy_expands_through_the_priority_loop(monkeypatch, trained_p
 
     monkeypatch.setattr(search, "_priority_search", counted)
     theorem = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
-    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    model = ValueModel(64, gamma=0.9, seed=0)
     for strategy in search.EVAL_STRATEGIES:
         assert search.run_strategy(strategy, theorem, model, trained_predictor, 5, 64).proved, strategy
     assert len(calls) == len(search.EVAL_STRATEGIES) == 6
@@ -111,3 +110,45 @@ def test_train_runs_each_update_through_the_traced_names(monkeypatch):
     _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
     assert report.updates > 0
     assert calls == {"bellman_target": report.updates, "update_batch": report.updates}
+
+
+def test_every_tracer_only_import_names_a_traced_row():
+    # an import kept only so that bench/layers.py can rebind it must name a
+    # row of _WRAPPED, so that the import leaves when its row does
+    import re
+
+    rows = {(owner.__name__, attribute) for owner, attribute, _ in _layers()._WRAPPED}
+    pattern = re.compile(r"# noqa: F401 - bench/layers\.py traces (\w+)\.(\w+)")
+    found = []
+    for path in sorted((ROOT / "src" / "valueprover").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "noqa: F401" in line:
+                match = pattern.search(line)
+                assert match, f"{path.name}: {line.strip()}"
+                module, name = match.groups()
+                assert module == path.stem, f"{path.name} names module {module}"
+                assert (f"valueprover.{module}", name) in rows, f"no _WRAPPED row for {module}.{name}"
+                found.append((module, name))
+    assert found
+
+
+def test_the_value_model_encodes_through_the_module_name(monkeypatch):
+    # bench/layers.py traces encoder.encode_hashed by rebinding it on the
+    # module, so ValueModel must look it up there on every encoding
+    from valueprover import encoder
+    from valueprover.env import parse_obligation
+    from valueprover.value_model import ValueModel
+
+    calls = []
+    encode_hashed = encoder.encode_hashed
+
+    def counted(ob, dim, salt):
+        calls.append((dim, salt))
+        return encode_hashed(ob, dim, salt)
+
+    monkeypatch.setattr(encoder, "encode_hashed", counted)
+    model = ValueModel(16, seed=0, salt=3)
+    ob = parse_obligation("|- Plus(Zero,Zero) = Zero")
+    assert model.encode(ob).tobytes() == encode_hashed(ob, 16, 3).tobytes()
+    model.v_value(ob)
+    assert calls == [(16, 3)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from valueprover import trainer as trainer_module
 from valueprover.corpus import CorpusEntry, CorpusSplit
-from valueprover.encoder import hashed_encoder
 from valueprover.env import (
     Hyperstate,
     TEMPLATE_INDEX,
@@ -117,7 +116,7 @@ def test_demonstration_schedule():
 
 
 def _model():
-    return ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    return ValueModel(64, gamma=0.9, seed=0)
 
 
 def test_run_episode_full_prefix_is_pure_replay(worked_theorem):
@@ -197,7 +196,7 @@ def test_train_zero_rl_epochs_equals_pretrained():
 
     config = _fast_config(rl_epochs=0)
     tasks = prep(split, NO_F_EQUAL, config.width, config)
-    reference = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    reference = ValueModel(64, gamma=0.9, seed=0)
     pretrain(
         reference,
         [(t.obligation, t.demo_length) for t in tasks],
@@ -218,7 +217,7 @@ def test_train_single_actor_reproducible():
 
 def test_train_report_contents():
     _, report = train(_tiny_split(), NO_F_EQUAL, _fast_config())
-    assert report.actor_count == 1 and report.task_count > 0
+    assert report.task_count > 0
     assert report.episodes > 0 and len(report.update_losses) == report.updates
     assert set(report.buffer_sizes) == {"replay", "true_target", "negative"}
     assert len(report.validation_success) == 1
@@ -428,8 +427,8 @@ def test_learner_batches_match_an_obligation_keyed_reference(small_split, cold_p
     )
     tasks = prepare_tasks(small_split, predictor, config.width, config)
     tasks = data.draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=4))
-    learner = _Learner(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=seed), predictor, config)
-    reference = _ReferenceLearner(ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=seed), predictor, config)
+    learner = _Learner(ValueModel(64, gamma=0.9, seed=seed), predictor, config)
+    reference = _ReferenceLearner(ValueModel(64, gamma=0.9, seed=seed), predictor, config)
     batches = []
     sample_batch = learner.sample_batch
     learner.sample_batch = lambda: batches.append(sample_batch()) or batches[-1]
@@ -502,7 +501,6 @@ def test_train_end_to_end_learns_its_validation_tasks():
     predictor = train_predictor(_training_pairs(split.train), epochs=250, learning_rate=0.5, seed=0)
     config = TrainerConfig(seed=0, min_drop_length=0, max_drop_length=9, pretrain_epochs=400)
     model, report = train(split, predictor, config)
-    assert report.actor_count == 1
     assert report.buffer_sizes["replay"] > 0 and report.buffer_sizes["true_target"] > 0
     # the trained model finishes its validation tasks greedily
     assert report.validation_success[-1] >= 0.9
@@ -524,6 +522,47 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded_predictor.weights, real_predictor.weights)
 
 
+def test_checkpoint_records_each_setting_once(tmp_path):
+    # the config holds every setting; the model sections hold only weights
+    import json
+
+    from valueprover.predictor import Predictor
+    from valueprover.trainer import CHECKPOINT_VERSION
+
+    config = _fast_config()
+    model, _ = train(_tiny_split(), NO_F_EQUAL, config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model, Predictor(np.zeros((6, 14)), np.zeros(6)), config)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == CHECKPOINT_VERSION == 2
+    assert payload["config"] == config.to_dict()
+    assert set(payload) == {"version", "config", "predictor", "value_model"}
+    assert set(payload["predictor"]) == {"weights", "bias"}
+    assert set(payload["value_model"]) == {"w_hidden", "b_hidden", "w_out", "b_out"}
+
+
+def test_loaded_model_takes_its_settings_from_the_config(tmp_path):
+    from valueprover.encoder import encode_hashed
+    from valueprover.predictor import Predictor
+
+    config = _fast_config(encoder_dim=16, encoder_salt=2, hidden_dim=8, gamma=0.8)
+    model, _ = train(_tiny_split(), NO_F_EQUAL, config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model, Predictor(np.zeros((6, 14)), np.zeros(6)), config)
+    loaded, _, loaded_config = load_checkpoint(str(path))
+    assert loaded_config == config
+    assert (loaded.input_dim, loaded.hidden_dim, loaded.gamma, loaded.salt) == (
+        config.encoder_dim,
+        config.hidden_dim,
+        config.gamma,
+        config.encoder_salt,
+    )
+    state = parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)")
+    assert loaded.encode(state).tobytes() == encode_hashed(state, config.encoder_dim, config.encoder_salt).tobytes()
+    assert loaded.get_flat_params().tobytes() == model.get_flat_params().tobytes()
+    assert loaded.v_value(state) == model.v_value(state)
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         TrainerConfig(gamma=1.5)
@@ -542,11 +581,15 @@ def test_invalid_configs_rejected():
         "updates_per_episode",
         "batch_size",
         "replay_capacity",
-        "encoder_dim",
         "hidden_dim",
     ):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             TrainerConfig(**{name: 0})
+    # encode_hashed refuses fewer than 8 buckets, so the config does too
+    TrainerConfig(encoder_dim=8)
+    for bad in (7, 1, 0, math.nan):
+        with pytest.raises(ValueError, match="encoder_dim must be at least 8"):
+            TrainerConfig(encoder_dim=bad)
     # NaN fails every comparison, so each check must be written to reject it
     for mix in ({"replay_fraction": math.nan}, {"true_fraction": math.inf}, {"negative_fraction": -0.25}):
         with pytest.raises(ValueError, match="batch mix fractions"):
@@ -588,6 +631,6 @@ def test_invalid_configs_rejected():
     TrainerConfig(gamma=np.float64(0.5), learning_rate=1, seed=0)
     with pytest.raises(ValueError, match="missing trainer config keys: gamma, width"):
         TrainerConfig.from_dict({k: v for k, v in TrainerConfig().to_dict().items() if k not in ("gamma", "width")})
-    # the actor/learner mode is gone; its field stays only so that its checkpoints load
+    # the actor/learner mode is gone; the benchmark still passes actor_count
     with pytest.raises(ValueError, match="actor_count must be 1"):
         train(_tiny_split(), NO_F_EQUAL, _fast_config(actor_count=2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valueprover.encoder import hashed_encoder
+from valueprover.encoder import encode_hashed
 from valueprover.env import Hyperstate, Tactic, parse_obligation
 from valueprover import env as env_module, value_model as value_model_module
 from valueprover.predictor import Predictor, predict_top_n
@@ -33,7 +33,7 @@ from valueprover.value_model import (
 
 @pytest.fixture
 def model():
-    return ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    return ValueModel(64, gamma=0.9, seed=0)
 
 
 def ob(text):
@@ -170,7 +170,7 @@ def test_bellman_targets_never_exceed_gamma(model, trained_predictor, small_corp
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_batched_targets_match_per_child_v_value(trained_predictor, replay_obligations, data):
-    model = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=data.draw(st.integers(0, 3)))
+    model = ValueModel(64, gamma=0.9, seed=data.draw(st.integers(0, 3)))
     sources = data.draw(st.lists(st.sampled_from(replay_obligations), max_size=32))
     actions = ActionCache(trained_predictor, 5)
     table = ObligationTable(model, actions)
@@ -250,9 +250,9 @@ def test_model_caches_are_bounded(monkeypatch, model, replay_obligations):
     monkeypatch.setattr(env_module, "CACHE_SIZE", 8)  # the bound cache_put reads
     distinct = list({state.canonical(): state for state in replay_obligations}.values())
     assert len(distinct) > 8
-    fresh = ValueModel(hashed_encoder(64, 0), 64, gamma=0.9, seed=0)
+    fresh = ValueModel(64, gamma=0.9, seed=0)
     for state in distinct + distinct[:3]:
-        assert np.array_equal(model.encode(state), fresh.encoder(state))
+        assert np.array_equal(model.encode(state), encode_hashed(state, 64, 0))
         assert model.v_value(state) == fresh.v_value(state)
         assert len(model._encoding_cache) <= 8 and len(model._value_cache) <= 8
     assert len(model._encoding_cache) == 8
@@ -443,7 +443,7 @@ def _reference_pretrain(model, tasks, epochs, learning_rate):
 )
 def test_pretrain_matches_the_reference_adam_loop(replay_obligations, data, epochs, learning_rate, hidden_dim, seed):
     tasks = data.draw(st.lists(st.tuples(st.sampled_from(replay_obligations), st.integers(1, 9)), min_size=1, max_size=8))
-    model, reference = (ValueModel(hashed_encoder(16, 0), 16, 0.9, hidden_dim, seed) for _ in range(2))
+    model, reference = (ValueModel(16, 0.9, hidden_dim, seed) for _ in range(2))
     assert pretrain(model, tasks, epochs, learning_rate) == _reference_pretrain(reference, tasks, epochs, learning_rate)
     assert model.get_flat_params().tobytes() == reference.get_flat_params().tobytes()
     assert type(model.b_out) is float
@@ -485,7 +485,7 @@ def test_obligation_table_interns_each_obligation_once(model, trained_predictor,
     assert len(table.obligations) == len(distinct) == len(set(ids))
     for state, ob_id in zip(replay_obligations, ids):
         assert table.obligations[ob_id].canonical() == state.canonical()
-        assert table.rows([ob_id])[0].tobytes() == model.encoder(state).tobytes()
+        assert table.rows([ob_id])[0].tobytes() == encode_hashed(state, 64, 0).tobytes()
         assert table.intern(parse_obligation(state.canonical())) == ob_id
     assert len(model._encoding_cache) == len(distinct)
     assert np.array_equal(table.rows(ids), np.stack([model.encode(state) for state in replay_obligations]))
@@ -498,7 +498,7 @@ def test_obligation_table_interns_each_obligation_once(model, trained_predictor,
     distinct.update(c.canonical() for state in replay_obligations for _, _, result in actions(state) for c in result)
     assert len(table.obligations) == len(distinct) == len(model._encoding_cache) > 64  # the matrix grew
     assert [table.rows([ob_id])[0].tobytes() for ob_id in range(len(table.obligations))] == [
-        model.encoder(state).tobytes() for state in table.obligations
+        encode_hashed(state, 64, 0).tobytes() for state in table.obligations
     ]
 
 
@@ -521,6 +521,6 @@ def test_tabular_value_iteration_small_graph(trained_predictor):
 def test_checkpoint_round_trip(model, small_corpus):
     state = small_corpus[0].theorem.statement
     data = value_model_to_dict(model)
-    restored = value_model_from_dict(data, hashed_encoder(64, 0))
+    restored = value_model_from_dict(data, 64, model.gamma, model.hidden_dim)
     assert restored.v_value(state) == model.v_value(state)
     assert restored.gamma == model.gamma
