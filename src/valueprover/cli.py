@@ -15,7 +15,7 @@ import os
 import sys
 
 from .corpus import generate_corpus, load_corpus, save_corpus, split_corpus
-from .env import Hyperstate, Theorem, parse_obligation
+from .env import Hyperstate, Theorem, parse_obligation, replay_script
 from .oracle import shortest_proof
 from .predictor import train_predictor
 from .reports import build_summary, write_report
@@ -169,8 +169,6 @@ def _config_from_args(args, rl: bool) -> TrainerConfig:
 
 
 def _training_pairs(entries):
-    from .env import replay_script
-
     pairs = []
     for entry in entries:
         for before, tactic, _ in replay_script(entry.theorem, entry.proof):

@@ -194,9 +194,7 @@ def load_corpus(path: str) -> list[CorpusEntry]:
                     raise ValueError("proof_length does not match the proof")
                 if not script_is_valid(theorem, proof):
                     raise ValueError("the proof does not replay to a closed goal")
-            except CorpusFormatError:
-                raise
-            except (KeyError, ValueError, TypeError) as err:
+            except (KeyError, ValueError, TypeError, RecursionError) as err:
                 raise CorpusFormatError(line_number, str(err)) from err
             if theorem.id in ids:
                 raise CorpusFormatError(line_number, f"duplicate theorem id {theorem.id!r}")

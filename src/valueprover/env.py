@@ -44,6 +44,7 @@ __all__ = [
     "TEMPLATES",
     "TEMPLATE_INDEX",
     "ARG_TEMPLATES",
+    "PLAIN_TACTICS",
     "CACHE_SIZE",
     "cache_put",
     "format_obligation",
@@ -186,6 +187,11 @@ class Tactic:
         if self.argument is None:
             return self.template
         return f"{self.template} {self.argument}"
+
+
+# One shared tactic per template that takes no argument, for
+# enumerate_applicable and the predictor's argument rule.
+PLAIN_TACTICS = {template: Tactic(template) for template in TEMPLATES if template not in ARG_TEMPLATES}
 
 
 @dataclass(frozen=True)
@@ -515,10 +521,6 @@ def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Ta
     return pairs
 
 
-# One shared instance of each argument-free tactic for enumerate_applicable.
-_INTROS, _SIMPL, _F_EQUAL, _REFLEXIVITY = (Tactic(name) for name in ("intros", "simpl", "f_equal", "reflexivity"))
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
     """Every tactic that applies to `ob` without error, with its results.
@@ -527,10 +529,10 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     Memoized per obligation, so the failing candidates, which apply_tactic's
     cache never stores, are tried once per process rather than per call.
     """
-    candidates: list[Tactic] = [_INTROS]
+    candidates: list[Tactic] = [PLAIN_TACTICS["intros"]]
     candidates.extend(Tactic("induction", v) for v in ob.context_vars())
-    candidates.append(_SIMPL)
+    candidates.append(PLAIN_TACTICS["simpl"])
     candidates.extend(Tactic("rewrite", h.name) for h in ob.hypotheses())
-    candidates.append(_F_EQUAL)
-    candidates.append(_REFLEXIVITY)
+    candidates.append(PLAIN_TACTICS["f_equal"])
+    candidates.append(PLAIN_TACTICS["reflexivity"])
     return tuple(applicable_among(ob, candidates))

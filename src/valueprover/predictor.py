@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import (
-    ARG_TEMPLATES,
+    PLAIN_TACTICS,
     TEMPLATE_INDEX,
     TEMPLATES,
     Hypothesis,
@@ -33,8 +33,6 @@ __all__ = [
     "predict_top_n",
     "softmax",
     "cross_entropy_loss_and_grads",
-    "predictor_to_dict",
-    "predictor_from_dict",
 ]
 
 FEATURE_NAMES = (
@@ -209,10 +207,6 @@ def train_predictor(
     return Predictor(weights, bias, train_losses=losses)
 
 
-# The tactics of the templates that take no argument.
-_PLAIN_TACTICS = {template: Tactic(template) for template in TEMPLATES if template not in ARG_TEMPLATES}
-
-
 def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     """Turn a template into a concrete tactic, or None when unresolvable.
 
@@ -226,7 +220,7 @@ def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     if template == "rewrite":
         hyp = _scan(ob)[2]
         return Tactic("rewrite", hyp.name) if hyp is not None else None
-    return _PLAIN_TACTICS.get(template) or Tactic(template)
+    return PLAIN_TACTICS.get(template) or Tactic(template)
 
 
 def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPrediction]:
@@ -249,14 +243,3 @@ def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPr
         if len(out) == n:
             break
     return out
-
-
-def predictor_to_dict(predictor: Predictor) -> dict:
-    return {
-        "weights": predictor.weights.tolist(),
-        "bias": predictor.bias.tolist(),
-    }
-
-
-def predictor_from_dict(data: dict) -> Predictor:
-    return Predictor(np.array(data["weights"], dtype=float), np.array(data["bias"], dtype=float))

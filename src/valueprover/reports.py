@@ -10,6 +10,7 @@ timing is deliberately left out of the files.
 from __future__ import annotations
 
 import json
+import os
 from itertools import combinations
 
 __all__ = [
@@ -107,8 +108,6 @@ def _cell(value) -> str:
 
 def write_report(out_dir: str, rows: list[dict], strategies: list[str]) -> dict:
     """Write rows.tsv and summary.json under out_dir; returns the summary."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     summary = build_summary(rows, strategies)
     with open(os.path.join(out_dir, "rows.tsv"), "w", encoding="utf-8") as fh:

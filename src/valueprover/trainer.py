@@ -20,14 +20,15 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
 from .corpus import CorpusSplit
 from .encoder import MIN_ENCODING_DIM
-from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic
+from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic, extract_subproof_tasks
 from .oracle import reproducible_under_predictor
-from .predictor import FEATURE_NAMES, Predictor, predictor_from_dict, predictor_to_dict
+from .predictor import FEATURE_NAMES, Predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import ValueScorer, greedy_from_hyperstate
 from .value_model import (
@@ -40,8 +41,6 @@ from .value_model import (
     ValueModel,
     bellman_target,
     pretrain,
-    value_model_from_dict,
-    value_model_to_dict,
 )
 
 __all__ = [
@@ -199,8 +198,6 @@ def prepare_tasks(split: CorpusSplit, predictor: Predictor, n: int, config: Trai
     Test entries are never filtered. With subproof_tasks off, only the
     whole-theorem task of each entry is considered.
     """
-    from .env import extract_subproof_tasks
-
     tasks = []
     seen: set[tuple[str, str]] = set()
     for entry in split.train:
@@ -452,83 +449,83 @@ def _episode_plan(tasks: list[TrainingTask], config: TrainerConfig):
 # ---------------------------------------------------------------------------
 
 
+# Every parameter a checkpoint holds: its section, its name, which is also
+# its attribute on the section's ValueModel or Predictor, and its shape
+# under a validated config. save_checkpoint and load_checkpoint read only
+# this table.
+_PARAMETERS = (
+    ("value_model", "w_hidden", lambda config: (config.hidden_dim, config.encoder_dim)),
+    ("value_model", "b_hidden", lambda config: (config.hidden_dim,)),
+    ("value_model", "w_out", lambda config: (config.hidden_dim,)),
+    ("value_model", "b_out", lambda config: ()),
+    ("predictor", "weights", lambda config: (len(TEMPLATES), len(FEATURE_NAMES))),
+    ("predictor", "bias", lambda config: (len(TEMPLATES),)),
+)
+
+
 def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: TrainerConfig) -> None:
     """The config holds every setting; the predictor and value_model
     sections hold only weights, whose shapes the config gives."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
-        "predictor": predictor_to_dict(predictor),
-        "value_model": value_model_to_dict(model),
-    }
+    owners = {"value_model": model, "predictor": predictor}
+    payload = {"version": CHECKPOINT_VERSION, "config": config.to_dict()}
+    for section, name, _ in _PARAMETERS:
+        payload.setdefault(section, {})[name] = np.asarray(getattr(owners[section], name)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 
 
-def _check_parameter(name: str, values, shape: tuple[int, ...]) -> None:
+def _check_parameter(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """values as a float array, if they are nested lists of JSON numbers
+    (not booleans) of the given shape, all finite."""
     try:
         array = np.array(values, dtype=float)
     except (TypeError, ValueError) as err:  # a JSON object or ragged lists, say
         raise ValueError(f"parameter {name} is not an array of numbers") from err
     if array.shape != shape:
         raise ValueError(f"parameter {name} has shape {array.shape}, expected {shape}")
+    # np.array also takes numeric strings, booleans and null (as NaN); the
+    # leaves must be JSON numbers, and type(True) is bool, not int
+    leaves = [values]
+    for _ in shape:
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ValueError(f"parameter {name} is not an array of numbers")
     if not np.isfinite(array).all():
         raise ValueError(f"parameter {name} is not finite")
-
-
-# The keys load_checkpoint reads from each section; TrainerConfig checks config's.
-_CHECKPOINT_SECTIONS = {
-    "config": (),
-    "value_model": ("w_hidden", "b_hidden", "w_out", "b_out"),
-    "predictor": ("weights", "bias"),
-}
+    return array
 
 
 def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
     """Raises ValueError, naming the file, on a checkpoint that is not a
-    JSON object, is of another version, lacks a section or a key of one, has
-    unknown, missing or invalid config keys, or parameters that are not
-    finite arrays of the shapes its config gives."""
+    JSON object or is nested too deep to parse, is of another version, lacks
+    a section or a key of one, has unknown, missing or invalid config keys,
+    or parameters that are not finite arrays of numbers of the shapes its
+    config gives. The config is validated first, and every parameter is
+    checked against it before any model is built from it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as err:  # malformed JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as err:  # malformed JSON, bytes that are not UTF-8, deep nesting
             raise ValueError(f"checkpoint {path}: {err}") from err
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: incompatible checkpoint version {payload.get('version')!r}")
-    for section, keys in _CHECKPOINT_SECTIONS.items():
+    arrays = {section: {} for section, _, _ in _PARAMETERS}
+    for section in ("config", *arrays):
         if not isinstance(payload.get(section), dict):
             raise ValueError(f"checkpoint {path} has no {section!r} object")
-        for key in keys:
-            if key not in payload[section]:
-                raise ValueError(f"checkpoint {path} has no key {key!r} in its {section!r} section")
+    for section, name, _ in _PARAMETERS:
+        if name not in payload[section]:
+            raise ValueError(f"checkpoint {path} has no key {name!r} in its {section!r} section")
     try:
-        return _checkpoint_parts(payload)
+        config = TrainerConfig.from_dict(payload["config"])
+        for section, name, shape in _PARAMETERS:
+            arrays[section][name] = _check_parameter(f"{section}.{name}", payload[section][name], shape(config))
+        model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, salt=config.encoder_salt)
+        for name, array in arrays["value_model"].items():
+            setattr(model, name, array if array.ndim else float(array))
+        return model, Predictor(**arrays["predictor"]), config
     except ValueError as err:
         raise ValueError(f"checkpoint {path}: {err}") from err
-
-
-def _checkpoint_parts(payload: dict) -> tuple[ValueModel, Predictor, TrainerConfig]:
-    """The model, predictor and config of a checkpoint of this version that
-    has every section and key; raises ValueError on bad content. The config
-    is validated first, and every parameter shape is checked against it
-    before any model is built from it."""
-    config = TrainerConfig.from_dict(payload["config"])
-    hidden = config.hidden_dim
-    for section, name, shape in (
-        ("value_model", "w_hidden", (hidden, config.encoder_dim)),
-        ("value_model", "b_hidden", (hidden,)),
-        ("value_model", "w_out", (hidden,)),
-        ("value_model", "b_out", ()),
-        ("predictor", "weights", (len(TEMPLATES), len(FEATURE_NAMES))),
-        ("predictor", "bias", (len(TEMPLATES),)),
-    ):
-        _check_parameter(f"{section}.{name}", payload[section][name], shape)
-    model = value_model_from_dict(
-        payload["value_model"], config.encoder_dim, config.gamma, config.hidden_dim, config.encoder_salt
-    )
-    predictor = predictor_from_dict(payload["predictor"])
-    return model, predictor, config

@@ -43,8 +43,6 @@ __all__ = [
     "pretrain",
     "tabular_value_iteration",
     "explore_obligation_graph",
-    "value_model_to_dict",
-    "value_model_from_dict",
 ]
 
 
@@ -497,24 +495,3 @@ def tabular_value_iteration(
         if delta <= tolerance:
             return values
     raise RuntimeError("value iteration did not converge")
-
-
-def value_model_to_dict(model: ValueModel) -> dict:
-    """The model's weights; its settings are recorded by whoever saves it."""
-    return {
-        "w_hidden": model.w_hidden.tolist(),
-        "b_hidden": model.b_hidden.tolist(),
-        "w_out": model.w_out.tolist(),
-        "b_out": model.b_out,
-    }
-
-
-def value_model_from_dict(data: dict, input_dim: int, gamma: float, hidden_dim: int, salt: int = 0) -> ValueModel:
-    """A model with the given settings and the weights of data, which must
-    have the shapes those settings give."""
-    model = ValueModel(input_dim, gamma, hidden_dim, salt=salt)
-    model.w_hidden = np.array(data["w_hidden"], dtype=float)
-    model.b_hidden = np.array(data["b_hidden"], dtype=float)
-    model.w_out = np.array(data["w_out"], dtype=float)
-    model.b_out = float(data["b_out"])
-    return model

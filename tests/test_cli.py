@@ -336,6 +336,17 @@ def _set(section, key, value):
     return edit
 
 
+def _set_leaf(section, key, index, value):
+    def edit(payload):
+        row = payload[section][key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+        return payload
+
+    return edit
+
+
 def _version_1(payload):
     """The payload in the version-1 layout, which recorded the encoder
     settings, gamma and hidden_dim a second time and the feature schema."""
@@ -358,24 +369,32 @@ def _version_1(payload):
     "edit, message",
     [
         (lambda payload: json.dumps(payload)[:-1], "Expecting"),
+        (lambda payload: "[" * 5000, "maximum recursion depth exceeded"),
         (lambda payload: {**payload, "version": 0}, "incompatible checkpoint version 0"),
         (_version_1, "incompatible checkpoint version 1"),
         (_set("config", "rl_epochs", -1), "rl_epochs must be at least 0"),
         (_set("value_model", "b_out", [0.0]), "value_model.b_out has shape"),
         (_set("value_model", "w_out", {}), "value_model.w_out is not an array of numbers"),
         (_set("value_model", "w_hidden", [[0.0], [0.0, 0.0]]), "value_model.w_hidden is not an array of numbers"),
+        (_set("value_model", "b_out", "0.25"), "value_model.b_out is not an array of numbers"),
+        (_set_leaf("value_model", "w_out", (0,), True), "value_model.w_out is not an array of numbers"),
+        (_set_leaf("value_model", "w_hidden", (0, 0), None), "value_model.w_hidden is not an array of numbers"),
         (_set("predictor", "bias", [math.nan] * 6), "predictor.bias is not finite"),
         (_set("config", "encoder_dim", 4), "encoder_dim must be at least 8"),
         (_set("config", "hidden_dim", 33), "value_model.w_hidden has shape (32, 64), expected (33, 64)"),
     ],
     ids=[
         "malformed-json",
+        "nested-too-deep",
         "version",
         "version-1",
         "config-range",
         "shape",
         "parameter-object",
         "parameter-ragged",
+        "parameter-string",
+        "parameter-bool",
+        "parameter-null",
         "not-finite",
         "encoder-dim",
         "config-vs-section",

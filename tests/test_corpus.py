@@ -186,6 +186,18 @@ def test_malformed_line_reports_line_number(tmp_path, small_corpus):
         assert err.value.line_number == 3
 
 
+def test_a_statement_nested_too_deep_names_its_line(tmp_path, small_corpus):
+    # the parser recurses once per Succ, so deep nesting raises RecursionError
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(small_corpus[:2], str(path))
+    lines = path.read_text().splitlines()
+    deep = "|- " + "Succ(" * 3000 + "Zero" + ")" * 3000 + " = Zero"
+    path.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), "statement": deep})]) + "\n")
+    with pytest.raises(CorpusFormatError, match="^line 2: maximum recursion depth exceeded") as err:
+        load_corpus(str(path))
+    assert err.value.line_number == 2
+
+
 def test_duplicate_theorem_id_is_rejected(tmp_path, small_corpus):
     path = tmp_path / "corpus.jsonl"
     entries = list(small_corpus[:3])

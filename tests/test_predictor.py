@@ -12,8 +12,6 @@ from valueprover.predictor import (
     cross_entropy_loss_and_grads,
     featurize,
     predict_top_n,
-    predictor_from_dict,
-    predictor_to_dict,
     softmax,
     train_predictor,
 )
@@ -147,13 +145,6 @@ def test_gradient_matches_finite_differences():
         numeric = (up - down) / (2 * step)
         denom = max(abs(analytic), abs(numeric), 1e-8)
         assert abs(analytic - numeric) / denom < 1e-4
-
-
-def test_checkpoint_round_trip(trained_predictor):
-    data = predictor_to_dict(trained_predictor)
-    restored = predictor_from_dict(data)
-    assert np.array_equal(restored.weights, trained_predictor.weights)
-    assert np.array_equal(restored.bias, trained_predictor.bias)
 
 
 # The predictor as it was before featurize and resolve_argument shared one

@@ -132,6 +132,34 @@ def test_every_tracer_only_import_names_a_traced_row():
     assert found
 
 
+def test_every_checkpoint_parameter_is_an_attribute_of_its_owner():
+    # save_checkpoint and load_checkpoint move each parameter of
+    # trainer._PARAMETERS by its name, so each row must name an attribute of
+    # a freshly built owner, with the row's shape under the owner's config,
+    # and an array the owner gains is saved only once it has a row
+    import numpy as np
+
+    from valueprover import trainer
+    from valueprover.env import TEMPLATES
+    from valueprover.predictor import FEATURE_NAMES, Predictor
+    from valueprover.value_model import ValueModel
+
+    config = trainer.TrainerConfig(encoder_dim=16, hidden_dim=8)
+    owners = {
+        "value_model": ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed),
+        "predictor": Predictor(np.zeros((len(TEMPLATES), len(FEATURE_NAMES))), np.zeros(len(TEMPLATES))),
+    }
+    rows = {section: set() for section in owners}
+    for section, name, shape in trainer._PARAMETERS:
+        owner = owners[section]
+        assert hasattr(owner, name), f"{section}.{name}"
+        assert np.shape(getattr(owner, name)) == shape(config), f"{section}.{name}"
+        rows[section].add(name)
+    for section, owner in owners.items():
+        arrays = {name for name, value in vars(owner).items() if isinstance(value, np.ndarray)}
+        assert arrays <= rows[section], f"{section} arrays with no row: {sorted(arrays - rows[section])}"
+
+
 def test_the_value_model_encodes_through_the_module_name(monkeypatch):
     # bench/layers.py traces encoder.encode_hashed by rebinding it on the
     # module, so ValueModel must look it up there on every encoding

@@ -541,15 +541,18 @@ def test_checkpoint_records_each_setting_once(tmp_path):
     assert set(payload["value_model"]) == {"w_hidden", "b_hidden", "w_out", "b_out"}
 
 
-def test_loaded_model_takes_its_settings_from_the_config(tmp_path):
+def test_loaded_model_takes_its_settings_from_the_config(tmp_path, trained_predictor):
     from valueprover.encoder import encode_hashed
-    from valueprover.predictor import Predictor
 
     config = _fast_config(encoder_dim=16, encoder_salt=2, hidden_dim=8, gamma=0.8)
     model, _ = train(_tiny_split(), NO_F_EQUAL, config)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), model, Predictor(np.zeros((6, 14)), np.zeros(6)), config)
-    loaded, _, loaded_config = load_checkpoint(str(path))
+    save_checkpoint(str(path), model, trained_predictor, config)
+    loaded, loaded_predictor, loaded_config = load_checkpoint(str(path))
+    # a fitted predictor's weights come back bit for bit
+    assert trained_predictor.weights.any() and trained_predictor.bias.any()
+    assert loaded_predictor.weights.tobytes() == trained_predictor.weights.tobytes()
+    assert loaded_predictor.bias.tobytes() == trained_predictor.bias.tobytes()
     assert loaded_config == config
     assert (loaded.input_dim, loaded.hidden_dim, loaded.gamma, loaded.salt) == (
         config.encoder_dim,

@@ -26,8 +26,6 @@ from valueprover.value_model import (
     product_value,
     steps_estimate,
     tabular_value_iteration,
-    value_model_from_dict,
-    value_model_to_dict,
 )
 
 
@@ -516,11 +514,3 @@ def test_tabular_value_iteration_small_graph(trained_predictor):
         length = shortest_obligation_length(state, 12, actions=provider)
         expected = 0.0 if length is None else 0.9**length
         assert values[key] == pytest.approx(expected, abs=1e-9)
-
-
-def test_checkpoint_round_trip(model, small_corpus):
-    state = small_corpus[0].theorem.statement
-    data = value_model_to_dict(model)
-    restored = value_model_from_dict(data, 64, model.gamma, model.hidden_dim)
-    assert restored.v_value(state) == model.v_value(state)
-    assert restored.gamma == model.gamma
