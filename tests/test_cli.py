@@ -603,3 +603,57 @@ def test_baseline_eval_rows_are_pinned(tmp_path):
     assert sha256(tmp_path / "m.ckpt") == BASELINE_CHECKPOINT_SHA256
     assert sha256(tmp_path / "m.ckpt.report.json") == BASELINE_REPORT_SHA256
     assert sha256(tmp_path / "report" / "rows.tsv") == BASELINE_EVAL_ROWS_SHA256
+
+
+@pytest.fixture(scope="module")
+def baseline_checkpoint(tmp_path_factory):
+    """The checkpoint of the seeded baseline chain that the pins above hash."""
+    root = tmp_path_factory.mktemp("baseline")
+    corpus, checkpoint = str(root / "c.jsonl"), str(root / "m.ckpt")
+    assert main(["gen-corpus", "--seed", "0", "--counts", "26,14,10", "--out", corpus]) == 0
+    train = ["train", "--corpus", corpus, "--out", checkpoint, "--seed", "0"]
+    assert main(train + ["--min-drop-length", "0", "--max-drop-length", "9"]) == 0
+    return checkpoint
+
+
+# (status, proof_length, nodes_expanded, tactic_executions) per strategy, in
+# EVAL_STRATEGIES order, of `prove` on the baseline checkpoint. On the test
+# split every strategy proves each theorem in the fewest nodes, so the rows
+# pin cannot tell the strategies' node orders apart; these statements can.
+_SEPARATING_SEARCHES = {
+    "forall n, |- Plus(Zero,Var(n)) = Var(n)": [
+        ("proved", 6, 6, 27),
+        ("proved", 6, 6, 27),
+        ("proved", 3, 4, 18),
+        ("proved", 3, 3, 14),
+        ("proved", 6, 6, 27),
+        ("proved", 3, 3, 14),
+    ],
+    "forall c b a, |- Plus(Plus(Var(a),Var(b)),Var(c)) = Plus(Var(a),Plus(Var(b),Var(c)))": [
+        ("exhausted", None, 21, 100),
+        ("exhausted", None, 21, 100),
+        ("exhausted", None, 21, 100),
+        ("exhausted", None, 17, 80),
+        ("exhausted", None, 12, 57),
+        ("exhausted", None, 12, 57),
+    ],
+    "forall n m, |- Plus(Var(n),Var(m)) = Plus(Var(m),Var(n))": [
+        ("exhausted", None, 101, 500),
+        ("exhausted", None, 101, 500),
+        ("exhausted", None, 101, 500),
+        ("exhausted", None, 19, 90),
+        ("exhausted", None, 7, 33),
+        ("exhausted", None, 12, 57),
+    ],
+}
+
+
+@pytest.mark.parametrize("statement", list(_SEPARATING_SEARCHES))
+def test_baseline_searches_that_separate_the_strategies_are_pinned(baseline_checkpoint, capsys, statement):
+    found = []
+    for strategy in EVAL_STRATEGIES:
+        assert main(["prove", "--checkpoint", baseline_checkpoint, "--theorem", statement, "--strategy", strategy]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        found.append((record["status"], record["proof_length"], record["nodes_expanded"], record["tactic_executions"]))
+    assert EVAL_STRATEGIES == ("astar", "bestfirst", "bestfirst_prob", "dfs", "greedy", "greedy_prob")
+    assert found == _SEPARATING_SEARCHES[statement]
