@@ -10,8 +10,9 @@ The package is organized bottom-up:
 - encoder: hashed obligation encodings
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
-- search: greedy / DFS / best-first / A* proof search, and the table of
-  the six strategies that eval and prove run by name
+- search: the table of the six strategies that eval and prove run by name
+  (greedy, DFS, best-first and A*, each a priority, a depth cap and whether
+  it backtracks) and the one priority loop they all expand through
 - trainer: pretraining, the demonstration curriculum, the single-actor RL
   loop and checkpoints
 - reports, cli: evaluation reports and the command-line interface
@@ -49,11 +50,8 @@ from .search import (
     EVAL_STRATEGIES,
     SearchNode,
     SearchResult,
-    astar_search,
-    best_first_search,
-    dfs_search,
-    greedy_search,
     run_strategy,
+    search_from,
 )
 from .trainer import TrainerConfig, TrainingTask, demonstration_schedule, prepare_tasks, run_episode, train
 

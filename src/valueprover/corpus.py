@@ -66,8 +66,8 @@ class GenerationSummary:
 
 
 class CorpusFormatError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path: str, line_number: int, message: str):
+        super().__init__(f"corpus {path}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -176,8 +176,8 @@ def _check_field_types(record: dict) -> None:
 def load_corpus(path: str) -> list[CorpusEntry]:
     """Read a corpus file, validating every entry: a line that does not
     parse, has a field of the wrong type, repeats an earlier theorem id or
-    whose proof does not replay to a closed goal raises CorpusFormatError
-    with its line number."""
+    whose proof does not replay to a closed goal raises CorpusFormatError,
+    which names the file and the line."""
     entries = []
     ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -195,9 +195,9 @@ def load_corpus(path: str) -> list[CorpusEntry]:
                 if not script_is_valid(theorem, proof):
                     raise ValueError("the proof does not replay to a closed goal")
             except (KeyError, ValueError, TypeError, RecursionError) as err:
-                raise CorpusFormatError(line_number, str(err)) from err
+                raise CorpusFormatError(path, line_number, str(err)) from err
             if theorem.id in ids:
-                raise CorpusFormatError(line_number, f"duplicate theorem id {theorem.id!r}")
+                raise CorpusFormatError(path, line_number, f"duplicate theorem id {theorem.id!r}")
             ids.add(theorem.id)
             entries.append(CorpusEntry(theorem, proof))
     return entries

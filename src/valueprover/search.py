@@ -1,18 +1,21 @@
 """Proof search over hyperstates: greedy, weighted DFS, best-first and A*.
 
-`EVAL_STRATEGIES` names the six strategies that `eval` and `prove` run, and
-`run_strategy` runs one of them by name. Every strategy, and the greedy
-search that training validation runs from a lone obligation, expands
-through one priority loop; they differ only in the priority they give a
-node, their depth cap and whether they backtrack. DFS's priority is the
-negated depth, so the deepest node comes first; greedy shares best-first's
-priority but keeps only the children of the node it has just expanded.
-Every strategy draws candidate tactics for the first open obligation from
-the predictor's top-n list, drops the ones that error, and dedups states by
-the hyperstate's canonical multiset form. The applicable actions come from
-the predictor's shared action cache, so an obligation that one search or
-strategy has expanded costs the next one a dict lookup. One "search step"
-is one node expansion; per-child tactic executions are counted separately.
+`EVAL_STRATEGIES` names the six strategies that `eval` and `prove` run.
+`search_from` runs one of them by name from any hyperstate (training
+validation starts greedy search from a lone obligation), and `run_strategy`
+runs one on a theorem. Every strategy expands through one priority loop;
+a strategy is a row of `_STRATEGIES`: the priority it gives a node, built
+from the value model, its depth cap and whether it backtracks. DFS's
+priority is the negated depth, so the deepest node comes first; greedy
+shares best-first's priority but keeps only the children of the node it
+has just expanded. The value priorities read only the model's `v_value`
+and `gamma`. Every strategy draws candidate tactics for the first open
+obligation from the predictor's top-n list, drops the ones that error, and
+dedups states by the hyperstate's canonical multiset form. The applicable
+actions come from the predictor's shared action cache, so an obligation
+that one search or strategy has expanded costs the next one a dict lookup.
+One "search step" is one node expansion; per-child tactic executions are
+counted separately.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .env import Hyperstate, Obligation, ProofScript, Tactic, Theorem
+from .env import Hyperstate, ProofScript, Tactic, Theorem
 from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces search.step_hyperstate
 from .predictor import Predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces search.predict_top_n
@@ -35,14 +38,8 @@ __all__ = [
     "BUDGET_EXCEEDED",
     "SearchNode",
     "SearchResult",
-    "ValueScorer",
-    "ProbabilityScorer",
-    "astar_search",
-    "best_first_search",
-    "dfs_search",
-    "greedy_search",
-    "greedy_from_hyperstate",
     "EVAL_STRATEGIES",
+    "search_from",
     "run_strategy",
 ]
 
@@ -52,44 +49,12 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_BUDGET = 512
 SAFETY_DEPTH = 50
+DFS_DEPTH = 10
 
 
 def f_score(g: int, h: float) -> float:
     """A* priority: tactics taken so far plus estimated tactics remaining."""
     return g + h
-
-
-class ValueScorer:
-    """Steps-convertible scorer backed by an obligation value function."""
-
-    steps_convertible = True
-
-    def __init__(self, value_of: Callable[[Obligation], float], gamma: float):
-        self.value_of = value_of
-        self.gamma = gamma
-
-    def hyperstate_value(self, h: Hyperstate) -> float:
-        return product_value(self.value_of(ob) for ob in h.obligations)
-
-    def hyperstate_steps(self, h: Hyperstate) -> float:
-        """Estimated steps remaining; raises UndefinedStepsError on a
-        zero-valued (dead) obligation."""
-        return sum(steps_estimate(self.value_of(ob), self.gamma) for ob in h.obligations)
-
-    @classmethod
-    def for_model(cls, model) -> "ValueScorer":
-        return cls(model.v_value, model.gamma)
-
-
-class ProbabilityScorer:
-    """Orders nodes by the product of chosen tactic probabilities along the
-    path; not convertible to a steps-remaining estimate."""
-
-    steps_convertible = False
-
-    @classmethod
-    def for_model(cls, model) -> "ProbabilityScorer":
-        return cls()
 
 
 @dataclass
@@ -147,65 +112,6 @@ class _Tally:
         )
 
 
-def astar_search(
-    thm: Theorem,
-    scorer: ValueScorer,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchResult:
-    """Min-f priority queue: f = tactics taken + estimated tactics remaining.
-
-    A hyperstate with a dead obligation has no steps estimate, so it is
-    never enqueued, and a dead root leaves the search exhausted.
-    """
-    if not scorer.steps_convertible:
-        raise ValueError("A* requires a steps-convertible scorer")
-    steps = scorer.hyperstate_steps
-    start = Hyperstate((thm.statement,))
-    return _priority_search(
-        start, predictor, n, budget, lambda node: f_score(node.g, steps(node.hyperstate)), SAFETY_DEPTH
-    )
-
-
-def _best_score_first(scorer) -> Callable[[SearchNode], float]:
-    """The priority of best-first and greedy search: the negated hyperstate
-    value under a value scorer, the negated product of the path's tactic
-    probabilities under a probability scorer."""
-    if scorer.steps_convertible:
-        value = scorer.hyperstate_value
-        return lambda node: -value(node.hyperstate)
-    return lambda node: -node.path_prob
-
-
-def best_first_search(
-    thm: Theorem,
-    scorer,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchResult:
-    """Max-score priority queue: the hyperstate value under a value scorer,
-    the product of the path's tactic probabilities under a probability
-    scorer."""
-    return _priority_search(Hyperstate((thm.statement,)), predictor, n, budget, _best_score_first(scorer), SAFETY_DEPTH)
-
-
-def dfs_search(
-    thm: Theorem,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    depth_limit: int = 10,
-) -> SearchResult:
-    """Depth-first baseline: the deepest node first, siblings in descending
-    predictor probability, backtracking on errors, dead ends, the depth
-    limit and already-visited hyperstates."""
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be at least 1")
-    return _priority_search(Hyperstate((thm.statement,)), predictor, n, budget, lambda node: -node.g, depth_limit)
-
-
 def _priority_search(
     start: Hyperstate,
     predictor: Predictor,
@@ -213,7 +119,7 @@ def _priority_search(
     budget: int,
     priority: Callable[[SearchNode], float],
     depth_cap: int,
-    backtrack: bool = True,
+    backtrack: bool,
 ) -> SearchResult:
     """Expand the lowest-priority node first; returns on the first empty
     hyperstate popped.
@@ -269,55 +175,59 @@ def _priority_search(
     return tally.result(EXHAUSTED)
 
 
-def greedy_search(
-    thm: Theorem,
-    scorer,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchResult:
-    """No backtracking: repeatedly commit to the best-scoring child.
+def _fewest_steps(model) -> Callable[[SearchNode], float]:
+    """A*'s f: tactics taken plus the steps the model estimates remain. A
+    hyperstate with a dead obligation has no steps estimate, so it is never
+    enqueued, and a dead root leaves the search exhausted."""
+    v_value, gamma = model.v_value, model.gamma
 
-    With a value scorer "best" is the maximum hyperstate value; with a
-    probability scorer it is the highest-probability non-erroring tactic.
-    """
-    return greedy_from_hyperstate(Hyperstate((thm.statement,)), scorer, predictor, n, budget)
+    def f(node: SearchNode) -> float:
+        return f_score(node.g, sum(steps_estimate(v_value(ob), gamma) for ob in node.hyperstate.obligations))
+
+    return f
 
 
-def greedy_from_hyperstate(
-    start: Hyperstate,
-    scorer,
-    predictor: Predictor,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchResult:
-    """Greedy search from any hyperstate (e.g. a lone obligation): the
-    priority loop of best-first search, without backtracking. Gives up as
-    exhausted once the script reaches SAFETY_DEPTH tactics, since a goal that
-    keeps growing would otherwise be rewritten until the budget runs out."""
-    return _priority_search(start, predictor, n, budget, _best_score_first(scorer), SAFETY_DEPTH, backtrack=False)
+def _highest_value(model) -> Callable[[SearchNode], float]:
+    v_value = model.v_value
+    return lambda node: -product_value(map(v_value, node.hyperstate.obligations))
 
 
-# Each strategy's search and the scorer it builds from the model; DFS takes
-# no scorer. The `_prob` strategies order by the predictor's probabilities.
+def _likeliest_path(model) -> Callable[[SearchNode], float]:
+    return lambda node: -node.path_prob
+
+
+def _deepest(model) -> Callable[[SearchNode], float]:
+    return lambda node: -node.g
+
+
+# Each strategy's priority built from the model, the module constant that
+# caps its depth (read when a search starts) and whether it backtracks.
+# Greedy gives up as exhausted at SAFETY_DEPTH tactics, since a goal that
+# keeps growing would otherwise be rewritten until the budget runs out.
 _STRATEGIES = {
-    "astar": (astar_search, ValueScorer),
-    "bestfirst": (best_first_search, ValueScorer),
-    "bestfirst_prob": (best_first_search, ProbabilityScorer),
-    "dfs": (dfs_search, None),
-    "greedy": (greedy_search, ValueScorer),
-    "greedy_prob": (greedy_search, ProbabilityScorer),
+    "astar": (_fewest_steps, "SAFETY_DEPTH", True),
+    "bestfirst": (_highest_value, "SAFETY_DEPTH", True),
+    "bestfirst_prob": (_likeliest_path, "SAFETY_DEPTH", True),
+    "dfs": (_deepest, "DFS_DEPTH", True),
+    "greedy": (_highest_value, "SAFETY_DEPTH", False),
+    "greedy_prob": (_likeliest_path, "SAFETY_DEPTH", False),
 }
 EVAL_STRATEGIES = tuple(_STRATEGIES)
+
+
+def search_from(
+    strategy: str, start: Hyperstate, model, predictor: Predictor, width: int, budget: int
+) -> SearchResult:
+    """Run the strategy named in EVAL_STRATEGIES from a hyperstate. `model`
+    is anything with a `v_value(obligation)` and a `gamma`."""
+    if strategy not in _STRATEGIES:
+        raise RuntimeError(f"unknown strategy {strategy!r}")
+    priority_of, cap, backtrack = _STRATEGIES[strategy]
+    return _priority_search(start, predictor, width, budget, priority_of(model), globals()[cap], backtrack)
 
 
 def run_strategy(
     strategy: str, theorem: Theorem, model, predictor: Predictor, width: int, budget: int
 ) -> SearchResult:
     """Run the strategy named in EVAL_STRATEGIES on one theorem."""
-    if strategy not in _STRATEGIES:
-        raise RuntimeError(f"unknown strategy {strategy!r}")
-    search, scorer = _STRATEGIES[strategy]
-    if scorer is None:
-        return search(theorem, predictor, width, budget)
-    return search(theorem, scorer.for_model(model), predictor, width, budget)
+    return search_from(strategy, Hyperstate((theorem.statement,)), model, predictor, width, budget)

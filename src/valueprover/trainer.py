@@ -30,7 +30,7 @@ from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic, e
 from .oracle import reproducible_under_predictor
 from .predictor import FEATURE_NAMES, Predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
-from .search import ValueScorer, greedy_from_hyperstate
+from .search import search_from
 from .value_model import (
     ActionCache,
     NegativeBuffer,
@@ -259,7 +259,7 @@ def run_episode(
         frames.append((source, steps_done, len(state.obligations) - 1))
         state = Hyperstate(result + state.obligations[1:])
         steps_done += 1
-        transitions.append(Transition(source, tactic, result))
+        transitions.append(Transition(source))
         while frames and len(state.obligations) == frames[-1][2]:
             ob, start, _ = frames.pop()
             discharged.append((ob, steps_done - start))
@@ -273,7 +273,7 @@ def run_episode(
         source = state.first
         options = [(tactic, result) for tactic, _, result in actions(source)]
         if not options:
-            transitions.append(Transition(source, None, (), dead_end=True))
+            transitions.append(Transition(source, dead_end=True))
             break
         scores = [
             model.hyperstate_value(Hyperstate(result + state.obligations[1:])) for _, result in options
@@ -367,9 +367,8 @@ def _validation_success(
     """The share of tasks greedy search under the model proves within the episode budget."""
     if not tasks:
         return 0.0
-    scorer = ValueScorer.for_model(model)
     searches = (
-        greedy_from_hyperstate(Hyperstate((task.obligation,)), scorer, predictor, config.width, config.episode_budget)
+        search_from("greedy", Hyperstate((task.obligation,)), model, predictor, config.width, config.episode_budget)
         for task in tasks
     )
     return sum(result.proved for result in searches) / len(tasks)

@@ -364,8 +364,6 @@ def pretrain(
 @dataclass(frozen=True)
 class Transition:
     source: Obligation
-    action: Tactic | None
-    result: tuple[Obligation, ...]
     dead_end: bool = False
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import strategies as st
 
@@ -13,8 +15,20 @@ from valueprover.env import (
     parse_script,
     step_hyperstate,
 )
+from valueprover.oracle import optimal_value
 from valueprover.predictor import Predictor, train_predictor
 from valueprover.terms import Plus, Succ, Var, is_identifier
+
+
+def value_stand_in(value_of, gamma):
+    """All that search reads of a ValueModel: v_value and gamma."""
+    return SimpleNamespace(v_value=value_of, gamma=gamma)
+
+
+def oracle_model(gamma=0.9, depth=12, actions=None):
+    """A ValueModel stand-in that values an obligation at gamma to the
+    length of its shortest proof, and at 0 if it has none within depth."""
+    return value_stand_in(lambda ob: optimal_value(ob, gamma, depth, actions=actions), gamma)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import value_stand_in
 from valueprover.cli import _training_pairs, main, run_eval
 from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus, split_corpus
 from valueprover.env import (
@@ -33,13 +34,7 @@ from valueprover.predictor import (
     train_predictor,
 )
 from valueprover.reports import build_summary
-from valueprover.search import (
-    ProbabilityScorer,
-    ValueScorer,
-    astar_search,
-    f_score,
-    greedy_from_hyperstate,
-)
+from valueprover.search import f_score, run_strategy, search_from
 from valueprover.trainer import TrainerConfig, prepare_tasks, train
 from valueprover.value_model import (
     ValueModel,
@@ -106,7 +101,7 @@ def test_criterion_3_astar_optimal_under_oracle_heuristic(oracle_suite):
             memo[key] = 0.0 if length is None else GAMMA**length
         return memo[key]
 
-    scorer = ValueScorer(oracle_value, GAMMA)
+    model = value_stand_in(oracle_value, GAMMA)
     suite = entries[:50]
     exact = provable = 0
     for entry in suite:
@@ -114,7 +109,7 @@ def test_criterion_3_astar_optimal_under_oracle_heuristic(oracle_suite):
         if not reference.provable:
             continue
         provable += 1
-        result = astar_search(entry.theorem, scorer, predictor, WIDTH, budget=512)
+        result = run_strategy("astar", entry.theorem, model, predictor, WIDTH, 512)
         if result.proved and result.proof_length == reference.shortest_length:
             exact += 1
     ok = len(suite) == 50 and provable > 0 and exact == provable
@@ -237,14 +232,12 @@ def test_criterion_7_greedy_value_vs_probability():
                 seen.add(key)
                 if shortest_obligation_length(obligation, 12, actions=actions) is not None:
                     held_out.append(obligation)
-        value_scorer = ValueScorer.for_model(model)
-        prob_scorer = ProbabilityScorer()
         value_proved = sum(
-            greedy_from_hyperstate(Hyperstate((ob,)), value_scorer, predictor, WIDTH, 64).proved
+            search_from("greedy", Hyperstate((ob,)), model, predictor, WIDTH, 64).proved
             for ob in held_out
         )
         prob_proved = sum(
-            greedy_from_hyperstate(Hyperstate((ob,)), prob_scorer, predictor, WIDTH, 64).proved
+            search_from("greedy_prob", Hyperstate((ob,)), model, predictor, WIDTH, 64).proved
             for ob in held_out
         )
         good = len(held_out) > 0 and value_proved >= prob_proved

@@ -537,7 +537,7 @@ def test_corpus_with_a_proof_that_does_not_replay_is_runtime_error(tiny_corpus, 
     corpus.write_text("\n".join(lines) + "\n")
     code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt")])
     assert code == 2
-    assert "line 1:" in capsys.readouterr().err
+    assert f"valueprover: corpus {corpus}: line 1: " in capsys.readouterr().err
 
 
 _PIPELINE = """

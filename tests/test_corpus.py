@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -179,9 +180,10 @@ def test_malformed_line_reports_line_number(tmp_path, small_corpus):
         (json.dumps({**record, "proof_length": float(record["proof_length"])}), "proof_length must be an integer"),
         (json.dumps({**record, "proof_length": str(record["proof_length"])}), "proof_length must be an integer"),
     ]
+    named = f"^corpus {re.escape(str(path))}: line 3: "
     for text, message in broken:
         path.write_text("\n".join(lines[:2] + [text]) + "\n")
-        with pytest.raises(CorpusFormatError, match=None if message is None else f"^line 3: {message}$") as err:
+        with pytest.raises(CorpusFormatError, match=None if message is None else f"{named}{message}$") as err:
             load_corpus(str(path))
         assert err.value.line_number == 3
 
@@ -193,7 +195,8 @@ def test_a_statement_nested_too_deep_names_its_line(tmp_path, small_corpus):
     lines = path.read_text().splitlines()
     deep = "|- " + "Succ(" * 3000 + "Zero" + ")" * 3000 + " = Zero"
     path.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), "statement": deep})]) + "\n")
-    with pytest.raises(CorpusFormatError, match="^line 2: maximum recursion depth exceeded") as err:
+    named = f"^corpus {re.escape(str(path))}: line 2: "
+    with pytest.raises(CorpusFormatError, match=f"{named}maximum recursion depth exceeded") as err:
         load_corpus(str(path))
     assert err.value.line_number == 2
 
@@ -203,7 +206,8 @@ def test_duplicate_theorem_id_is_rejected(tmp_path, small_corpus):
     entries = list(small_corpus[:3])
     entries[2] = dataclasses.replace(entries[2], theorem=dataclasses.replace(entries[2].theorem, id=entries[0].theorem.id))
     save_corpus(entries, str(path))
-    with pytest.raises(CorpusFormatError, match=f"^line 3: duplicate theorem id '{entries[0].theorem.id}'$") as err:
+    named = f"^corpus {re.escape(str(path))}: line 3: "
+    with pytest.raises(CorpusFormatError, match=f"{named}duplicate theorem id '{entries[0].theorem.id}'$") as err:
         load_corpus(str(path))
     assert err.value.line_number == 3
 

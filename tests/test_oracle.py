@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_model
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
     ARG_TEMPLATES,
@@ -28,7 +29,7 @@ from valueprover.oracle import (
     shortest_proof,
 )
 from valueprover.predictor import predict_top_n
-from valueprover.search import ValueScorer, astar_search
+from valueprover.search import run_strategy
 from valueprover.value_model import explore_obligation_graph, tabular_value_iteration
 
 
@@ -182,8 +183,7 @@ def test_astar_under_the_oracle_heuristic_finds_the_shortest_proof(trained_predi
     provider = _top_n(trained_predictor, 5)
     reference = shortest_proof(Hyperstate((theorem.statement,)), ORACLE_DEPTH, actions=provider)
     assert reference.provable
-    scorer = ValueScorer(lambda ob: optimal_value(ob, 0.9, ORACLE_DEPTH, actions=provider), 0.9)
-    result = astar_search(theorem, scorer, trained_predictor, 5, 512)
+    result = run_strategy("astar", theorem, oracle_model(0.9, ORACLE_DEPTH, provider), trained_predictor, 5, 512)
     assert result.proved and result.proof_length == reference.shortest_length
     assert script_is_valid(theorem, result.script)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import oracle_model
 from valueprover import search as search_module
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
@@ -19,24 +20,19 @@ from valueprover.env import (
     parse_script,
     script_is_valid,
 )
-from valueprover.oracle import optimal_value, shortest_proof
+from valueprover.oracle import shortest_proof
 from valueprover.predictor import predict_top_n
-from valueprover.value_model import ActionCache, UndefinedStepsError, ValueModel
+from valueprover.value_model import ActionCache, UndefinedStepsError, ValueModel, product_value, steps_estimate
 from valueprover.search import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EVAL_STRATEGIES,
     EXHAUSTED,
     PROVED,
     SAFETY_DEPTH,
-    ProbabilityScorer,
-    ValueScorer,
-    astar_search,
-    best_first_search,
-    dfs_search,
     f_score,
-    greedy_from_hyperstate,
-    greedy_search,
     run_strategy,
+    search_from,
 )
 
 
@@ -51,25 +47,16 @@ class RankedPredictor:
         return probs / probs.sum()
 
 
-def oracle_scorer(gamma=0.9, depth=12, actions=None):
-    return ValueScorer(lambda ob: optimal_value(ob, gamma, depth, actions=actions), gamma)
-
-
 def one_step_theorem():
     return Theorem("refl", parse_obligation("|- Zero = Zero"))
 
 
-def all_strategies(thm, scorer, predictor, n, budget=64):
-    return {
-        "astar": astar_search(thm, scorer, predictor, n, budget),
-        "bestfirst": best_first_search(thm, scorer, predictor, n, budget),
-        "dfs": dfs_search(thm, predictor, n, budget),
-        "greedy": greedy_search(thm, scorer, predictor, n, budget),
-    }
+def all_strategies(thm, model, predictor, n, budget=64):
+    return {strategy: run_strategy(strategy, thm, model, predictor, n, budget) for strategy in EVAL_STRATEGIES}
 
 
 def test_one_tactic_theorem_all_strategies(trained_predictor):
-    results = all_strategies(one_step_theorem(), oracle_scorer(), trained_predictor, 5)
+    results = all_strategies(one_step_theorem(), oracle_model(), trained_predictor, 5)
     for name, result in results.items():
         assert result.status == PROVED, name
         assert result.proof_length == 1 and result.nodes_expanded == 1
@@ -77,7 +64,7 @@ def test_one_tactic_theorem_all_strategies(trained_predictor):
 
 
 def test_zero_budget_is_budget_exceeded(trained_predictor):
-    for result in all_strategies(one_step_theorem(), oracle_scorer(), trained_predictor, 5, budget=0).values():
+    for result in all_strategies(one_step_theorem(), oracle_model(), trained_predictor, 5, budget=0).values():
         assert result.status == BUDGET_EXCEEDED and result.script is None
 
 
@@ -85,41 +72,36 @@ def test_f_score_example():
     assert f_score(3, 2.9) == pytest.approx(5.9, abs=1e-12)
 
 
-def test_astar_requires_steps_convertible_scorer(trained_predictor):
-    with pytest.raises(ValueError):
-        astar_search(one_step_theorem(), ProbabilityScorer(), trained_predictor, 5)
-
-
 def test_astar_matches_restricted_oracle(small_corpus, trained_predictor):
     def provider(ob):
         return [p.tactic for p in predict_top_n(trained_predictor, ob, 5)]
 
-    scorer = oracle_scorer(actions=provider)
+    model = oracle_model(actions=provider)
     for entry in small_corpus[:10]:
         reference = shortest_proof(Hyperstate((entry.theorem.statement,)), 12, actions=provider)
         if not reference.provable:
             continue
-        result = astar_search(entry.theorem, scorer, trained_predictor, 5, 512)
+        result = run_strategy("astar", entry.theorem, model, trained_predictor, 5, 512)
         assert result.status == PROVED
         assert result.proof_length == reference.shortest_length
         assert script_is_valid(entry.theorem, result.script)
 
 
 def test_returned_scripts_validate(small_corpus, trained_predictor):
-    scorer = oracle_scorer()
+    model = oracle_model()
     for entry in small_corpus[:6]:
-        for name, result in all_strategies(entry.theorem, scorer, trained_predictor, 5, 512).items():
+        for name, result in all_strategies(entry.theorem, model, trained_predictor, 5, 512).items():
             if result.status == PROVED:
                 assert script_is_valid(entry.theorem, result.script), name
                 assert result.proof_length == len(result.script.steps)
 
 
 def test_budget_monotonicity(small_corpus, trained_predictor):
-    scorer = oracle_scorer()
+    model = oracle_model()
     thm = next(e.theorem for e in small_corpus if e.proof_length == 7)
     last_proved = False
     for budget in (0, 2, 4, 8, 16, 64):
-        proved = astar_search(thm, scorer, trained_predictor, 5, budget).status == PROVED
+        proved = run_strategy("astar", thm, model, trained_predictor, 5, budget).status == PROVED
         assert proved or not last_proved
         last_proved = proved or last_proved
 
@@ -137,22 +119,18 @@ def test_no_hyperstate_expanded_twice(monkeypatch, small_corpus, trained_predict
 
     monkeypatch.setattr(search_module.heapq, "heappop", recording)
     thm = next(e.theorem for e in small_corpus if e.proof_length == 7)
-    for run in (
-        lambda: astar_search(thm, oracle_scorer(), trained_predictor, 5, 512),
-        lambda: best_first_search(thm, oracle_scorer(), trained_predictor, 5, 512),
-        lambda: dfs_search(thm, trained_predictor, 5, 512),
-    ):
+    for strategy in ("astar", "bestfirst", "dfs"):
         seen_keys.clear()
-        run()
+        run_strategy(strategy, thm, oracle_model(), trained_predictor, 5, 512)
         assert len(seen_keys) > 1 and len(seen_keys) == len(set(seen_keys))
 
 
-def test_dfs_depth_limit(trained_predictor):
+def test_dfs_depth_limit(monkeypatch, trained_predictor):
     thm = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
-    assert dfs_search(thm, trained_predictor, 5, 64, depth_limit=1).status == EXHAUSTED
-    assert dfs_search(thm, trained_predictor, 5, 64, depth_limit=2).status == PROVED
-    with pytest.raises(ValueError):
-        dfs_search(thm, trained_predictor, 5, 64, depth_limit=0)
+    monkeypatch.setattr(search_module, "DFS_DEPTH", 1)
+    assert run_strategy("dfs", thm, None, trained_predictor, 5, 64).status == EXHAUSTED
+    monkeypatch.setattr(search_module, "DFS_DEPTH", 2)
+    assert run_strategy("dfs", thm, None, trained_predictor, 5, 64).status == PROVED
 
 
 def _cached_children(node, predictor, n, tally):
@@ -167,9 +145,7 @@ def _cached_children(node, predictor, n, tally):
 
 
 def _reference_dfs_search(thm, predictor, n, budget, depth_limit):
-    """dfs_search as it was with a stack loop of its own."""
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be at least 1")
+    """DFS as it was with a stack loop of its own."""
     tally = search_module._Tally()
     root = search_module.SearchNode(Hyperstate((thm.statement,)), (), 0)
     stack = [root]
@@ -218,7 +194,9 @@ def test_dfs_matches_the_stack_loop(
         predictor = cold_predictor()
     else:
         predictor = RankedPredictor(predictor_kind)
-    result = dfs_search(theorem, predictor, width, budget, depth_limit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "DFS_DEPTH", depth_limit)
+        result = run_strategy("dfs", theorem, None, predictor, width, budget)
     reference = _reference_dfs_search(theorem, predictor, width, budget, depth_limit)
     assert result.to_record(theorem.id, "dfs", include_wall=False) == reference.to_record(
         theorem.id, "dfs", include_wall=False
@@ -230,11 +208,8 @@ def test_priority_searches_skip_a_node_at_the_cap(monkeypatch, trained_predictor
     # expanded and its children are popped without being counted
     monkeypatch.setattr(search_module, "SAFETY_DEPTH", 1)
     thm = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
-    for result in (
-        astar_search(thm, oracle_scorer(), trained_predictor, 5, 64),
-        best_first_search(thm, oracle_scorer(), trained_predictor, 5, 64),
-        best_first_search(thm, ProbabilityScorer(), trained_predictor, 5, 64),
-    ):
+    for strategy in ("astar", "bestfirst", "bestfirst_prob"):
+        result = run_strategy(strategy, thm, oracle_model(), trained_predictor, 5, 64)
         assert result.status == EXHAUSTED and result.nodes_expanded == 1
 
 
@@ -245,9 +220,10 @@ def test_dfs_dives_while_astar_proves():
     goal = "|- " + "Succ(" * 10 + "Plus(Zero,Zero)" + ")" * 10 + " = " + "Succ(" * 10 + "Zero" + ")" * 10
     thm = Theorem("trap", parse_obligation(goal))
     misleading = RankedPredictor(("f_equal", "simpl", "reflexivity", "intros", "induction", "rewrite"))
-    dfs = dfs_search(thm, misleading, 3, budget=4, depth_limit=10)
+    assert search_module.DFS_DEPTH == 10
+    dfs = run_strategy("dfs", thm, None, misleading, 3, 4)
     assert dfs.status == BUDGET_EXCEEDED
-    astar = astar_search(thm, oracle_scorer(depth=6), misleading, 3, budget=4)
+    astar = run_strategy("astar", thm, oracle_model(depth=6), misleading, 3, 4)
     assert astar.status == PROVED and astar.proof_length == 2
 
 
@@ -255,8 +231,8 @@ def test_probability_scorer_explores_more_on_misleading_ranking():
     goal = "|- " + "Succ(" * 6 + "Plus(Zero,Zero)" + ")" * 6 + " = " + "Succ(" * 6 + "Zero" + ")" * 6
     thm = Theorem("trap", parse_obligation(goal))
     misleading = RankedPredictor(("f_equal", "simpl", "reflexivity", "intros", "induction", "rewrite"))
-    by_value = best_first_search(thm, oracle_scorer(depth=6), misleading, 3, budget=64)
-    by_prob = best_first_search(thm, ProbabilityScorer(), misleading, 3, budget=64)
+    by_value = run_strategy("bestfirst", thm, oracle_model(depth=6), misleading, 3, 64)
+    by_prob = run_strategy("bestfirst_prob", thm, None, misleading, 3, 64)
     assert by_value.status == PROVED and by_prob.status == PROVED
     assert by_value.nodes_expanded < by_prob.nodes_expanded
 
@@ -267,7 +243,7 @@ def test_greedy_dead_end_is_exhausted():
         "Plus(Var(n'),Succ(Zero)) = Succ(Plus(Var(n'),Zero))"
     )
     ranked = RankedPredictor(("simpl", "reflexivity", "f_equal", "intros", "induction", "rewrite"))
-    result = greedy_from_hyperstate(Hyperstate((dead,)), oracle_scorer(), ranked, 6, 16)
+    result = search_from("greedy", Hyperstate((dead,)), oracle_model(), ranked, 6, 16)
     assert result.status == EXHAUSTED and result.nodes_expanded == 1
     assert not ActionCache.of(ranked, 6)(dead)  # every prediction errors
 
@@ -277,21 +253,21 @@ def test_greedy_stops_at_safety_depth():
     # guard greedy recursed until hashing the goal raised RecursionError
     commutativity = parse_obligation("forall n1 m1, |- Plus(Var(n1),Var(m1)) = Plus(Var(m1),Var(n1))")
     ranked = RankedPredictor(("rewrite", "reflexivity", "simpl", "intros", "induction", "f_equal"))
-    result = greedy_from_hyperstate(Hyperstate((commutativity,)), ProbabilityScorer(), ranked, 6)
+    result = search_from("greedy_prob", Hyperstate((commutativity,)), None, ranked, 6, DEFAULT_BUDGET)
     assert result.status == EXHAUSTED and result.script is None
     assert result.nodes_expanded == SAFETY_DEPTH
 
 
 def test_unprovable_goal_is_exhausted(trained_predictor):
     thm = Theorem("false", parse_obligation("|- Zero = Succ(Zero)"))
-    for result in all_strategies(thm, oracle_scorer(), trained_predictor, 5, budget=64).values():
+    for result in all_strategies(thm, oracle_model(), trained_predictor, 5, budget=64).values():
         assert result.status in (EXHAUSTED, BUDGET_EXCEEDED)
         assert result.script is None
 
 
 def test_greedy_probability_takes_top_ranked(trained_predictor):
     thm = Theorem("two", parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)"))
-    result = greedy_search(thm, ProbabilityScorer(), trained_predictor, 5, 16)
+    result = run_strategy("greedy_prob", thm, None, trained_predictor, 5, 16)
     assert result.status == PROVED and result.proof_length == 2
 
 
@@ -310,14 +286,23 @@ def test_greedy_may_come_back_to_a_hyperstate(goal):
     # until the safety depth; a loop that remembered the hyperstates of
     # earlier expansions would be exhausted after one
     ranked = RankedPredictor(("rewrite", "reflexivity", "simpl", "intros", "induction", "f_equal"))
-    result = greedy_from_hyperstate(Hyperstate((parse_obligation(goal),)), ProbabilityScorer(), ranked, 6)
+    result = search_from("greedy_prob", Hyperstate((parse_obligation(goal),)), None, ranked, 6, DEFAULT_BUDGET)
     assert result.status == EXHAUSTED
     assert result.nodes_expanded == SAFETY_DEPTH == 50
     assert result.tactic_executions == 300
 
 
-def _reference_greedy(start, scorer, predictor, n, budget, depth_cap):
-    """greedy_from_hyperstate as it was with a loop of its own."""
+def _hyperstate_value(model, hyperstate):
+    return product_value(model.v_value(ob) for ob in hyperstate.obligations)
+
+
+def _hyperstate_steps(model, hyperstate):
+    return sum(steps_estimate(model.v_value(ob), model.gamma) for ob in hyperstate.obligations)
+
+
+def _reference_greedy(start, model, predictor, n, budget, depth_cap):
+    """Greedy search as it was with a loop of its own; without a model it
+    orders by probability."""
     tally = search_module._Tally()
     state = start
     script = ()
@@ -331,8 +316,8 @@ def _reference_greedy(start, scorer, predictor, n, budget, depth_cap):
         options = _cached_children(node, predictor, n, tally)
         if not options:
             return tally.result(EXHAUSTED)
-        if scorer.steps_convertible:
-            best = max(options, key=lambda opt: scorer.hyperstate_value(opt[2]))
+        if model is not None:
+            best = max(options, key=lambda opt: _hyperstate_value(model, opt[2]))
         else:
             best = options[0]  # predictions arrive in descending probability
         tactic, _, state = best
@@ -373,11 +358,11 @@ def test_greedy_matches_its_own_loop(
     tasks = extract_subproof_tasks(entry.theorem, entry.proof)
     start = Hyperstate((tasks[task % len(tasks)][0],))
     if scorer_kind == "model":
-        scorer = ValueScorer.for_model(ValueModel(64, gamma=0.9, seed=model_seed))
+        model = ValueModel(64, gamma=0.9, seed=model_seed)
     elif scorer_kind == "oracle":
-        scorer = oracle_scorer(depth=7)
+        model = oracle_model(depth=7)
     else:
-        scorer = ProbabilityScorer()
+        model = None
     if predictor_kind == "trained":
         predictor = trained_predictor
     elif predictor_kind == "cold":
@@ -386,15 +371,15 @@ def test_greedy_matches_its_own_loop(
         predictor = RankedPredictor(predictor_kind)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search_module, "SAFETY_DEPTH", depth_cap)
-        result = greedy_from_hyperstate(start, scorer, predictor, width, budget)
-    reference = _reference_greedy(start, scorer, predictor, width, budget, depth_cap)
+        result = search_from("greedy" if model is not None else "greedy_prob", start, model, predictor, width, budget)
+    reference = _reference_greedy(start, model, predictor, width, budget, depth_cap)
     assert result.to_record("task", "greedy", include_wall=False) == reference.to_record(
         "task", "greedy", include_wall=False
     )
 
 
 def test_search_result_record(trained_predictor):
-    result = astar_search(one_step_theorem(), oracle_scorer(), trained_predictor, 5, 16)
+    result = run_strategy("astar", one_step_theorem(), oracle_model(), trained_predictor, 5, 16)
     record = result.to_record("refl", "astar")
     assert record["theorem_id"] == "refl" and record["strategy"] == "astar"
     assert record["status"] == PROVED and record["proof"] == "reflexivity"
@@ -477,14 +462,14 @@ class _ReferenceNode:
     path_prob: float = 1.0
 
 
-def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, order):
+def _reference_priority_search(thm, model, predictor, n, budget, depth_limit, order):
     """The priority loop as it was when A* and best-first each chose their
     priority by an order string: "f", "value" or "probability"."""
     tally = search_module._Tally()
     root = _ReferenceNode(Hyperstate((thm.statement,)), (), 0, 0.0, 0.0, 0)
     if order == "f":
         try:
-            root.h = scorer.hyperstate_steps(root.hyperstate)
+            root.h = _hyperstate_steps(model, root.hyperstate)
         except UndefinedStepsError:
             return tally.result(EXHAUSTED)
         root.f = root.h
@@ -493,7 +478,7 @@ def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, o
         if order == "f":
             return node.f
         if order == "value":
-            return -scorer.hyperstate_value(node.hyperstate)
+            return -_hyperstate_value(model, node.hyperstate)
         return -node.path_prob
 
     seq = 0
@@ -515,7 +500,7 @@ def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, o
             child = _ReferenceNode(hyperstate, node.script + (tactic,), node.g + 1, 0.0, 0.0, 0, node.path_prob * prob)
             if order == "f" and not hyperstate.is_empty:
                 try:
-                    child.h = scorer.hyperstate_steps(hyperstate)
+                    child.h = _hyperstate_steps(model, hyperstate)
                 except UndefinedStepsError:
                     continue
             child.f = f_score(child.g, child.h)
@@ -544,26 +529,21 @@ def _reference_priority_search(thm, scorer, predictor, n, budget, depth_limit, o
 def test_priority_loop_matches_the_order_string_loop(
     cold_predictor, corpus_seed, pick, oracle_depth, model_seed, ranking, width, budget, depth_cap
 ):
-    # The oracle scorer values an obligation it cannot prove within its
+    # The oracle stand-in values an obligation it cannot prove within its
     # depth at 0, so A* meets dead roots and dead children; a ValueModel
-    # scorer values everything above 0. Caps of 1-8 tactics are reached.
+    # values everything above 0. Caps of 1-8 tactics are reached.
     entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
     theorem = entries[pick].theorem
     if oracle_depth is None:
-        value_scorer = ValueScorer.for_model(ValueModel(64, gamma=0.9, seed=model_seed))
+        model = ValueModel(64, gamma=0.9, seed=model_seed)
     else:
-        value_scorer = oracle_scorer(depth=oracle_depth)
-    runs = (
-        (astar_search, value_scorer, "f"),
-        (best_first_search, value_scorer, "value"),
-        (best_first_search, ProbabilityScorer(), "probability"),
-    )
-    for search, scorer, order in runs:
+        model = oracle_model(depth=oracle_depth)
+    for strategy, order in (("astar", "f"), ("bestfirst", "value"), ("bestfirst_prob", "probability")):
         predictor = cold_predictor() if ranking is None else RankedPredictor(ranking)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search_module, "SAFETY_DEPTH", depth_cap)
-            result = search(theorem, scorer, predictor, width, budget)
-        reference = _reference_priority_search(theorem, scorer, predictor, width, budget, depth_cap, order)
+            result = run_strategy(strategy, theorem, model, predictor, width, budget)
+        reference = _reference_priority_search(theorem, model, predictor, width, budget, depth_cap, order)
         assert result.to_record(theorem.id, order, include_wall=False) == reference.to_record(
             theorem.id, order, include_wall=False
         )

@@ -40,8 +40,8 @@ def test_the_benchmark_reads_the_strategy_table_through_cli():
 
 def test_every_strategy_expands_through_the_priority_loop(monkeypatch, trained_predictor):
     # the priority loop is the one place a tracer instruments search
-    from valueprover import search
-    from valueprover.env import Theorem, parse_obligation
+    from valueprover import search, trainer
+    from valueprover.env import Theorem, parse_obligation, parse_script
     from valueprover.value_model import ValueModel
 
     calls = []
@@ -57,6 +57,11 @@ def test_every_strategy_expands_through_the_priority_loop(monkeypatch, trained_p
     for strategy in search.EVAL_STRATEGIES:
         assert search.run_strategy(strategy, theorem, model, trained_predictor, 5, 64).proved, strategy
     assert len(calls) == len(search.EVAL_STRATEGIES) == 6
+    # training validation searches through the same loop, once per task
+    task = trainer.TrainingTask(theorem.statement, parse_script("simpl; reflexivity"))
+    config = trainer.TrainerConfig(seed=0)
+    assert trainer._validation_success(model, trained_predictor, [task, task], config) == 1.0
+    assert len(calls) == 8
 
 
 def test_every_traced_cache_reports_its_hits():
@@ -180,3 +185,19 @@ def test_the_value_model_encodes_through_the_module_name(monkeypatch):
     assert model.encode(ob).tobytes() == encode_hashed(ob, 16, 3).tobytes()
     model.v_value(ob)
     assert calls == [(16, 3)]
+
+
+def test_every_exported_name_resolves():
+    # a function deleted from a module must leave its __all__ too
+    import importlib
+    import pkgutil
+
+    import valueprover
+
+    modules = [info.name for info in pkgutil.iter_modules(valueprover.__path__)]
+    assert "search" in modules
+    for name in modules:
+        module = importlib.import_module(f"valueprover.{name}")
+        assert hasattr(module, "__all__"), f"valueprover.{name} has no __all__"
+        missing = [export for export in module.__all__ if not hasattr(module, export)]
+        assert not missing, f"valueprover.{name}.__all__ names {missing}"

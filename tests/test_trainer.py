@@ -17,6 +17,7 @@ from valueprover.env import (
     apply_tactic,
     parse_obligation,
     parse_script,
+    replay_script,
 )
 from valueprover.predictor import predict_top_n
 from valueprover.trainer import (
@@ -127,7 +128,8 @@ def test_run_episode_full_prefix_is_pure_replay(worked_theorem):
     transitions, discharged = run_episode(
         task, _model(), actions, config, task.demo_length, random.Random(0), epsilon=1.0
     )
-    assert [t.action for t in transitions] == list(script.steps)
+    # one transition from each obligation the script opens, in its order
+    assert [t.source for t in transitions] == [before.first for before, _, _ in replay_script(thm, script)]
     assert not any(t.dead_end for t in transitions)
     by_canon = {ob.canonical(): length for ob, length in discharged}
     assert by_canon[thm.statement.canonical()] == 7
@@ -143,8 +145,7 @@ def test_run_episode_agent_supplies_last_step(worked_theorem):
         task, _model(), actions, config, task.demo_length - 1, random.Random(0), epsilon=0.0
     )
     # the final state only admits reflexivity, so greedy completes the proof
-    assert len(transitions) == 7
-    assert transitions[-1].action == parse_script("reflexivity").steps[0]
+    assert [t.source for t in transitions] == [before.first for before, _, _ in replay_script(thm, script)]
     assert dict((ob.canonical(), n) for ob, n in discharged)[thm.statement.canonical()] == 7
 
 
@@ -282,7 +283,7 @@ def test_learner_true_target_min_rule():
     learner.ingest([], [(state, 9)])
     assert learner.true_targets.length_of(learner.table.intern(state)) == 3
     dead = parse_obligation("|- Zero = Succ(Zero)")
-    learner.ingest([Transition(dead, None, (), dead_end=True)], [])
+    learner.ingest([Transition(dead, dead_end=True)], [])
     assert learner.table.intern(dead) in learner.negatives and len(learner.replay) == 1
     assert len(learner.table.obligations) == 2
 
