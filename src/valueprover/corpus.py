@@ -41,7 +41,7 @@ GENERATION_DEPTH = 10
 MAX_NUMERAL = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusEntry:
     theorem: Theorem
     proof: ProofScript
@@ -51,7 +51,7 @@ class CorpusEntry:
         return len(self.proof.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusSplit:
     train: tuple[CorpusEntry, ...]
     test: tuple[CorpusEntry, ...]

@@ -4,9 +4,11 @@ fixed-dimension real vectors.
 
 Each gram's bucket and sign come from a blake2b digest of the salted gram.
 Grams repeat across obligations, so each (salt, dim) keeps one gram table
-from gram to (bucket, sign): a unigram is keyed by its token and a bigram by
-its token pair, so a bigram's text and digest are built only the first time
-it is seen. Vectors are memoized per canonical text.
+from gram to an int slot, the bucket for a plus sign or the bucket plus dim
+for a minus sign: a unigram is keyed by its token and a bigram by its token
+pair, so a bigram's text and digest are built only the first time it is
+seen. Each canonical text is encoded once per process into one read-only
+float64 array, which every caller shares.
 """
 
 from __future__ import annotations
@@ -33,27 +35,28 @@ def tokenize_obligation(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _bucket(gram: str, salt: int, dim: int) -> tuple[int, float]:
+def _bucket(gram: str, salt: int, dim: int) -> int:
+    """The gram's slot: its bucket, plus dim when its sign is minus."""
     digest = hashlib.blake2b(f"{salt}:{gram}".encode(), digest_size=8).digest()
     value = int.from_bytes(digest, "big")
-    sign = 1.0 if value & 1 == 0 else -1.0
-    return (value >> 1) % dim, sign
+    bucket = (value >> 1) % dim
+    return bucket if value & 1 == 0 else bucket + dim
 
 
 class _GramTable(dict):
-    """gram -> (bucket, sign) for one (salt, dim), filled on first sight and
-    holding at most CACHE_SIZE grams."""
+    """gram -> slot for one (salt, dim), filled on first sight and holding at
+    most CACHE_SIZE grams."""
 
     def __init__(self, salt: int, dim: int):
         super().__init__()
         self.salt = salt
         self.dim = dim
 
-    def __missing__(self, gram: str | tuple[str, str]) -> tuple[int, float]:
+    def __missing__(self, gram: str | tuple[str, str]) -> int:
         text = gram if type(gram) is str else f"{gram[0]}\x1f{gram[1]}"
-        entry = _bucket(text, self.salt, self.dim)
-        cache_put(self, gram, entry)
-        return entry
+        slot = _bucket(text, self.salt, self.dim)
+        cache_put(self, gram, slot)
+        return slot
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -62,24 +65,24 @@ def _gram_table(salt: int, dim: int) -> _GramTable:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _hashed_vector(canonical: str, dim: int, salt: int) -> tuple[float, ...]:
+def _hashed_vector(canonical: str, dim: int, salt: int) -> np.ndarray:
     tokens = tokenize_obligation(canonical)
     grams = chain(tokens, zip(tokens, tokens[1:]))
-    # sums of +-1.0 and the final division are exact IEEE operations, so
-    # Python floats give the same bits as adding into a numpy array gram by
+    counts = np.bincount(list(map(_gram_table(salt, dim).__getitem__, grams)), minlength=2 * dim)
+    # sums of +-1 are integers, and the division is one IEEE operation per
+    # entry, so this gives the same bits as adding into the array gram by
     # gram and dividing it by its max-norm
-    sums = [0.0] * dim
-    for index, sign in map(_gram_table(salt, dim).__getitem__, grams):
-        sums[index] += sign
-    peak = max(map(abs, sums))
+    sums = (counts[:dim] - counts[dim:]).astype(float)
+    peak = np.abs(sums).max()
     if peak > 0:
-        return tuple(map(peak.__rtruediv__, sums))
-    return tuple(sums)
+        sums /= peak
+    sums.flags.writeable = False
+    return sums
 
 
 def encode_hashed(ob: Obligation, dim: int = 64, salt: int = 0) -> np.ndarray:
-    """Signed token-hashing encoding, scaled to unit max-norm."""
+    """Signed token-hashing encoding, scaled to unit max-norm: a read-only
+    array shared by every call with the same canonical text, dim and salt."""
     if dim < MIN_ENCODING_DIM:
         raise ValueError(f"encoding dimension must be at least {MIN_ENCODING_DIM}")
-    return np.array(_hashed_vector(ob.canonical(), dim, salt))
-
+    return _hashed_vector(ob.canonical(), dim, salt)

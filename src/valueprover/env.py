@@ -45,6 +45,7 @@ __all__ = [
     "TEMPLATE_INDEX",
     "ARG_TEMPLATES",
     "PLAIN_TACTICS",
+    "argument_tactic",
     "CACHE_SIZE",
     "cache_put",
     "format_obligation",
@@ -78,19 +79,19 @@ def cache_put(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     name: str
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obligation:
     binders: tuple[str, ...]
     context: tuple[ContextVar | Hypothesis, ...]
@@ -132,7 +133,7 @@ class Obligation:
         return frozenset(names)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Hyperstate:
     """All open obligations, in script order.
 
@@ -167,7 +168,7 @@ class Hyperstate:
         return hash(self.canonical_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tactic:
     template: str
     argument: str | None = None
@@ -194,7 +195,15 @@ class Tactic:
 PLAIN_TACTICS = {template: Tactic(template) for template in TEMPLATES if template not in ARG_TEMPLATES}
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=CACHE_SIZE)
+def argument_tactic(template: str, argument: str) -> Tactic:
+    """One shared tactic per (template, argument), for enumerate_applicable
+    and the predictor's argument rule: each pair is checked once, not once
+    per expansion or prediction."""
+    return Tactic(template, argument)
+
+
+@dataclass(frozen=True, slots=True)
 class ProofScript:
     steps: tuple[Tactic, ...] = ()
 
@@ -205,7 +214,7 @@ class ProofScript:
         return format_script(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theorem:
     """A named statement: binders plus a goal, with an empty context."""
 
@@ -530,9 +539,9 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     cache never stores, are tried once per process rather than per call.
     """
     candidates: list[Tactic] = [PLAIN_TACTICS["intros"]]
-    candidates.extend(Tactic("induction", v) for v in ob.context_vars())
+    candidates.extend(argument_tactic("induction", v) for v in ob.context_vars())
     candidates.append(PLAIN_TACTICS["simpl"])
-    candidates.extend(Tactic("rewrite", h.name) for h in ob.hypotheses())
+    candidates.extend(argument_tactic("rewrite", h.name) for h in ob.hypotheses())
     candidates.append(PLAIN_TACTICS["f_equal"])
     candidates.append(PLAIN_TACTICS["reflexivity"])
     return tuple(applicable_among(ob, candidates))

@@ -28,7 +28,7 @@ __all__ = [
 ActionProvider = Callable[[Obligation], Iterable[Tactic]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     provable: bool
     shortest_script: ProofScript | None

@@ -19,6 +19,7 @@ from .env import (
     Hypothesis,
     Obligation,
     Tactic,
+    argument_tactic,
     cache_put,
 )
 from .terms import Plus, Succ, Term, Var, Zero, occurs
@@ -127,7 +128,7 @@ def featurize(ob: Obligation) -> np.ndarray:
     return np.array(_scan(ob)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TacticPrediction:
     tactic: Tactic
     probability: float
@@ -216,10 +217,10 @@ def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     """
     if template == "induction":
         var = _scan(ob)[1]
-        return Tactic("induction", var) if var is not None else None
+        return argument_tactic("induction", var) if var is not None else None
     if template == "rewrite":
         hyp = _scan(ob)[2]
-        return Tactic("rewrite", hyp.name) if hyp is not None else None
+        return argument_tactic("rewrite", hyp.name) if hyp is not None else None
     return PLAIN_TACTICS.get(template) or Tactic(template)
 
 

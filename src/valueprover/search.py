@@ -57,7 +57,7 @@ def f_score(g: int, h: float) -> float:
     return g + h
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     hyperstate: Hyperstate
     script: tuple[Tactic, ...]

@@ -34,28 +34,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """Base class; concrete terms are Zero, Succ, Plus or Var."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Succ(Term):
     child: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 

@@ -59,7 +59,7 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingTask:
     obligation: Obligation
     demo_script: ProofScript

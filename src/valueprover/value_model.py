@@ -361,7 +361,7 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: Obligation
     dead_end: bool = False

@@ -37,6 +37,23 @@ def test_hashed_salt_changes_vectors():
         encode_hashed(ob, 4, 0)
 
 
+def test_each_encoding_is_one_shared_read_only_array():
+    from valueprover.value_model import ValueModel
+
+    text = "forall n, |- Plus(Var(n),Zero) = Var(n)"
+    vec = encode_hashed(parse_obligation(text), 64, 0)
+    assert vec.dtype == np.float64 and vec.nbytes == 512
+    assert vec.base is None  # owns its 512 bytes, keeps no larger buffer alive
+    assert not vec.flags.writeable
+    # another obligation with the same canonical text shares the array
+    assert encode_hashed(parse_obligation(text), 64, 0) is vec
+    assert ValueModel(64, seed=0).encode(parse_obligation(text)) is vec
+    with pytest.raises(ValueError):
+        vec[0] = 0.5
+    with pytest.raises(ValueError):
+        vec /= 2.0
+
+
 def _reference_encoding(canonical, dim, salt):
     """The encoder's original loop: one blake2b digest per gram, added into
     the array gram by gram."""

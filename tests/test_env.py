@@ -374,3 +374,20 @@ def test_argument_free_tactics_are_shared_across_obligations():
     closed = enumerate_applicable(ob("|- Succ(Zero) = Succ(Zero)"))
     assert [str(t) for t, _ in closed] == ["f_equal", "reflexivity"]
     assert closed[1][0] is enumerate_applicable(ob("|- Zero = Zero"))[0][0]
+
+
+def test_argument_tactics_are_shared_across_obligations_and_predictions():
+    from valueprover import env
+    from valueprover.predictor import resolve_argument
+
+    assert env.argument_tactic.cache_info().maxsize == CACHE_SIZE
+    assert env.argument_tactic("rewrite", "IH") is env.argument_tactic("rewrite", "IH")
+    assert env.argument_tactic("induction", "n") == Tactic("induction", "n")
+    with pytest.raises(ValueError):
+        env.argument_tactic("induction", "Zero")
+    first = ob("n |- Plus(Var(n),Zero) = Var(n)")
+    second = ob("n, IH : Var(n) = Zero |- Succ(Var(n)) = Succ(Zero)")
+    tactics = {str(t): t for ob_ in (first, second) for t, _ in enumerate_applicable(ob_)}
+    assert tactics["rewrite IH"] is env.argument_tactic("rewrite", "IH")
+    assert tactics["induction n"] is resolve_argument("induction", first) is env.argument_tactic("induction", "n")
+    assert resolve_argument("rewrite", second) is env.argument_tactic("rewrite", "IH")

@@ -201,3 +201,32 @@ def test_every_exported_name_resolves():
         assert hasattr(module, "__all__"), f"valueprover.{name} has no __all__"
         missing = [export for export in module.__all__ if not hasattr(module, export)]
         assert not missing, f"valueprover.{name}.__all__ names {missing}"
+
+
+def test_every_frozen_value_class_is_slotted():
+    # the caches keep every term, obligation and tactic a search meets for
+    # the life of a process, so none of them may carry a per-instance dict
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import valueprover
+    from valueprover.search import SearchNode
+
+    classes = {SearchNode}
+    for info in pkgutil.iter_modules(valueprover.__path__):
+        module = importlib.import_module(f"valueprover.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and dataclasses.is_dataclass(value)
+                and value.__dataclass_params__.frozen
+            ):
+                classes.add(value)
+    names = {cls.__name__ for cls in classes}
+    assert {"Term", "Succ", "Obligation", "Tactic", "Transition", "SearchNode"} <= names
+    for cls in classes:
+        name = f"{cls.__module__}.{cls.__name__}"
+        assert "__slots__" in vars(cls), f"{name} defines no __slots__"
+        assert not hasattr(object.__new__(cls), "__dict__"), f"{name} instances have a __dict__"
