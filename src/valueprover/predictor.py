@@ -184,9 +184,10 @@ def cross_entropy_loss_and_grads(
 
 def train_predictor(
     train: list[tuple[Obligation, Tactic]],
-    epochs: int = 200,
-    learning_rate: float = 0.5,
-    seed: int = 0,
+    *,
+    epochs: int,
+    learning_rate: float,
+    seed: int,
 ) -> Predictor:
     """Full-batch gradient descent on template cross-entropy.
 

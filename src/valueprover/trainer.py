@@ -17,15 +17,14 @@ against the learner's own model, so a run is bit-reproducible per seed.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
 from .corpus import CorpusSplit
-from .encoder import MIN_ENCODING_DIM
 from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic, extract_subproof_tasks
 from .oracle import reproducible_under_predictor
 from .predictor import FEATURE_NAMES, Predictor
@@ -56,7 +55,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,25 +74,19 @@ def _is_number(value) -> bool:
 
 @dataclass
 class TrainerConfig:
+    """The settings of a training run that a caller sets.
+
+    The fields are what the CLI and the benchmark set, and a checkpoint
+    records them. The class constants below them are the method's fixed
+    settings: they are not fields, so no caller sets them and no checkpoint
+    records them.
+    """
+
     gamma: float = 0.9
     width: int = 5
     seed: int = 0
     test_ratio: float = 0.25
-    # epsilon schedule: linear from start to end over decay_episodes
-    # (defaulting to half the run), then constant.
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.1
-    epsilon_decay_episodes: int | None = None
-    episode_budget: int = 20
-    episodes_per_prefix: int = 2
     rl_epochs: int = 1
-    updates_per_episode: int = 4
-    batch_size: int = 32
-    replay_fraction: float = 0.5
-    true_fraction: float = 0.25
-    negative_fraction: float = 0.25
-    replay_capacity: int = 4096
-    learning_rate: float = 0.02
     # left from the removed actor/learner mode; train accepts only 1
     actor_count: int = 1
     # tasks with demo length <= min_drop or >= max_drop are filtered out
@@ -101,13 +94,29 @@ class TrainerConfig:
     max_drop_length: int = 6
     subproof_tasks: bool = True
     pretrain_epochs: int = 800
-    pretrain_learning_rate: float = 0.02
-    validation_tasks: int = 8
-    encoder_dim: int = 64
-    encoder_salt: int = 0
-    hidden_dim: int = 32
-    predictor_epochs: int = 250
-    predictor_learning_rate: float = 0.5
+
+    # A checkpoint does not record these, so changing one changes what every
+    # checkpoint means: bump CHECKPOINT_VERSION with it.
+    # epsilon falls linearly from start to end over half the run, then stays.
+    epsilon_start: ClassVar[float] = 1.0
+    epsilon_end: ClassVar[float] = 0.1
+    episode_budget: ClassVar[int] = 20
+    episodes_per_prefix: ClassVar[int] = 2
+    updates_per_episode: ClassVar[int] = 4
+    batch_size: ClassVar[int] = 32
+    # the batch mix: replay, true-target and negative shares, summing to 1
+    replay_fraction: ClassVar[float] = 0.5
+    true_fraction: ClassVar[float] = 0.25
+    negative_fraction: ClassVar[float] = 0.25
+    replay_capacity: ClassVar[int] = 4096
+    learning_rate: ClassVar[float] = 0.02
+    pretrain_learning_rate: ClassVar[float] = 0.02
+    validation_tasks: ClassVar[int] = 8
+    encoder_dim: ClassVar[int] = 64
+    encoder_salt: ClassVar[int] = 0
+    hidden_dim: ClassVar[int] = 32
+    predictor_epochs: ClassVar[int] = 250
+    predictor_learning_rate: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         # A loaded checkpoint can hold any JSON value, NaN and infinities
@@ -120,42 +129,20 @@ class TrainerConfig:
             if f.type == "bool":
                 if not isinstance(value, bool):
                     raise ValueError(f"{f.name} must be true or false")
-            elif not (value is None and f.type == "int | None") and not _is_number(value):
+            elif not _is_number(value):
                 raise ValueError(f"{f.name} must be a number")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("test_ratio", "epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("learning_rate", "pretrain_learning_rate", "predictor_learning_rate"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        # epsilon_decay_episodes 0 means a constant epsilon_end
-        if self.epsilon_decay_episodes is not None and not self.epsilon_decay_episodes >= 0:
-            raise ValueError("epsilon_decay_episodes must be at least 0")
-        for name in ("seed", "rl_epochs", "pretrain_epochs", "predictor_epochs", "validation_tasks"):
+        if not 0.0 <= self.test_ratio <= 1.0:
+            raise ValueError("test_ratio must lie in [0, 1]")
+        for name in ("seed", "rl_epochs", "pretrain_epochs"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be at least 0")
-        for name in (
-            "width",
-            "actor_count",
-            "episode_budget",
-            "episodes_per_prefix",
-            "updates_per_episode",
-            "batch_size",
-            "replay_capacity",
-            "hidden_dim",
-        ):
+        for name in ("width", "actor_count"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.encoder_dim >= MIN_ENCODING_DIM:
-            raise ValueError(f"encoder_dim must be at least {MIN_ENCODING_DIM}")
-        fractions = (self.replay_fraction, self.true_fraction, self.negative_fraction)
-        if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
-            raise ValueError("batch mix fractions must be nonnegative and sum to 1")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("int") and value is not None and not isinstance(value, int):
+            if f.type == "int" and not isinstance(getattr(self, f.name), int):
                 raise ValueError(f"{f.name} must be an integer")
 
     def to_dict(self) -> dict:
@@ -289,12 +276,7 @@ def run_episode(
 
 
 def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
-    decay = config.epsilon_decay_episodes
-    if decay is None:
-        decay = max(1, total // 2)
-    if decay <= 0:
-        return config.epsilon_end
-    frac = min(1.0, episode / decay)
+    frac = min(1.0, episode / max(1, total // 2))
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
 
 
@@ -463,8 +445,9 @@ _PARAMETERS = (
 
 
 def save_checkpoint(path: str, model: ValueModel, predictor: Predictor, config: TrainerConfig) -> None:
-    """The config holds every setting; the predictor and value_model
-    sections hold only weights, whose shapes the config gives."""
+    """The config holds every setting a caller sets; the predictor and
+    value_model sections hold only weights, whose shapes the config and its
+    class constants give."""
     owners = {"value_model": model, "predictor": predictor}
     payload = {"version": CHECKPOINT_VERSION, "config": config.to_dict()}
     for section, name, _ in _PARAMETERS:

@@ -309,8 +309,9 @@ def bellman_target(model: ValueModel, table: ObligationTable, sources: Sequence[
 def pretrain(
     model: ValueModel,
     tasks: list[tuple[Obligation, int]],
-    epochs: int = 400,
-    learning_rate: float = 0.02,
+    *,
+    epochs: int,
+    learning_rate: float,
 ) -> list[float]:
     """Supervised regression of each task obligation to gamma^length.
 

@@ -251,22 +251,18 @@ def test_criterion_7_greedy_value_vs_probability():
     _verdict(7, "greedy value >= greedy probability (>=4/5 seeds)", wins >= 4)
 
 
-def test_criterion_8_negative_example_convergence():
-    _, _, model, report, _ = _trained_run(
-        (10, 8, 22),
-        11,
-        0,
-        dict(
-            rl_epochs=5,
-            episodes_per_prefix=3,
-            epsilon_end=0.4,
-            learning_rate=0.5,
-            updates_per_episode=8,
-            replay_fraction=0.25,
-            true_fraction=0.25,
-            negative_fraction=0.5,
-        ),
-    )
+def test_criterion_8_negative_example_convergence(monkeypatch):
+    for name, value in dict(
+        episodes_per_prefix=3,
+        epsilon_end=0.4,
+        learning_rate=0.5,
+        updates_per_episode=8,
+        replay_fraction=0.25,
+        true_fraction=0.25,
+        negative_fraction=0.5,
+    ).items():
+        monkeypatch.setattr(TrainerConfig, name, value)
+    _, _, model, report, _ = _trained_run((10, 8, 22), 11, 0, dict(rl_epochs=5))
     dead_ends = [parse_obligation(text) for text in report.negative_obligations]
     rng = random.Random(0)
     sample = dead_ends if len(dead_ends) <= 40 else rng.sample(dead_ends, 40)

@@ -12,6 +12,7 @@ import valueprover
 from valueprover import cli, oracle
 from valueprover.cli import EVAL_STRATEGIES, WIDTH_SWEEP, main
 from valueprover.env import TEMPLATES, Theorem, parse_obligation, parse_script, script_is_valid
+from valueprover.trainer import TrainerConfig
 
 
 def rows_from_tsv(text: str) -> list[dict]:
@@ -236,14 +237,12 @@ def test_checkpoint_predictor_shape_is_checked(tiny_checkpoint, tmp_path, capsys
     assert "predictor.weights has shape" in capsys.readouterr().err
 
 
-def test_checkpoint_encoder_dim_must_match_the_value_model(tiny_checkpoint, tmp_path, capsys):
-    # the config records the dimension once; w_hidden must have that many columns
-    def edit(payload):
-        payload["config"]["encoder_dim"] += 1
-
-    config = json.loads(tiny_checkpoint.read_text())["config"]
-    hidden, dim = config["hidden_dim"], config["encoder_dim"]
-    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
+def test_checkpoint_encoder_dim_must_match_the_value_model(tiny_checkpoint, tmp_path, capsys, monkeypatch):
+    # the class constant gives the dimension; w_hidden must have that many
+    # columns, so a checkpoint saved under another encoder_dim is refused
+    hidden, dim = TrainerConfig.hidden_dim, TrainerConfig.encoder_dim
+    monkeypatch.setattr(TrainerConfig, "encoder_dim", dim + 1)
+    assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, lambda payload: None) == 2
     expected = f"value_model.w_hidden has shape ({hidden}, {dim}), expected ({hidden}, {dim + 1})"
     assert expected in capsys.readouterr().err
 
@@ -277,10 +276,10 @@ def test_checkpoint_config_with_nan_is_refused(tiny_checkpoint, tmp_path, capsys
     # json writes and reads NaN; a NaN fails every comparison, so the
     # range checks must be written to reject it
     def edit(payload):
-        payload["config"]["learning_rate"] = math.nan
+        payload["config"]["gamma"] = math.nan
 
     assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
-    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+    assert "gamma must lie in (0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,6 +335,14 @@ def _set(section, key, value):
     return edit
 
 
+def _map(section, key, change):
+    def edit(payload):
+        payload[section][key] = change(payload[section][key])
+        return payload
+
+    return edit
+
+
 def _set_leaf(section, key, index, value):
     def edit(payload):
         row = payload[section][key]
@@ -347,10 +354,41 @@ def _set_leaf(section, key, index, value):
     return edit
 
 
+# The settings that the version-2 config recorded and that version 3 fixes
+# as TrainerConfig class constants; epsilon_decay_episodes, always None, is gone.
+_FIXED_SINCE_VERSION_3 = (
+    "epsilon_start",
+    "epsilon_end",
+    "episode_budget",
+    "episodes_per_prefix",
+    "updates_per_episode",
+    "batch_size",
+    "replay_fraction",
+    "true_fraction",
+    "negative_fraction",
+    "replay_capacity",
+    "learning_rate",
+    "pretrain_learning_rate",
+    "validation_tasks",
+    "encoder_dim",
+    "encoder_salt",
+    "hidden_dim",
+    "predictor_epochs",
+    "predictor_learning_rate",
+)
+
+
+def _version_2(payload):
+    """The payload in the version-2 layout, whose config also recorded the
+    fixed settings and epsilon_decay_episodes."""
+    fixed = {name: getattr(TrainerConfig, name) for name in _FIXED_SINCE_VERSION_3}
+    return {**payload, "version": 2, "config": {**payload["config"], **fixed, "epsilon_decay_episodes": None}}
+
+
 def _version_1(payload):
     """The payload in the version-1 layout, which recorded the encoder
     settings, gamma and hidden_dim a second time and the feature schema."""
-    config = payload["config"]
+    config = _version_2(payload)["config"]
     return {
         "version": 1,
         "config": {**config, "sync_interval": 16},
@@ -380,8 +418,14 @@ def _version_1(payload):
         (_set_leaf("value_model", "w_out", (0,), True), "value_model.w_out is not an array of numbers"),
         (_set_leaf("value_model", "w_hidden", (0, 0), None), "value_model.w_hidden is not an array of numbers"),
         (_set("predictor", "bias", [math.nan] * 6), "predictor.bias is not finite"),
-        (_set("config", "encoder_dim", 4), "encoder_dim must be at least 8"),
-        (_set("config", "hidden_dim", 33), "value_model.w_hidden has shape (32, 64), expected (33, 64)"),
+        (
+            _map("value_model", "w_hidden", lambda rows: [row + [0.0] for row in rows]),
+            "value_model.w_hidden has shape (32, 65), expected (32, 64)",
+        ),
+        (
+            _map("value_model", "w_hidden", lambda rows: rows + rows[:1]),
+            "value_model.w_hidden has shape (33, 64), expected (32, 64)",
+        ),
     ],
     ids=[
         "malformed-json",
@@ -411,10 +455,20 @@ def test_every_checkpoint_error_names_the_file(tiny_checkpoint, tmp_path, capsys
 
 def test_checkpoint_config_with_a_missing_key_is_refused(tiny_checkpoint, tmp_path, capsys):
     def edit(payload):
-        del payload["config"]["hidden_dim"]
+        del payload["config"]["pretrain_epochs"]
 
     assert _prove_with_edited_checkpoint(tiny_checkpoint, tmp_path, edit) == 2
-    assert "missing trainer config keys: hidden_dim" in capsys.readouterr().err
+    assert "missing trainer config keys: pretrain_epochs" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_version_2_checkpoint_and_writes_nothing(tiny_checkpoint, tiny_corpus, tmp_path, capsys):
+    # a version-2 config also holds the settings that are class constants now
+    path = tmp_path / "v2.ckpt"
+    path.write_text(json.dumps(_version_2(json.loads(tiny_checkpoint.read_text()))))
+    report = tmp_path / "report"
+    assert main(["eval", "--checkpoint", str(path), "--corpus", str(tiny_corpus), "--out", str(report)]) == 2
+    assert f"valueprover: checkpoint {path}: incompatible checkpoint version 2" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["v2.ckpt"]
 
 
 def test_train_negative_seed_is_refused_before_loading_the_corpus(tmp_path, capsys):
@@ -581,11 +635,11 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
 # checkpoint and report catch float drift in the weights that leaves the eval
 # rows unchanged. The float bits, and so these hashes, depend on the numpy
 # build and its BLAS: they were taken with numpy 2.4.6. The checkpoint and
-# report pins were re-taken for checkpoint version 2, which records each
-# setting once; every weight kept its JSON text, and the report lost only its
-# actor_count and config.sync_interval keys.
-BASELINE_CHECKPOINT_SHA256 = "9fa6b798cddd08a19eee3c54994f7e4b8bb0425803f50b23b26e9911c3c95656"
-BASELINE_REPORT_SHA256 = "b5e71b1cf2fc7756c1d9bb03177b25296f203ba3fd3e77f1641cd928a8eb2243"
+# report pins were re-taken for checkpoint version 3, whose config holds only
+# the settings a caller sets; every weight kept its JSON text, and the
+# checkpoint and report changed only in the version and the config keys.
+BASELINE_CHECKPOINT_SHA256 = "71979414906b2ea3e7fb303a5650ccff730bd3dbba7a8811e936fbd66cafdbba"
+BASELINE_REPORT_SHA256 = "ad80f570ee46f70185e65fc1a0964c6db9a0335030821573204f51203b3cd2f2"
 BASELINE_EVAL_ROWS_SHA256 = "fede3b61ccdbf792e5393f4d8b31d744bd949b8994f765d8a3a46a4ed379bf85"
 
 

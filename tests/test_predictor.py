@@ -56,14 +56,14 @@ def test_featurize_deterministic():
 
 def test_single_pair_is_learned():
     ob = parse_obligation("|- Zero = Zero")
-    predictor = train_predictor([(ob, Tactic("reflexivity"))] * 4, epochs=200, seed=0)
+    predictor = train_predictor([(ob, Tactic("reflexivity"))] * 4, epochs=200, learning_rate=0.5, seed=0)
     assert predict_top_n(predictor, ob, 1)[0].tactic == Tactic("reflexivity")
 
 
 def test_zero_learning_rate_keeps_initialization():
     ob = parse_obligation("|- Zero = Zero")
     trained = train_predictor([(ob, Tactic("reflexivity"))], epochs=50, learning_rate=0.0, seed=3)
-    fresh = train_predictor([(ob, Tactic("reflexivity"))], epochs=0, seed=3)
+    fresh = train_predictor([(ob, Tactic("reflexivity"))], epochs=0, learning_rate=0.5, seed=3)
     assert np.array_equal(trained.weights, fresh.weights)
     assert np.array_equal(trained.bias, fresh.bias)
 
@@ -80,7 +80,7 @@ def test_training_deterministic_and_loss_improves(small_split, trained_predictor
 
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError):
-        train_predictor([])
+        train_predictor([], epochs=200, learning_rate=0.5, seed=0)
 
 
 def test_predict_top_n_shapes(trained_predictor):

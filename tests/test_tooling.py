@@ -86,7 +86,7 @@ def test_train_runs_each_episode_through_the_module_name(monkeypatch):
         return run_episode(task, *rest)
 
     monkeypatch.setattr(trainer, "run_episode", counted)
-    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
+    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(monkeypatch, rl_epochs=2))
     assert report.episodes > 0 and len(played) == report.episodes
 
 
@@ -112,7 +112,7 @@ def test_train_runs_each_update_through_the_traced_names(monkeypatch):
 
     monkeypatch.setattr(trainer, "bellman_target", counted_target)
     monkeypatch.setattr(value_model.ValueModel, "update_batch", counted_update)
-    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(rl_epochs=2))
+    _, report = trainer.train(_tiny_split(), NO_F_EQUAL, _fast_config(monkeypatch, rl_epochs=2))
     assert report.updates > 0
     assert calls == {"bellman_target": report.updates, "update_batch": report.updates}
 
@@ -137,7 +137,7 @@ def test_every_tracer_only_import_names_a_traced_row():
     assert found
 
 
-def test_every_checkpoint_parameter_is_an_attribute_of_its_owner():
+def test_every_checkpoint_parameter_is_an_attribute_of_its_owner(monkeypatch):
     # save_checkpoint and load_checkpoint move each parameter of
     # trainer._PARAMETERS by its name, so each row must name an attribute of
     # a freshly built owner, with the row's shape under the owner's config,
@@ -149,7 +149,9 @@ def test_every_checkpoint_parameter_is_an_attribute_of_its_owner():
     from valueprover.predictor import FEATURE_NAMES, Predictor
     from valueprover.value_model import ValueModel
 
-    config = trainer.TrainerConfig(encoder_dim=16, hidden_dim=8)
+    monkeypatch.setattr(trainer.TrainerConfig, "encoder_dim", 16)
+    monkeypatch.setattr(trainer.TrainerConfig, "hidden_dim", 8)
+    config = trainer.TrainerConfig()
     owners = {
         "value_model": ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed),
         "predictor": Predictor(np.zeros((len(TEMPLATES), len(FEATURE_NAMES))), np.zeros(len(TEMPLATES))),
@@ -230,3 +232,20 @@ def test_every_frozen_value_class_is_slotted():
         name = f"{cls.__module__}.{cls.__name__}"
         assert "__slots__" in vars(cls), f"{name} defines no __slots__"
         assert not hasattr(object.__new__(cls), "__dict__"), f"{name} instances have a __dict__"
+
+
+def test_every_trainer_config_field_is_set_by_a_caller(monkeypatch):
+    # a setting that no caller sets is a TrainerConfig class constant, not a
+    # field: the fields are what cli._config_from_args passes, plus the
+    # actor_count that bench/worker.py still passes
+    import dataclasses
+
+    from valueprover import cli, trainer
+
+    passed = []
+    monkeypatch.setattr(cli, "TrainerConfig", lambda **settings: passed.append(set(settings)))
+    cli._config_from_args(cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"]), rl=True)
+    fields = {f.name for f in dataclasses.fields(trainer.TrainerConfig)}
+    assert fields == passed[0] | {"actor_count"}
+    # the training sweeps of ablate vary fields
+    assert {field for field, _ in cli._TRAINING_SWEEPS.values()} <= fields

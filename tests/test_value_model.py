@@ -293,9 +293,9 @@ def test_pretrain_targets_and_loss(model):
     assert model.v_value(tasks[0][0]) == pytest.approx(0.9**3, abs=0.02)
     assert model.v_value(tasks[1][0]) == pytest.approx(0.9, abs=0.02)
     with pytest.raises(ValueError):
-        pretrain(model, [], epochs=1)
+        pretrain(model, [], epochs=1, learning_rate=0.02)
     with pytest.raises(ValueError):
-        pretrain(model, [(tasks[0][0], 0)], epochs=1)
+        pretrain(model, [(tasks[0][0], 0)], epochs=1, learning_rate=0.02)
 
 
 def test_gradients_match_finite_differences(model, small_corpus):
@@ -442,7 +442,8 @@ def _reference_pretrain(model, tasks, epochs, learning_rate):
 def test_pretrain_matches_the_reference_adam_loop(replay_obligations, data, epochs, learning_rate, hidden_dim, seed):
     tasks = data.draw(st.lists(st.tuples(st.sampled_from(replay_obligations), st.integers(1, 9)), min_size=1, max_size=8))
     model, reference = (ValueModel(16, 0.9, hidden_dim, seed) for _ in range(2))
-    assert pretrain(model, tasks, epochs, learning_rate) == _reference_pretrain(reference, tasks, epochs, learning_rate)
+    losses = pretrain(model, tasks, epochs=epochs, learning_rate=learning_rate)
+    assert losses == _reference_pretrain(reference, tasks, epochs, learning_rate)
     assert model.get_flat_params().tobytes() == reference.get_flat_params().tobytes()
     assert type(model.b_out) is float
 
