@@ -97,8 +97,10 @@ class Obligation:
     context: tuple[ContextVar | Hypothesis, ...]
     goal_lhs: Term
     goal_rhs: Term
-    # format_obligation(self), filled in by the first canonical() call; left
-    # out of equality and repr, which stay structural.
+    # format_obligation(self): set at construction for a child that only
+    # changes its parent's goal when the parent's text is known (_with_goal),
+    # else filled in by the first canonical() call. Left out of equality and
+    # repr, which stay structural.
     _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def canonical(self) -> str:
@@ -399,12 +401,25 @@ def _apply_induction(ob: Obligation, var: str) -> tuple[Obligation, ...]:
     return (base, step)
 
 
+def _with_goal(ob: Obligation, lhs: Term, rhs: Term) -> Obligation:
+    """`ob` with its goal replaced. When `ob`'s text is already known, the
+    child's is set too: `ob`'s text up to the goal, which the child shares,
+    then the new goal. No identifier or term text contains "|- ", so its
+    first occurrence is the separator."""
+    child = Obligation(ob.binders, ob.context, lhs, rhs)
+    text = ob._canonical
+    if text is not None:
+        head = text[: text.index("|- ") + 3]
+        object.__setattr__(child, "_canonical", f"{head}{format_term(lhs)} = {format_term(rhs)}")
+    return child
+
+
 def _apply_simpl(ob: Obligation) -> tuple[Obligation, ...]:
     lhs = normalize(ob.goal_lhs)
     rhs = normalize(ob.goal_rhs)
     if lhs is ob.goal_lhs and rhs is ob.goal_rhs:
         raise TacticError("simpl: the goal is already in normal form")
-    return (Obligation(ob.binders, ob.context, lhs, rhs),)
+    return (_with_goal(ob, lhs, rhs),)
 
 
 def _apply_rewrite(ob: Obligation, hyp_name: str) -> tuple[Obligation, ...]:
@@ -413,17 +428,17 @@ def _apply_rewrite(ob: Obligation, hyp_name: str) -> tuple[Obligation, ...]:
         raise TacticError(f"rewrite: no hypothesis named {hyp_name}")
     new_lhs = replace_leftmost_innermost(ob.goal_lhs, hyp.lhs, hyp.rhs)
     if new_lhs is not None:
-        return (Obligation(ob.binders, ob.context, new_lhs, ob.goal_rhs),)
+        return (_with_goal(ob, new_lhs, ob.goal_rhs),)
     new_rhs = replace_leftmost_innermost(ob.goal_rhs, hyp.lhs, hyp.rhs)
     if new_rhs is not None:
-        return (Obligation(ob.binders, ob.context, ob.goal_lhs, new_rhs),)
+        return (_with_goal(ob, ob.goal_lhs, new_rhs),)
     raise TacticError(f"rewrite: left-hand side of {hyp_name} does not occur in the goal")
 
 
 def _apply_f_equal(ob: Obligation) -> tuple[Obligation, ...]:
     if not (isinstance(ob.goal_lhs, Succ) and isinstance(ob.goal_rhs, Succ)):
         raise TacticError("f_equal: both goal sides must be Succ applications")
-    return (Obligation(ob.binders, ob.context, ob.goal_lhs.child, ob.goal_rhs.child),)
+    return (_with_goal(ob, ob.goal_lhs.child, ob.goal_rhs.child),)
 
 
 def _apply_reflexivity(ob: Obligation) -> tuple[Obligation, ...]:
@@ -432,8 +447,7 @@ def _apply_reflexivity(ob: Obligation) -> tuple[Obligation, ...]:
     return ()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def apply_tactic(ob: Obligation, tactic: Tactic) -> tuple[Obligation, ...]:
+def _apply(ob: Obligation, tactic: Tactic) -> tuple[Obligation, ...]:
     """Apply one tactic to one obligation.
 
     Returns the obligations it produces, in order; an empty tuple means the
@@ -452,6 +466,13 @@ def apply_tactic(ob: Obligation, tactic: Tactic) -> tuple[Obligation, ...]:
     if tactic.template == "reflexivity":
         return _apply_reflexivity(ob)
     raise TacticError(f"unknown template {tactic.template}")
+
+
+# The tactic rules memoized per (obligation, tactic) pair, for the callers
+# that meet the same pair again: replay, episodes and the predictor's action
+# caches. A raised TacticError is not stored. enumerate_applicable calls the
+# uncached _apply, as it has a memo of its own.
+apply_tactic = lru_cache(maxsize=CACHE_SIZE)(_apply)
 
 
 def step_hyperstate(h: Hyperstate, tactic: Tactic) -> Hyperstate:
@@ -518,16 +539,20 @@ def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obli
     return tasks  # type: ignore[return-value]
 
 
-def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
-    """The given tactics that apply to `ob` without error, in the given
-    order, with their results."""
+def _applicable(ob: Obligation, tactics: Iterable[Tactic], apply) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
     pairs = []
     for tactic in tactics:
         try:
-            pairs.append((tactic, apply_tactic(ob, tactic)))
+            pairs.append((tactic, apply(ob, tactic)))
         except TacticError:
             continue
     return pairs
+
+
+def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Tactic, tuple[Obligation, ...]]]:
+    """The given tactics that apply to `ob` without error, in the given
+    order, with their results, through apply_tactic's cache."""
+    return _applicable(ob, tactics, apply_tactic)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -535,8 +560,9 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     """Every tactic that applies to `ob` without error, with its results.
 
     Candidates follow the fixed template order, arguments in context order.
-    Memoized per obligation, so the failing candidates, which apply_tactic's
-    cache never stores, are tried once per process rather than per call.
+    Memoized per obligation, so each candidate is tried once per process;
+    this memo is the only cache an expansion goes through, as the candidates
+    are tried by the uncached _apply, not apply_tactic.
     """
     candidates: list[Tactic] = [PLAIN_TACTICS["intros"]]
     candidates.extend(argument_tactic("induction", v) for v in ob.context_vars())
@@ -544,4 +570,4 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     candidates.extend(argument_tactic("rewrite", h.name) for h in ob.hypotheses())
     candidates.append(PLAIN_TACTICS["f_equal"])
     candidates.append(PLAIN_TACTICS["reflexivity"])
-    return tuple(applicable_among(ob, candidates))
+    return tuple(_applicable(ob, candidates, _apply))

@@ -131,24 +131,30 @@ def _priority_search(
     priority raises UndefinedStepsError is dropped. A node `depth_cap`
     tactics deep is skipped when popped: it is neither counted nor expanded,
     though it still proves the goal if it is empty. Without `backtrack`
-    (greedy), popping a node forgets the queue and the enqueued set, so the
-    next node popped is this node's best child, which may be a hyperstate
-    expanded before.
+    (greedy), popping a node forgets the queue, so the next node popped is
+    this node's best child, which may be a hyperstate expanded before. Such
+    a walk keeps no enqueued set and does not value its root: the root is
+    popped first whatever its priority, and of equal siblings, which score
+    alike or, under the likeliest-path priority, no better than the first
+    one predicted, FIFO pops the first.
     """
     tally = _Tally()
     actions = ActionCache.of(predictor, n)
     root = SearchNode(start, (), 0)
-    try:
-        heap = [(priority(root), 0, root)]
-    except UndefinedStepsError:
-        return tally.result(EXHAUSTED)
-    enqueued = {start.canonical_key()}
+    root_priority = 0.0
+    enqueued = set()
+    if backtrack:
+        try:
+            root_priority = priority(root)
+        except UndefinedStepsError:
+            return tally.result(EXHAUSTED)
+        enqueued.add(start.canonical_key())
+    heap = [(root_priority, 0, root)]
     seq = 0
     while heap:
         _, _, node = heapq.heappop(heap)
         if not backtrack:
             heap.clear()
-            enqueued.clear()
         if node.hyperstate.is_empty:
             return tally.result(PROVED, node.script)
         if tally.expanded >= budget:
@@ -161,15 +167,16 @@ def _priority_search(
         rest = node.hyperstate.obligations[1:]
         for tactic, prob, produced in applicable:
             hyperstate = Hyperstate(produced + rest)
-            key = hyperstate.canonical_key()
-            if key in enqueued:
-                continue
+            if backtrack:
+                key = hyperstate.canonical_key()
+                if key in enqueued:
+                    continue
+                enqueued.add(key)
             child = SearchNode(hyperstate, node.script + (tactic,), node.g + 1, node.path_prob * prob)
             try:
                 score = priority(child)
             except UndefinedStepsError:
                 continue
-            enqueued.add(key)
             seq += 1
             heapq.heappush(heap, (score, seq, child))
     return tally.result(EXHAUSTED)

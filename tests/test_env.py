@@ -3,6 +3,7 @@ import inspect
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valueprover import env
 from valueprover.env import (
     CACHE_SIZE,
     ContextVar,
@@ -377,7 +378,6 @@ def test_argument_free_tactics_are_shared_across_obligations():
 
 
 def test_argument_tactics_are_shared_across_obligations_and_predictions():
-    from valueprover import env
     from valueprover.predictor import resolve_argument
 
     assert env.argument_tactic.cache_info().maxsize == CACHE_SIZE
@@ -391,3 +391,112 @@ def test_argument_tactics_are_shared_across_obligations_and_predictions():
     assert tactics["rewrite IH"] is env.argument_tactic("rewrite", "IH")
     assert tactics["induction n"] is resolve_argument("induction", first) is env.argument_tactic("induction", "n")
     assert resolve_argument("rewrite", second) is env.argument_tactic("rewrite", "IH")
+
+
+_GOAL_ONLY = frozenset({"simpl", "rewrite", "f_equal"})
+
+
+def _fresh(obligation):
+    """An equal obligation whose canonical text is not yet known."""
+    return Obligation(obligation.binders, obligation.context, obligation.goal_lhs, obligation.goal_rhs)
+
+
+def _assert_children_texts_are_exact(obligation):
+    # A child that only changes its parent's goal takes its text from the
+    # parent's when that is known, and every other child formats its own on
+    # first use; either way the text is that of an equal obligation built
+    # afresh. Both orders: the parent's text known before the tactic, or not.
+    tactics = [tactic for tactic, _ in enumerate_applicable(obligation)]
+    for parent_known in (False, True):
+        parent = _fresh(obligation)
+        if parent_known:
+            parent.canonical()
+        for tactic in tactics:
+            for child in env._apply(parent, tactic):
+                preset = child._canonical is not None
+                assert preset == (parent_known and tactic.template in _GOAL_ONLY), (tactic, parent_known)
+                assert child.canonical() == format_obligation(_fresh(child))
+        assert (parent._canonical is not None) == parent_known
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_child_texts_are_exact_on_corpus_obligations(expansion_frontier, data):
+    _assert_children_texts_are_exact(data.draw(st.sampled_from(expansion_frontier)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_obligations())
+def test_child_texts_are_exact_on_random_obligations(obligation):
+    _assert_children_texts_are_exact(obligation)
+
+
+def test_enumerate_applicable_does_not_touch_the_pair_cache():
+    # names no other test uses, so that enumerate_applicable misses its memo
+    obligations = [
+        ob("forall qa qb, |- Plus(Var(qa),Var(qb)) = Plus(Var(qb),Var(qa))"),
+        ob("qa, IH_qa : Plus(Var(qa),Zero) = Var(qa) |- Succ(Plus(Var(qa),Zero)) = Succ(Var(qa))"),
+        ob("qc |- Plus(Succ(Var(qc)),Zero) = Succ(Var(qc))"),
+    ]
+    memo_misses = enumerate_applicable.cache_info().misses
+    pairs = apply_tactic.cache_info()
+    for obligation in obligations:
+        assert enumerate_applicable(obligation)
+    assert enumerate_applicable.cache_info().misses == memo_misses + len(obligations)
+    assert apply_tactic.cache_info() == pairs
+    # the public entry point is still the bounded LRU the benchmark reads
+    assert apply_tactic.cache_info().maxsize == CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "text, tactic, message",
+    [
+        ("|- Zero = Zero", "intros", "intros: the obligation has no leading binders"),
+        ("forall n, |- Var(n) = Var(n)", "induction n", "induction: binders must be introduced first"),
+        ("|- Zero = Zero", "induction n", "induction: n is not an introduced variable"),
+        ("n m |- Var(m) = Var(m)", "induction n", "induction: n does not occur in the goal"),
+        (
+            "n', IH_n : Plus(Var(n'),Zero) = Var(n') |- Succ(Var(n')) = Succ(Var(n'))",
+            "induction n'",
+            "induction: n' occurs in hypothesis IH_n",
+        ),
+        ("|- Zero = Succ(Zero)", "simpl", "simpl: the goal is already in normal form"),
+        ("n |- Var(n) = Var(n)", "rewrite H", "rewrite: no hypothesis named H"),
+        (
+            "n, H : Zero = Var(n) |- Var(n) = Var(n)",
+            "rewrite H",
+            "rewrite: left-hand side of H does not occur in the goal",
+        ),
+        ("|- Zero = Succ(Zero)", "f_equal", "f_equal: both goal sides must be Succ applications"),
+        ("|- Zero = Succ(Zero)", "reflexivity", "reflexivity: goal sides are not syntactically equal"),
+    ],
+)
+def test_apply_tactic_and_the_uncached_rules_raise_the_same_messages(text, tactic, message):
+    for apply in (apply_tactic, env._apply):
+        with pytest.raises(TacticError) as raised:
+            apply(ob(text), parse_tactic(tactic))
+        assert str(raised.value) == message
+
+
+def test_predicted_actions_calls_through_the_module_level_apply_tactic(monkeypatch, cold_predictor):
+    # the benchmark's tracer wraps env.apply_tactic; every prediction the
+    # search tries must still reach it
+    from valueprover.predictor import predict_top_n
+    from valueprover.value_model import predicted_actions
+
+    calls = []
+    cached = env.apply_tactic
+
+    def recording(obligation, tactic):
+        calls.append((obligation, tactic))
+        return cached(obligation, tactic)
+
+    monkeypatch.setattr(env, "apply_tactic", recording)
+    predictor = cold_predictor()
+    state = ob("qd, IH_qd : Plus(Var(qd),Zero) = Var(qd) |- Succ(Plus(Var(qd),Zero)) = Succ(Var(qd))")
+    tried, actions = predicted_actions(predictor, state, 6)
+    predictions = predict_top_n(predictor, state, 6)
+    assert tried == len(calls) == len(predictions) == 6
+    assert [tactic for _, tactic in calls] == [prediction.tactic for prediction in predictions]
+    assert all(obligation is state for obligation, _ in calls)
+    assert [tactic for tactic, _, _ in actions] == [t for t, _ in applicable_among(state, [t for _, t in calls])]

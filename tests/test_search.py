@@ -292,6 +292,29 @@ def test_greedy_may_come_back_to_a_hyperstate(goal):
     assert result.tactic_executions == 300
 
 
+def test_greedy_neither_values_its_root_nor_keys_its_children(monkeypatch, trained_predictor):
+    # a greedy walk forgets its queue at every pop: its root is popped first
+    # whatever its priority, and of equal siblings FIFO pops the first, so
+    # it needs no root value and no enqueued keys; a backtracking search
+    # needs both
+    keys = []
+    canonical_key = Hyperstate.canonical_key
+    monkeypatch.setattr(Hyperstate, "canonical_key", lambda self: keys.append(self) or canonical_key(self))
+    start = Hyperstate((parse_obligation("forall n, |- Plus(Succ(Var(n)),Zero) = Succ(Var(n))"),))
+    for backtrack in (False, True):
+        keys.clear()
+        valued = []
+
+        def priority(node):
+            valued.append(node.g)
+            return -node.path_prob
+
+        result = search_module._priority_search(start, trained_predictor, 5, 64, priority, SAFETY_DEPTH, backtrack)
+        assert result.status == PROVED and valued
+        assert (0 in valued) == backtrack
+        assert bool(keys) == backtrack
+
+
 def _hyperstate_value(model, hyperstate):
     return product_value(model.v_value(ob) for ob in hyperstate.obligations)
 

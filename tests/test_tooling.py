@@ -249,3 +249,24 @@ def test_every_trainer_config_field_is_set_by_a_caller(monkeypatch):
     assert fields == passed[0] | {"actor_count"}
     # the training sweeps of ablate vary fields
     assert {field for field, _ in cli._TRAINING_SWEEPS.values()} <= fields
+
+
+def test_the_benchmark_worker_runs_an_oracle_pass_with_and_without_the_tracer(tmp_path):
+    # one pass per mode, as bench/run.py starts them: the worker must still
+    # run on the package as it is, and the tracer must change no result
+    import subprocess
+    import sys
+
+    outputs = {}
+    for mode in ("pass", "traced"):
+        command = [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", "oracle", "--seed", "1"]
+        command += ["--mode", mode, "--workdir", str(tmp_path)]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        outputs[mode] = json.loads(done.stdout.strip().splitlines()[-1])
+        assert outputs[mode]["errors"] == []
+    assert "layers" in outputs["traced"] and "layers" not in outputs["pass"]
+    counts = {mode: out["counts"] for mode, out in outputs.items()}
+    compared = ["provable", "length_sum"] + [name for name in counts["pass"] if name.startswith("corpus.")]
+    assert len(compared) == 5
+    assert [counts["traced"][name] for name in compared] == [counts["pass"][name] for name in compared]
