@@ -86,14 +86,14 @@ def _counts(text: str) -> tuple[int, int, int]:
 
 def _add_training_arguments(p: argparse.ArgumentParser) -> None:
     """The options that pretrain, train and ablate share; _config_from_args reads them."""
-    p.add_argument("--gamma", type=_gamma, default=0.9)
-    p.add_argument("--width", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-ratio", type=_ratio, default=0.25)
-    p.add_argument("--rl-epochs", type=int, default=1)
-    p.add_argument("--pretrain-epochs", type=int, default=800)
-    p.add_argument("--min-drop-length", type=int, default=2)
-    p.add_argument("--max-drop-length", type=int, default=6)
+    p.add_argument("--gamma", type=_gamma, default=TrainerConfig.gamma)
+    p.add_argument("--width", type=int, default=TrainerConfig.width)
+    p.add_argument("--seed", type=int, default=TrainerConfig.seed)
+    p.add_argument("--test-ratio", type=_ratio, default=TrainerConfig.test_ratio)
+    p.add_argument("--rl-epochs", type=int, default=TrainerConfig.rl_epochs)
+    p.add_argument("--pretrain-epochs", type=int, default=TrainerConfig.pretrain_epochs)
+    p.add_argument("--min-drop-length", type=int, default=TrainerConfig.min_drop_length)
+    p.add_argument("--max-drop-length", type=int, default=TrainerConfig.max_drop_length)
 
 
 def build_parser() -> argparse.ArgumentParser:

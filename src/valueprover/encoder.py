@@ -2,13 +2,13 @@
 encoder over token unigrams and bigrams of the canonical text, giving
 fixed-dimension real vectors.
 
-Each gram's bucket and sign come from a blake2b digest of the salted gram.
-Grams repeat across obligations, so each (salt, dim) keeps one gram table
-from gram to an int slot, the bucket for a plus sign or the bucket plus dim
-for a minus sign: a unigram is keyed by its token and a bigram by its token
-pair, so a bigram's text and digest are built only the first time it is
-seen. Each canonical text is encoded once per process into one read-only
-float64 array, which every caller shares.
+Each gram's bucket and sign come from a blake2b digest of the gram. Grams
+repeat across obligations, so each dim keeps one gram table from gram to an
+int slot, the bucket for a plus sign or the bucket plus dim for a minus
+sign: a unigram is keyed by its token and a bigram by its token pair, so a
+bigram's text and digest are built only the first time it is seen. Each
+canonical text is encoded once per process into one read-only float64
+array, which every caller shares.
 """
 
 from __future__ import annotations
@@ -35,40 +35,41 @@ def tokenize_obligation(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _bucket(gram: str, salt: int, dim: int) -> int:
+def _bucket(gram: str, dim: int) -> int:
     """The gram's slot: its bucket, plus dim when its sign is minus."""
-    digest = hashlib.blake2b(f"{salt}:{gram}".encode(), digest_size=8).digest()
+    # the "0:" prefix keeps the buckets, and so every saved model, as they
+    # were when the encoder took a salt, which was always 0
+    digest = hashlib.blake2b(f"0:{gram}".encode(), digest_size=8).digest()
     value = int.from_bytes(digest, "big")
     bucket = (value >> 1) % dim
     return bucket if value & 1 == 0 else bucket + dim
 
 
 class _GramTable(dict):
-    """gram -> slot for one (salt, dim), filled on first sight and holding at
-    most CACHE_SIZE grams."""
+    """gram -> slot for one dim, filled on first sight and holding at most
+    CACHE_SIZE grams."""
 
-    def __init__(self, salt: int, dim: int):
+    def __init__(self, dim: int):
         super().__init__()
-        self.salt = salt
         self.dim = dim
 
     def __missing__(self, gram: str | tuple[str, str]) -> int:
         text = gram if type(gram) is str else f"{gram[0]}\x1f{gram[1]}"
-        slot = _bucket(text, self.salt, self.dim)
+        slot = _bucket(text, self.dim)
         cache_put(self, gram, slot)
         return slot
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _gram_table(salt: int, dim: int) -> _GramTable:
-    return _GramTable(salt, dim)
+def _gram_table(dim: int) -> _GramTable:
+    return _GramTable(dim)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _hashed_vector(canonical: str, dim: int, salt: int) -> np.ndarray:
+def _hashed_vector(canonical: str, dim: int) -> np.ndarray:
     tokens = tokenize_obligation(canonical)
     grams = chain(tokens, zip(tokens, tokens[1:]))
-    counts = np.bincount(list(map(_gram_table(salt, dim).__getitem__, grams)), minlength=2 * dim)
+    counts = np.bincount(list(map(_gram_table(dim).__getitem__, grams)), minlength=2 * dim)
     # sums of +-1 are integers, and the division is one IEEE operation per
     # entry, so this gives the same bits as adding into the array gram by
     # gram and dividing it by its max-norm
@@ -80,9 +81,9 @@ def _hashed_vector(canonical: str, dim: int, salt: int) -> np.ndarray:
     return sums
 
 
-def encode_hashed(ob: Obligation, dim: int = 64, salt: int = 0) -> np.ndarray:
+def encode_hashed(ob: Obligation, dim: int) -> np.ndarray:
     """Signed token-hashing encoding, scaled to unit max-norm: a read-only
-    array shared by every call with the same canonical text, dim and salt."""
+    array shared by every call with the same canonical text and dim."""
     if dim < MIN_ENCODING_DIM:
         raise ValueError(f"encoding dimension must be at least {MIN_ENCODING_DIM}")
-    return _hashed_vector(ob.canonical(), dim, salt)
+    return _hashed_vector(ob.canonical(), dim)

@@ -3,7 +3,9 @@
 A multinomial logistic classifier over the six tactic templates, on a small
 fixed set of indicator features of an obligation. Template predictions are
 resolved to concrete tactics by a deterministic argument rule, mirroring the
-role of a full tactic-prediction model while staying auditable.
+role of a full tactic-prediction model while staying auditable. A prediction
+scans its obligation once: the same pass gives the feature tuple, which keys
+the predictor's softmax memo, and the induction and rewrite arguments.
 """
 
 from __future__ import annotations
@@ -73,20 +75,10 @@ def _term_summary(t: Term, names: set[str]) -> tuple[int, bool, bool]:
     return 1, False, False
 
 
-# The last obligation scanned and its scan: within predict_top_n, featurize
-# and resolve_argument ask for the same obligation object in turn.
-_last_scan: tuple[Obligation, tuple] | None = None
-
-
-def _scan(ob: Obligation) -> tuple[list[float], str | None, Hypothesis | None]:
-    """One pass over ob: its feature values (never to be mutated), the first
-    context variable (in context order) occurring in the goal and the first
-    hypothesis whose left-hand side occurs in the goal, each None when there
-    is none."""
-    global _last_scan
-    last = _last_scan
-    if last is not None and last[0] is ob:
-        return last[1]
+def _scan(ob: Obligation) -> tuple[tuple[float, ...], str | None, Hypothesis | None]:
+    """One pass over ob: its feature values, the first context variable (in
+    context order) occurring in the goal and the first hypothesis whose
+    left-hand side occurs in the goal, each None when there is none."""
     lhs, rhs = ob.goal_lhs, ob.goal_rhs
     names: set[str] = set()
     lhs_size, lhs_zero, lhs_succ = _term_summary(lhs, names)
@@ -118,9 +110,7 @@ def _scan(ob: Obligation) -> tuple[list[float], str | None, Hypothesis | None]:
     else:
         features[10] = 1.0
     features[11 + min(hyps, 2)] = 1.0
-    scan = (features, var, hyp)
-    _last_scan = (ob, scan)
-    return scan
+    return tuple(features), var, hyp
 
 
 def featurize(ob: Obligation) -> np.ndarray:
@@ -139,24 +129,18 @@ class Predictor:
     weights: np.ndarray  # (templates, features)
     bias: np.ndarray  # (templates,)
     train_losses: list[float] = field(default_factory=list)
-    # value_model.ActionCache.of keeps its caches here, one per width, so
-    # they live as long as the predictor; duck-typed predictors get the
-    # same attribute on first use.
-    _action_caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # template_probabilities per distinct feature vector (at most CACHE_SIZE);
+    # template_probabilities per distinct feature tuple (at most CACHE_SIZE);
     # valid while the predictor stays frozen, as the action caches require.
     _probabilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def template_probabilities(self, ob: Obligation) -> np.ndarray:
-        """Softmax over the templates; a read-only array shared by every
-        obligation with the same features."""
-        features = featurize(ob)
-        key = features.tobytes()
-        probs = self._probabilities.get(key)
+    def template_probabilities(self, features: tuple[float, ...]) -> np.ndarray:
+        """Softmax over the templates for one feature tuple; a read-only
+        array shared by every obligation with those features."""
+        probs = self._probabilities.get(features)
         if probs is None:
-            probs = softmax(self.weights @ features + self.bias)
+            probs = softmax(self.weights @ np.array(features) + self.bias)
             probs.flags.writeable = False
-            cache_put(self._probabilities, key, probs)
+            cache_put(self._probabilities, features, probs)
         return probs
 
 
@@ -209,6 +193,15 @@ def train_predictor(
     return Predictor(weights, bias, train_losses=losses)
 
 
+def _argument_rule(template: str, var: str | None, hyp: Hypothesis | None) -> Tactic | None:
+    """resolve_argument given the obligation's scanned var and hyp."""
+    if template == "induction":
+        return argument_tactic("induction", var) if var is not None else None
+    if template == "rewrite":
+        return argument_tactic("rewrite", hyp.name) if hyp is not None else None
+    return PLAIN_TACTICS.get(template) or Tactic(template)
+
+
 def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     """Turn a template into a concrete tactic, or None when unresolvable.
 
@@ -216,13 +209,8 @@ def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
     in the goal; rewrite takes the first hypothesis whose left-hand side
     occurs in the goal; the other templates take no argument.
     """
-    if template == "induction":
-        var = _scan(ob)[1]
-        return argument_tactic("induction", var) if var is not None else None
-    if template == "rewrite":
-        hyp = _scan(ob)[2]
-        return argument_tactic("rewrite", hyp.name) if hyp is not None else None
-    return PLAIN_TACTICS.get(template) or Tactic(template)
+    _, var, hyp = _scan(ob)
+    return _argument_rule(template, var, hyp)
 
 
 def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPrediction]:
@@ -233,12 +221,13 @@ def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPr
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    probs = predictor.template_probabilities(ob).tolist()
+    features, var, hyp = _scan(ob)
+    probs = predictor.template_probabilities(features).tolist()
     # sorted() stays stable under reverse=True: ties keep template order
     order = sorted(range(len(TEMPLATES)), key=probs.__getitem__, reverse=True)
     out: list[TacticPrediction] = []
     for idx in order:
-        tactic = resolve_argument(TEMPLATES[idx], ob)
+        tactic = _argument_rule(TEMPLATES[idx], var, hyp)
         if tactic is None:
             continue
         out.append(TacticPrediction(tactic, probs[idx]))

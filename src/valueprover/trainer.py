@@ -113,7 +113,6 @@ class TrainerConfig:
     pretrain_learning_rate: ClassVar[float] = 0.02
     validation_tasks: ClassVar[int] = 8
     encoder_dim: ClassVar[int] = 64
-    encoder_salt: ClassVar[int] = 0
     hidden_dim: ClassVar[int] = 32
     predictor_epochs: ClassVar[int] = 250
     predictor_learning_rate: ClassVar[float] = 0.5
@@ -373,7 +372,7 @@ def train(
     tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
         raise ValueError("no training tasks survive the filters")
-    model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed, config.encoder_salt)
+    model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed)
     pretrain_losses = pretrain(
         model,
         [(task.obligation, task.demo_length) for task in tasks],
@@ -505,7 +504,7 @@ def load_checkpoint(path: str) -> tuple[ValueModel, Predictor, TrainerConfig]:
         config = TrainerConfig.from_dict(payload["config"])
         for section, name, shape in _PARAMETERS:
             arrays[section][name] = _check_parameter(f"{section}.{name}", payload[section][name], shape(config))
-        model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, salt=config.encoder_salt)
+        model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim)
         for name, array in arrays["value_model"].items():
             setattr(model, name, array if array.ndim else float(array))
         return model, Predictor(**arrays["predictor"]), config

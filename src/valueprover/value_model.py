@@ -69,9 +69,9 @@ def steps_estimate(value: float, gamma: float) -> float:
 class ValueModel:
     """Encoded obligation -> (0,1) regressor: one tanh hidden layer, logistic output.
 
-    Obligations are encoded by encoder.encode_hashed with input_dim buckets
-    and the given salt. Gradients are hand-derived; update_batch takes one
-    SGD step on mean squared error against the provided targets.
+    Obligations are encoded by encoder.encode_hashed with input_dim buckets.
+    Gradients are hand-derived; update_batch takes one SGD step on mean
+    squared error against the provided targets.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class ValueModel:
         gamma: float = 0.9,
         hidden_dim: int = 32,
         seed: int = 0,
-        salt: int = 0,
     ):
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
@@ -88,7 +87,6 @@ class ValueModel:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.gamma = gamma
-        self.salt = salt
         self.w_hidden = rng.normal(0.0, 0.3, size=(hidden_dim, input_dim))
         self.b_hidden = np.zeros(hidden_dim)
         self.w_out = rng.normal(0.0, 0.3, size=hidden_dim)
@@ -103,7 +101,7 @@ class ValueModel:
         vec = self._encoding_cache.get(key)
         if vec is None:
             # through the module attribute: bench/layers.py traces encoder.encode_hashed
-            vec = encoder.encode_hashed(ob, self.input_dim, self.salt)
+            vec = encoder.encode_hashed(ob, self.input_dim)
             cache_put(self._encoding_cache, key, vec)
         return vec
 
@@ -209,8 +207,9 @@ class ActionCache:
     @classmethod
     def of(cls, predictor: Predictor, n: int) -> "ActionCache":
         """The cache every caller shares for this predictor object and
-        width: search, the task filter, the learner and validation. It is
-        kept on the predictor itself, so it lives exactly as long."""
+        width: search, the task filter, the learner, validation and
+        explore_obligation_graph. It is kept in the predictor's instance
+        dict, so it lives exactly as long and is no part of its value."""
         caches = vars(predictor).setdefault("_action_caches", {})
         cache = caches.get(n)
         if cache is None:
@@ -452,7 +451,9 @@ def explore_obligation_graph(
     max_nodes: int = 20000,
 ) -> dict[str, tuple[Obligation, list[list[str]]]]:
     """Reachable obligations under top-n actions, with child-key lists per
-    applicable action. Raises if the graph exceeds max_nodes."""
+    applicable action, read through the predictor's shared action cache.
+    Raises if the graph exceeds max_nodes."""
+    predicted = ActionCache.of(predictor, n)
     graph: dict[str, tuple[Obligation, list[list[str]]]] = {}
     frontier = list(roots)
     while frontier:
@@ -461,7 +462,7 @@ def explore_obligation_graph(
         if key in graph:
             continue
         actions: list[list[str]] = []
-        for _, _, children in predicted_actions(predictor, ob, n)[1]:
+        for _, _, children in predicted(ob):
             actions.append([child.canonical() for child in children])
             for child in children:
                 if child.canonical() not in graph:

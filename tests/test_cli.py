@@ -113,6 +113,11 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_training_options_default_to_the_trainer_config():
+    args = cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
+    assert cli._config_from_args(args, rl=True) == TrainerConfig()
+
+
 def test_width_sweep_settings_are_distinct_top_n_widths():
     # top-n never ranks more than the templates, so a wider setting would
     # repeat width len(TEMPLATES)
@@ -355,7 +360,8 @@ def _set_leaf(section, key, index, value):
 
 
 # The settings that the version-2 config recorded and that version 3 fixes
-# as TrainerConfig class constants; epsilon_decay_episodes, always None, is gone.
+# as TrainerConfig class constants; encoder_salt, always 0, and
+# epsilon_decay_episodes, always None, are gone.
 _FIXED_SINCE_VERSION_3 = (
     "epsilon_start",
     "epsilon_end",
@@ -371,7 +377,6 @@ _FIXED_SINCE_VERSION_3 = (
     "pretrain_learning_rate",
     "validation_tasks",
     "encoder_dim",
-    "encoder_salt",
     "hidden_dim",
     "predictor_epochs",
     "predictor_learning_rate",
@@ -382,7 +387,8 @@ def _version_2(payload):
     """The payload in the version-2 layout, whose config also recorded the
     fixed settings and epsilon_decay_episodes."""
     fixed = {name: getattr(TrainerConfig, name) for name in _FIXED_SINCE_VERSION_3}
-    return {**payload, "version": 2, "config": {**payload["config"], **fixed, "epsilon_decay_episodes": None}}
+    config = {**payload["config"], **fixed, "encoder_salt": 0, "epsilon_decay_episodes": None}
+    return {**payload, "version": 2, "config": config}
 
 
 def _version_1(payload):
@@ -392,7 +398,7 @@ def _version_1(payload):
     return {
         "version": 1,
         "config": {**config, "sync_interval": 16},
-        "encoder": {"mode": "hashed", "dim": config["encoder_dim"], "salt": config["encoder_salt"]},
+        "encoder": {"mode": "hashed", "dim": config["encoder_dim"], "salt": 0},
         "predictor": {**payload["predictor"], "feature_schema": 1},
         "value_model": {
             **payload["value_model"],

@@ -39,7 +39,7 @@ class RankedPredictor:
     def __init__(self, order):
         self.order = order
 
-    def template_probabilities(self, ob):
+    def template_probabilities(self, _):
         import numpy as np
 
         from valueprover.env import TEMPLATE_INDEX

@@ -122,6 +122,24 @@ def test_argument_resolution_uses_context_order(trained_predictor):
     assert inductions == [T("induction", "n")]
 
 
+def test_each_prediction_scans_its_obligation_once(monkeypatch, cold_predictor):
+    # the features and both arguments come from one pass over the obligation
+    from valueprover import predictor as predictor_module
+
+    scanned = []
+    scan = predictor_module._scan
+
+    def counted(ob):
+        scanned.append(ob)
+        return scan(ob)
+
+    monkeypatch.setattr(predictor_module, "_scan", counted)
+    ob = parse_obligation("n, IH : Plus(Var(n),Zero) = Var(n) |- Succ(Plus(Var(n),Zero)) = Succ(Var(n))")
+    preds = predict_top_n(cold_predictor(), ob, 6)
+    assert {p.tactic for p in preds} >= {Tactic("induction", "n"), Tactic("rewrite", "IH")}
+    assert scanned == [ob]
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     features = rng.normal(size=(12, len(FEATURE_NAMES)))
@@ -264,8 +282,8 @@ def test_prediction_matches_the_reference(trained_predictor, replay_obligations,
     for predictor in _predictors(trained_predictor):
         expected = _reference_probabilities(predictor, ob).tobytes()
         # the first call fills the memo, the second reads it
-        assert predictor.template_probabilities(ob).tobytes() == expected
-        assert predictor.template_probabilities(ob).tobytes() == expected
+        assert predictor.template_probabilities(tuple(featurize(ob))).tobytes() == expected
+        assert predictor.template_probabilities(tuple(featurize(ob))).tobytes() == expected
         for n in range(1, 7):
             assert predict_top_n(predictor, ob, n) == _reference_top_n(predictor, ob, n)
 
@@ -276,7 +294,7 @@ def test_probability_memo_is_bounded(monkeypatch, cold_predictor, replay_obligat
     features = set()
     for ob in replay_obligations:
         features.add(featurize(ob).tobytes())
-        probs = predictor.template_probabilities(ob)
+        probs = predictor.template_probabilities(tuple(featurize(ob)))
         assert probs.tobytes() == _reference_probabilities(predictor, ob).tobytes()
         assert not probs.flags.writeable
         assert len(predictor._probabilities) <= 3

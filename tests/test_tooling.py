@@ -177,16 +177,16 @@ def test_the_value_model_encodes_through_the_module_name(monkeypatch):
     calls = []
     encode_hashed = encoder.encode_hashed
 
-    def counted(ob, dim, salt):
-        calls.append((dim, salt))
-        return encode_hashed(ob, dim, salt)
+    def counted(ob, dim):
+        calls.append(dim)
+        return encode_hashed(ob, dim)
 
     monkeypatch.setattr(encoder, "encode_hashed", counted)
-    model = ValueModel(16, seed=0, salt=3)
+    model = ValueModel(16, seed=0)
     ob = parse_obligation("|- Plus(Zero,Zero) = Zero")
-    assert model.encode(ob).tobytes() == encode_hashed(ob, 16, 3).tobytes()
+    assert model.encode(ob).tobytes() == encode_hashed(ob, 16).tobytes()
     model.v_value(ob)
-    assert calls == [(16, 3)]
+    assert calls == [16]
 
 
 def test_every_exported_name_resolves():
@@ -242,31 +242,53 @@ def test_every_trainer_config_field_is_set_by_a_caller(monkeypatch):
 
     from valueprover import cli, trainer
 
+    # the parser reads its defaults from TrainerConfig, so it is built first
+    args = cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
     passed = []
     monkeypatch.setattr(cli, "TrainerConfig", lambda **settings: passed.append(set(settings)))
-    cli._config_from_args(cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"]), rl=True)
+    cli._config_from_args(args, rl=True)
     fields = {f.name for f in dataclasses.fields(trainer.TrainerConfig)}
     assert fields == passed[0] | {"actor_count"}
     # the training sweeps of ablate vary fields
     assert {field for field, _ in cli._TRAINING_SWEEPS.values()} <= fields
 
 
-def test_the_benchmark_worker_runs_an_oracle_pass_with_and_without_the_tracer(tmp_path):
-    # one pass per mode, as bench/run.py starts them: the worker must still
-    # run on the package as it is, and the tracer must change no result
+def _worker_counts(workload, tmp_path):
+    """The deterministic counts of one benchmark pass per mode, run as
+    bench/run.py starts them: the worker must still run on the package as it
+    is, so every name it reads untraced must still exist."""
     import subprocess
     import sys
 
     outputs = {}
     for mode in ("pass", "traced"):
-        command = [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", "oracle", "--seed", "1"]
+        command = [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", workload, "--seed", "1"]
         command += ["--mode", mode, "--workdir", str(tmp_path)]
         done = subprocess.run(command, capture_output=True, text=True, timeout=120, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         outputs[mode] = json.loads(done.stdout.strip().splitlines()[-1])
         assert outputs[mode]["errors"] == []
     assert "layers" in outputs["traced"] and "layers" not in outputs["pass"]
-    counts = {mode: out["counts"] for mode, out in outputs.items()}
+    return {mode: out["counts"] for mode, out in outputs.items()}
+
+
+def test_the_benchmark_worker_runs_an_oracle_pass_with_and_without_the_tracer(tmp_path):
+    # the tracer must change no result
+    counts = _worker_counts("oracle", tmp_path)
     compared = ["provable", "length_sum"] + [name for name in counts["pass"] if name.startswith("corpus.")]
     assert len(compared) == 5
+    assert [counts["traced"][name] for name in compared] == [counts["pass"][name] for name in compared]
+
+
+def test_the_benchmark_worker_runs_search_and_train_passes_with_and_without_the_tracer(tmp_path):
+    from valueprover.cli import EVAL_STRATEGIES
+
+    counts = _worker_counts("search", tmp_path)
+    quantities = ("nodes_expanded", "tactic_executions", "proved")
+    compared = [(strategy, quantity) for strategy in EVAL_STRATEGIES for quantity in quantities]
+    assert [counts["traced"][s][q] for s, q in compared] == [counts["pass"][s][q] for s, q in compared]
+    assert all(counts["pass"][strategy]["proved"] > 0 for strategy in EVAL_STRATEGIES)
+
+    counts = _worker_counts("train", tmp_path)
+    compared = ["tasks", "episodes", "updates", "update_loss_sum", "replay", "true_target", "negative"]
     assert [counts["traced"][name] for name in compared] == [counts["pass"][name] for name in compared]

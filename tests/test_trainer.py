@@ -557,7 +557,7 @@ def test_checkpoint_records_each_setting_once(monkeypatch, tmp_path):
 def test_loaded_model_takes_its_settings_from_the_config(monkeypatch, tmp_path, trained_predictor):
     from valueprover.encoder import encode_hashed
 
-    config = _fast_config(monkeypatch, encoder_dim=16, encoder_salt=2, hidden_dim=8, gamma=0.8)
+    config = _fast_config(monkeypatch, encoder_dim=16, hidden_dim=8, gamma=0.8)
     model, _ = train(_tiny_split(), NO_F_EQUAL, config)
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model, trained_predictor, config)
@@ -567,14 +567,9 @@ def test_loaded_model_takes_its_settings_from_the_config(monkeypatch, tmp_path, 
     assert loaded_predictor.weights.tobytes() == trained_predictor.weights.tobytes()
     assert loaded_predictor.bias.tobytes() == trained_predictor.bias.tobytes()
     assert loaded_config == config
-    assert (loaded.input_dim, loaded.hidden_dim, loaded.gamma, loaded.salt) == (
-        config.encoder_dim,
-        config.hidden_dim,
-        config.gamma,
-        config.encoder_salt,
-    )
+    assert (loaded.input_dim, loaded.hidden_dim, loaded.gamma) == (config.encoder_dim, config.hidden_dim, config.gamma)
     state = parse_obligation("forall n, |- Plus(Var(n),Zero) = Var(n)")
-    assert loaded.encode(state).tobytes() == encode_hashed(state, config.encoder_dim, config.encoder_salt).tobytes()
+    assert loaded.encode(state).tobytes() == encode_hashed(state, config.encoder_dim).tobytes()
     assert loaded.get_flat_params().tobytes() == model.get_flat_params().tobytes()
     assert loaded.v_value(state) == model.v_value(state)
 

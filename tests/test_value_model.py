@@ -208,14 +208,17 @@ def test_action_cache_lives_on_the_predictor(cold_predictor, replay_obligations)
     assert ActionCache.of(predictor, 5) is shared
     assert ActionCache.of(predictor, 3) is not shared and ActionCache.of(twin, 5) is not shared
     shared(replay_obligations[0])
-    # the caches are no part of the predictor's value
-    (caches,) = [f for f in dataclasses.fields(Predictor) if f.name == "_action_caches"]
-    assert not (caches.init or caches.compare or caches.repr)
+    # the caches are no part of the predictor's value: ActionCache.of keeps
+    # them in the instance dict, not in a dataclass field
+    assert "_action_caches" not in {f.name for f in dataclasses.fields(Predictor)}
     assert vars(predictor)["_action_caches"] == {5: shared, 3: ActionCache.of(predictor, 3)}
+    same = Predictor(predictor.weights, predictor.bias, predictor.train_losses)
+    ActionCache.of(same, 4)
+    assert same == predictor and vars(same)["_action_caches"].keys() == {4}
 
     class DuckPredictor:
-        def template_probabilities(self, ob):
-            return predictor.template_probabilities(ob)
+        def template_probabilities(self, features):
+            return predictor.template_probabilities(features)
 
     duck = DuckPredictor()
     assert ActionCache.of(duck, 5) is ActionCache.of(duck, 5)
@@ -250,7 +253,7 @@ def test_model_caches_are_bounded(monkeypatch, model, replay_obligations):
     assert len(distinct) > 8
     fresh = ValueModel(64, gamma=0.9, seed=0)
     for state in distinct + distinct[:3]:
-        assert np.array_equal(model.encode(state), encode_hashed(state, 64, 0))
+        assert np.array_equal(model.encode(state), encode_hashed(state, 64))
         assert model.v_value(state) == fresh.v_value(state)
         assert len(model._encoding_cache) <= 8 and len(model._value_cache) <= 8
     assert len(model._encoding_cache) == 8
@@ -484,7 +487,7 @@ def test_obligation_table_interns_each_obligation_once(model, trained_predictor,
     assert len(table.obligations) == len(distinct) == len(set(ids))
     for state, ob_id in zip(replay_obligations, ids):
         assert table.obligations[ob_id].canonical() == state.canonical()
-        assert table.rows([ob_id])[0].tobytes() == encode_hashed(state, 64, 0).tobytes()
+        assert table.rows([ob_id])[0].tobytes() == encode_hashed(state, 64).tobytes()
         assert table.intern(parse_obligation(state.canonical())) == ob_id
     assert len(model._encoding_cache) == len(distinct)
     assert np.array_equal(table.rows(ids), np.stack([model.encode(state) for state in replay_obligations]))
@@ -497,7 +500,7 @@ def test_obligation_table_interns_each_obligation_once(model, trained_predictor,
     distinct.update(c.canonical() for state in replay_obligations for _, _, result in actions(state) for c in result)
     assert len(table.obligations) == len(distinct) == len(model._encoding_cache) > 64  # the matrix grew
     assert [table.rows([ob_id])[0].tobytes() for ob_id in range(len(table.obligations))] == [
-        encode_hashed(state, 64, 0).tobytes() for state in table.obligations
+        encode_hashed(state, 64).tobytes() for state in table.obligations
     ]
 
 
@@ -515,3 +518,13 @@ def test_tabular_value_iteration_small_graph(trained_predictor):
         length = shortest_obligation_length(state, 12, actions=provider)
         expected = 0.0 if length is None else 0.9**length
         assert values[key] == pytest.approx(expected, abs=1e-9)
+
+
+def test_obligation_graph_reads_the_shared_action_cache(cold_predictor):
+    # the graph sees the same actions as search and training, computed once
+    predictor = cold_predictor()
+    graph = explore_obligation_graph([ob("forall n, |- Plus(Var(n),Zero) = Var(n)")], predictor, 5)
+    actions = ActionCache.of(predictor, 5)
+    assert actions._entries.keys() == graph.keys()
+    for state, children in graph.values():
+        assert children == [[c.canonical() for c in result] for _, _, result in actions(state)]
