@@ -4,9 +4,10 @@ The package is organized bottom-up:
 
 - terms / env: the deterministic proving environment (terms, obligations,
   tactics, scripts, replay, sub-proof extraction)
-- oracle: brute-force shortest proofs and optimal values for verification
+- oracle: brute-force shortest proofs and optimal values, from env alone
 - corpus: theorem generation, persistence and splitting
-- predictor: the supervised tactic predictor that bounds the action space
+- predictor: the supervised tactic predictor and the action space it bounds
+  (the top-n actions that apply, their cache, the task filter's check)
 - encoder: hashed obligation encodings
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
@@ -37,15 +38,9 @@ from .env import (
 from .terms import Term, parse_term, format_term, normalize
 from .oracle import OracleResult, optimal_value, shortest_proof
 from .corpus import CorpusEntry, CorpusSplit, generate_corpus, load_corpus, save_corpus, split_corpus
-from .predictor import Predictor, TacticPrediction, featurize, predict_top_n, train_predictor
+from .predictor import ActionCache, Predictor, TacticPrediction, featurize, predict_top_n, train_predictor
 from .encoder import encode_hashed
-from .value_model import (
-    ActionCache,
-    ValueModel,
-    bellman_target,
-    pretrain,
-    steps_estimate,
-)
+from .value_model import ValueModel, bellman_target, pretrain, steps_estimate
 from .search import (
     EVAL_STRATEGIES,
     SearchNode,

@@ -84,13 +84,14 @@ def _counts(text: str) -> tuple[int, int, int]:
     return values
 
 
-def _add_training_arguments(p: argparse.ArgumentParser) -> None:
-    """The options that pretrain, train and ablate share; _config_from_args reads them."""
+def _add_training_arguments(p: argparse.ArgumentParser, rl: bool) -> None:
+    """The options _config_from_args reads; pretrain (rl False) has no --rl-epochs."""
     p.add_argument("--gamma", type=_gamma, default=TrainerConfig.gamma)
     p.add_argument("--width", type=int, default=TrainerConfig.width)
     p.add_argument("--seed", type=int, default=TrainerConfig.seed)
     p.add_argument("--test-ratio", type=_ratio, default=TrainerConfig.test_ratio)
-    p.add_argument("--rl-epochs", type=int, default=TrainerConfig.rl_epochs)
+    if rl:
+        p.add_argument("--rl-epochs", type=int, default=TrainerConfig.rl_epochs)
     p.add_argument("--pretrain-epochs", type=int, default=TrainerConfig.pretrain_epochs)
     p.add_argument("--min-drop-length", type=int, default=TrainerConfig.min_drop_length)
     p.add_argument("--max-drop-length", type=int, default=TrainerConfig.max_drop_length)
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a value model from a corpus")
         p.add_argument("--corpus", required=True)
         p.add_argument("--out", required=True, help="checkpoint path; report written next to it")
-        _add_training_arguments(p)
+        _add_training_arguments(p, rl=name == "train")
         p.add_argument("--no-subproof-tasks", action="store_true")
 
     p = sub.add_parser("prove", help="search for a proof of one theorem")
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("width", "gamma", "scorer", "obligation-training"), required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="sweep output directory")
-    _add_training_arguments(p)
+    _add_training_arguments(p, rl=True)
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("oracle", help="brute-force shortest proof of one obligation")
@@ -265,7 +266,10 @@ def cmd_ablate(args) -> int:
         field, settings = _TRAINING_SWEEPS[args.sweep]
         for label, value in settings:
             config = dataclasses.replace(base, **{field: value})
-            model, predictor, _, split = run_training(args.corpus, config)
+            try:
+                model, predictor, _, split = run_training(args.corpus, config)
+            except Exception as err:
+                raise RuntimeError(f"{args.sweep}={label}: {err}") from err
             rows = run_eval(model, predictor, split.test, ["astar"], config.width, args.budget)
             summary = write_report(os.path.join(args.out, f"{args.sweep}-{label}"), rows, ["astar"])
             sweep_rows.append({"setting": f"{args.sweep}={label}", **summary["strategies"]["astar"]})
@@ -297,10 +301,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen-corpus":
             return cmd_gen_corpus(args)
-        if args.command == "pretrain":
-            return cmd_train(args, rl=False)
-        if args.command == "train":
-            return cmd_train(args, rl=True)
+        if args.command in ("pretrain", "train"):
+            return cmd_train(args, rl=args.command == "train")
         if args.command == "prove":
             return cmd_prove(args)
         if args.command == "eval":

@@ -3,6 +3,7 @@
 The oracle does breadth-first search over hyperstates using every applicable
 tactic, so the scripts it returns are minimum-length by construction. It
 stays deliberately simple: no heuristics, no pruning beyond a visited set.
+It reads only the environment, never a model, so it stays the ground truth.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable, Iterable
 
 from .env import Hyperstate, Obligation, ProofScript, Tactic, applicable_among, enumerate_applicable
 from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces oracle.step_hyperstate
-from .value_model import ActionCache
 
 __all__ = [
     "OracleResult",
@@ -21,7 +21,6 @@ __all__ = [
     "shortest_proof",
     "shortest_obligation_length",
     "optimal_value",
-    "reproducible_under_predictor",
 ]
 
 # Maps an obligation to the candidate tactics to try on it.
@@ -77,7 +76,7 @@ def shortest_obligation_length(ob: Obligation, max_depth: int, actions: ActionPr
     return result.shortest_length
 
 
-def optimal_value(ob: Obligation, gamma: float, max_depth: int = 8, actions: ActionProvider | None = None) -> float:
+def optimal_value(ob: Obligation, gamma: float, max_depth: int, actions: ActionProvider | None = None) -> float:
     """gamma^(shortest proof length), or 0 when unprovable within depth."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -85,22 +84,3 @@ def optimal_value(ob: Obligation, gamma: float, max_depth: int = 8, actions: Act
     if length is None:
         return 0.0
     return gamma**length
-
-
-def reproducible_under_predictor(task: tuple[Obligation, ProofScript], predictor, n: int) -> bool:
-    """True iff every step of the task's script is one of the predictor's
-    applicable top-n actions at the corresponding replay state, read from
-    the predictor's shared action cache."""
-    obligation, script = task
-    state = Hyperstate((obligation,))
-    for tactic in script.steps:
-        if n <= 0:
-            return False
-        actions = ActionCache.of(predictor, n)(state.first)
-        children = next((children for predicted, _, children in actions if predicted == tactic), None)
-        if children is None:
-            return False
-        state = Hyperstate(children + state.obligations[1:])
-    if not state.is_empty:
-        raise ValueError("task script does not discharge its obligation")
-    return True

@@ -1,4 +1,4 @@
-"""Supervised tactic predictor.
+"""Supervised tactic predictor and the action space it bounds.
 
 A multinomial logistic classifier over the six tactic templates, on a small
 fixed set of indicator features of an obligation. Template predictions are
@@ -6,6 +6,9 @@ resolved to concrete tactics by a deterministic argument rule, mirroring the
 role of a full tactic-prediction model while staying auditable. A prediction
 scans its obligation once: the same pass gives the feature tuple, which keys
 the predictor's softmax memo, and the induction and rewrite arguments.
+
+Search steps and update targets are limited to the top-n predictions that
+apply: predicted_actions, ActionCache and reproducible_under_predictor own them.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from .env import (
     PLAIN_TACTICS,
     TEMPLATE_INDEX,
     TEMPLATES,
+    Hyperstate,
     Hypothesis,
     Obligation,
+    ProofScript,
     Tactic,
+    applicable_among,
     argument_tactic,
     cache_put,
 )
@@ -32,8 +38,10 @@ __all__ = [
     "Predictor",
     "featurize",
     "train_predictor",
-    "resolve_argument",
     "predict_top_n",
+    "predicted_actions",
+    "ActionCache",
+    "reproducible_under_predictor",
     "softmax",
     "cross_entropy_loss_and_grads",
 ]
@@ -194,23 +202,17 @@ def train_predictor(
 
 
 def _argument_rule(template: str, var: str | None, hyp: Hypothesis | None) -> Tactic | None:
-    """resolve_argument given the obligation's scanned var and hyp."""
-    if template == "induction":
-        return argument_tactic("induction", var) if var is not None else None
-    if template == "rewrite":
-        return argument_tactic("rewrite", hyp.name) if hyp is not None else None
-    return PLAIN_TACTICS.get(template) or Tactic(template)
-
-
-def resolve_argument(template: str, ob: Obligation) -> Tactic | None:
-    """Turn a template into a concrete tactic, or None when unresolvable.
+    """Turn a template into a concrete tactic given the scanned var and hyp, or None.
 
     induction takes the first context variable (in context order) occurring
     in the goal; rewrite takes the first hypothesis whose left-hand side
     occurs in the goal; the other templates take no argument.
     """
-    _, var, hyp = _scan(ob)
-    return _argument_rule(template, var, hyp)
+    if template == "induction":
+        return argument_tactic("induction", var) if var is not None else None
+    if template == "rewrite":
+        return argument_tactic("rewrite", hyp.name) if hyp is not None else None
+    return PLAIN_TACTICS.get(template) or Tactic(template)
 
 
 def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPrediction]:
@@ -234,3 +236,76 @@ def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPr
         if len(out) == n:
             break
     return out
+
+
+Action = tuple[Tactic, float, tuple[Obligation, ...]]
+
+
+def predicted_actions(predictor: Predictor, ob: Obligation, n: int) -> tuple[int, tuple[Action, ...]]:
+    """The number of the predictor's top-n predictions for ob, and
+    (tactic, probability, children) for each of them that applies to ob, in
+    prediction order; predictions that raise TacticError are dropped."""
+    predictions = predict_top_n(predictor, ob, n)
+    # one tactic per template, so keying by tactic keeps every prediction,
+    # in prediction order
+    probability = {prediction.tactic: prediction.probability for prediction in predictions}
+    applicable = applicable_among(ob, probability)
+    return len(predictions), tuple((tactic, probability[tactic], children) for tactic, children in applicable)
+
+
+class ActionCache:
+    """predicted_actions(predictor, ob, n) for each obligation, computed once
+    per canonical text and kept for the life of the cache (at most
+    CACHE_SIZE obligations). The predictor must stay frozen while the cache
+    is in use. Not thread-safe: a thread that shares the predictor with
+    another builds its own cache.
+    """
+
+    def __init__(self, predictor: Predictor, n: int):
+        self.predictor = predictor
+        self.n = n
+        self._entries: dict[str, tuple[int, tuple[Action, ...]]] = {}
+
+    @classmethod
+    def of(cls, predictor: Predictor, n: int) -> "ActionCache":
+        """The cache every caller shares for this predictor object and
+        width: search, the task filter, the learner, validation and
+        explore_obligation_graph. It is kept in the predictor's instance
+        dict, so it lives exactly as long and is no part of its value."""
+        caches = vars(predictor).setdefault("_action_caches", {})
+        cache = caches.get(n)
+        if cache is None:
+            cache = caches[n] = cls(predictor, n)
+        return cache
+
+    def entry(self, ob: Obligation) -> tuple[int, tuple[Action, ...]]:
+        """(predictions tried, applicable actions) for ob; the count includes
+        the predictions that error."""
+        key = ob.canonical()
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = predicted_actions(self.predictor, ob, self.n)
+            cache_put(self._entries, key, entry)
+        return entry
+
+    def __call__(self, ob: Obligation) -> tuple[Action, ...]:
+        return self.entry(ob)[1]
+
+
+def reproducible_under_predictor(task: tuple[Obligation, ProofScript], predictor, n: int) -> bool:
+    """True iff every step of the task's script is one of the predictor's
+    applicable top-n actions at the corresponding replay state, read from
+    the predictor's shared action cache."""
+    obligation, script = task
+    state = Hyperstate((obligation,))
+    for tactic in script.steps:
+        if n <= 0:
+            return False
+        actions = ActionCache.of(predictor, n)(state.first)
+        children = next((children for predicted, _, children in actions if predicted == tactic), None)
+        if children is None:
+            return False
+        state = Hyperstate(children + state.obligations[1:])
+    if not state.is_empty:
+        raise ValueError("task script does not discharge its obligation")
+    return True

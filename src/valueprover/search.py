@@ -27,9 +27,9 @@ from typing import Callable
 
 from .env import Hyperstate, ProofScript, Tactic, Theorem
 from .env import step_hyperstate  # noqa: F401 - bench/layers.py traces search.step_hyperstate
-from .predictor import Predictor
+from .predictor import ActionCache, Predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces search.predict_top_n
-from .value_model import ActionCache, UndefinedStepsError, product_value, steps_estimate
+from .value_model import UndefinedStepsError, product_value, steps_estimate
 
 __all__ = [
     "f_score",

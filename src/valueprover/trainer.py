@@ -26,12 +26,10 @@ import numpy as np
 
 from .corpus import CorpusSplit
 from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic, extract_subproof_tasks
-from .oracle import reproducible_under_predictor
-from .predictor import FEATURE_NAMES, Predictor
+from .predictor import FEATURE_NAMES, ActionCache, Predictor, reproducible_under_predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import search_from
 from .value_model import (
-    ActionCache,
     NegativeBuffer,
     ObligationTable,
     ReplayBuffer,
@@ -371,7 +369,11 @@ def train(
         raise ValueError("actor_count must be 1: the actor/learner mode was removed")
     tasks = prepare_tasks(split, predictor, config.width, config)
     if not tasks:
-        raise ValueError("no training tasks survive the filters")
+        raise ValueError(
+            f"no training tasks survive the filters: a demo longer than min_drop_length {config.min_drop_length}"
+            f" and shorter than max_drop_length {config.max_drop_length}, reproducible under the top-{config.width}"
+            f" predictions, with sub-proof tasks {'on' if config.subproof_tasks else 'off'}"
+        )
     model = ValueModel(config.encoder_dim, config.gamma, config.hidden_dim, config.seed)
     pretrain_losses = pretrain(
         model,

@@ -4,8 +4,8 @@ A small feedforward regressor maps obligation encodings to values in (0, 1),
 read as gamma^(steps remaining). Hyperstate values multiply over obligations
 (the empty product is 1), so an action that discharges an obligation is
 implicitly worth gamma with no explicit reward term. Update targets take the
-max over the predictor's applicable actions of gamma times the product of
-the resulting obligations' current values; dead ends target 0.
+max over the predictor's applicable actions (its ActionCache) of gamma times
+the product of the resulting obligations' current values; dead ends target 0.
 
 Also here: the learner's obligation table, the three experience buffers
 over its ids (replay / true-target / negative) and a tabular value
@@ -22,9 +22,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import encoder
-from .env import Hyperstate, Obligation, Tactic, applicable_among, cache_put
+from .env import Hyperstate, Obligation, cache_put
 from .env import apply_tactic  # noqa: F401 - bench/layers.py traces value_model.apply_tactic
-from .predictor import Predictor, predict_top_n
+from .predictor import ActionCache, Predictor
+from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces value_model.predict_top_n
 
 __all__ = [
     "UndefinedStepsError",
@@ -35,8 +36,6 @@ __all__ = [
     "NegativeBuffer",
     "product_value",
     "steps_estimate",
-    "predicted_actions",
-    "ActionCache",
     "ObligationTable",
     "bellman_backup",
     "bellman_target",
@@ -174,60 +173,6 @@ class ValueModel:
 # ---------------------------------------------------------------------------
 # Update targets
 # ---------------------------------------------------------------------------
-
-
-Action = tuple[Tactic, float, tuple[Obligation, ...]]
-
-
-def predicted_actions(predictor: Predictor, ob: Obligation, n: int) -> tuple[int, tuple[Action, ...]]:
-    """The number of the predictor's top-n predictions for ob, and
-    (tactic, probability, children) for each of them that applies to ob, in
-    prediction order; predictions that raise TacticError are dropped."""
-    predictions = predict_top_n(predictor, ob, n)
-    # one tactic per template, so keying by tactic keeps every prediction,
-    # in prediction order
-    probability = {prediction.tactic: prediction.probability for prediction in predictions}
-    applicable = applicable_among(ob, probability)
-    return len(predictions), tuple((tactic, probability[tactic], children) for tactic, children in applicable)
-
-
-class ActionCache:
-    """predicted_actions(predictor, ob, n) for each obligation, computed once
-    per canonical text and kept for the life of the cache (at most
-    CACHE_SIZE obligations). The predictor must stay frozen while the cache
-    is in use. Not thread-safe: a thread that shares the predictor with
-    another builds its own cache.
-    """
-
-    def __init__(self, predictor: Predictor, n: int):
-        self.predictor = predictor
-        self.n = n
-        self._entries: dict[str, tuple[int, tuple[Action, ...]]] = {}
-
-    @classmethod
-    def of(cls, predictor: Predictor, n: int) -> "ActionCache":
-        """The cache every caller shares for this predictor object and
-        width: search, the task filter, the learner, validation and
-        explore_obligation_graph. It is kept in the predictor's instance
-        dict, so it lives exactly as long and is no part of its value."""
-        caches = vars(predictor).setdefault("_action_caches", {})
-        cache = caches.get(n)
-        if cache is None:
-            cache = caches[n] = cls(predictor, n)
-        return cache
-
-    def entry(self, ob: Obligation) -> tuple[int, tuple[Action, ...]]:
-        """(predictions tried, applicable actions) for ob; the count includes
-        the predictions that error."""
-        key = ob.canonical()
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = predicted_actions(self.predictor, ob, self.n)
-            cache_put(self._entries, key, entry)
-        return entry
-
-    def __call__(self, ob: Obligation) -> tuple[Action, ...]:
-        return self.entry(ob)[1]
 
 
 def bellman_backup(actions: Iterable[Iterable], value_of: Callable, gamma: float) -> float:

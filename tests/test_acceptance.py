@@ -23,7 +23,6 @@ from valueprover.env import (
     parse_script,
 )
 from valueprover.oracle import (
-    reproducible_under_predictor,
     shortest_obligation_length,
     shortest_proof,
 )
@@ -31,6 +30,7 @@ from valueprover.predictor import (
     FEATURE_NAMES,
     cross_entropy_loss_and_grads,
     predict_top_n,
+    reproducible_under_predictor,
     train_predictor,
 )
 from valueprover.reports import build_summary

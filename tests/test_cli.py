@@ -132,6 +132,41 @@ def test_negative_rl_epochs_is_runtime_error(tiny_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pretrain_takes_no_rl_epochs_and_is_train_without_them(tmp_path):
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["gen-corpus", "--seed", "13", "--counts", "4,3,3", "--out", corpus]) == 0
+    flags = ["--corpus", corpus, "--seed", "1", "--pretrain-epochs", "60"]
+    refused = tmp_path / "refused.ckpt"
+    with pytest.raises(SystemExit) as err:
+        main(["pretrain", *flags, "--out", str(refused), "--rl-epochs", "3"])
+    assert err.value.code == 1
+    assert not refused.exists()
+    pretrained, trained = tmp_path / "pretrain.ckpt", tmp_path / "train.ckpt"
+    assert main(["pretrain", *flags, "--out", str(pretrained)]) == 0
+    assert main(["train", *flags, "--out", str(trained), "--rl-epochs", "0"]) == 0
+    assert pretrained.read_bytes() == trained.read_bytes()
+    assert Path(f"{pretrained}.report.json").read_bytes() == Path(f"{trained}.report.json").read_bytes()
+
+
+def test_an_empty_task_list_names_the_filters_and_the_failing_sweep_setting(tmp_path, capsys):
+    # generated whole-theorem proofs take 2 or 7 tactics, and the default
+    # band keeps only demos longer than 2 and shorter than 6
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["gen-corpus", "--seed", "13", "--counts", "4,3,3", "--out", corpus]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--corpus", corpus, "--out", str(out), "--no-subproof-tasks"]) == 2
+    message = (
+        "no training tasks survive the filters: a demo longer than min_drop_length 2 and shorter than"
+        " max_drop_length 6, reproducible under the top-5 predictions, with sub-proof tasks off"
+    )
+    assert capsys.readouterr().err == f"valueprover: {message}\n"
+    assert not out.exists()
+    sweep = ["ablate", "--sweep", "obligation-training", "--corpus", corpus, "--out", str(tmp_path / "sweep")]
+    assert main([*sweep, "--pretrain-epochs", "60", "--rl-epochs", "0"]) == 2
+    assert capsys.readouterr().err == f"valueprover: obligation-training=off: {message}\n"
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "|- Plus(Zero,Zero) = Zero", "--depth", "6"]) == 0
     record = json.loads(capsys.readouterr().out)

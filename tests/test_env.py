@@ -378,7 +378,9 @@ def test_argument_free_tactics_are_shared_across_obligations():
 
 
 def test_argument_tactics_are_shared_across_obligations_and_predictions():
-    from valueprover.predictor import resolve_argument
+    import numpy as np
+
+    from valueprover.predictor import FEATURE_NAMES, Predictor, predict_top_n
 
     assert env.argument_tactic.cache_info().maxsize == CACHE_SIZE
     assert env.argument_tactic("rewrite", "IH") is env.argument_tactic("rewrite", "IH")
@@ -389,8 +391,11 @@ def test_argument_tactics_are_shared_across_obligations_and_predictions():
     second = ob("n, IH : Var(n) = Zero |- Succ(Var(n)) = Succ(Zero)")
     tactics = {str(t): t for ob_ in (first, second) for t, _ in enumerate_applicable(ob_)}
     assert tactics["rewrite IH"] is env.argument_tactic("rewrite", "IH")
-    assert tactics["induction n"] is resolve_argument("induction", first) is env.argument_tactic("induction", "n")
-    assert resolve_argument("rewrite", second) is env.argument_tactic("rewrite", "IH")
+    # a uniform predictor ranks every template, so each resolvable one is predicted
+    uniform = Predictor(np.zeros((len(env.TEMPLATES), len(FEATURE_NAMES))), np.zeros(len(env.TEMPLATES)))
+    predicted = {str(p.tactic): p.tactic for ob_ in (first, second) for p in predict_top_n(uniform, ob_, 6)}
+    assert tactics["induction n"] is predicted["induction n"] is env.argument_tactic("induction", "n")
+    assert predicted["rewrite IH"] is env.argument_tactic("rewrite", "IH")
 
 
 _GOAL_ONLY = frozenset({"simpl", "rewrite", "f_equal"})
@@ -482,7 +487,7 @@ def test_predicted_actions_calls_through_the_module_level_apply_tactic(monkeypat
     # the benchmark's tracer wraps env.apply_tactic; every prediction the
     # search tries must still reach it
     from valueprover.predictor import predict_top_n
-    from valueprover.value_model import predicted_actions
+    from valueprover.predictor import predicted_actions
 
     calls = []
     cached = env.apply_tactic

@@ -24,11 +24,10 @@ from valueprover.env import (
 from valueprover.oracle import (
     OracleResult,
     optimal_value,
-    reproducible_under_predictor,
     shortest_obligation_length,
     shortest_proof,
 )
-from valueprover.predictor import predict_top_n
+from valueprover.predictor import predict_top_n, reproducible_under_predictor
 from valueprover.search import run_strategy
 from valueprover.value_model import explore_obligation_graph, tabular_value_iteration
 
@@ -97,9 +96,9 @@ def test_minimality_by_exhaustive_enumeration(small_corpus):
 def test_optimal_value_examples():
     # a 1-step obligation is worth exactly gamma
     one_step = parse_obligation("|- Zero = Zero")
-    assert optimal_value(one_step, 0.9) == pytest.approx(0.9, abs=1e-12)
+    assert optimal_value(one_step, 0.9, 8) == pytest.approx(0.9, abs=1e-12)
     # unprovable within depth falls back to 0
-    assert optimal_value(parse_obligation("|- Zero = Succ(Zero)"), 0.9) == 0.0
+    assert optimal_value(parse_obligation("|- Zero = Succ(Zero)"), 0.9, 8) == 0.0
     # the worked example's post-intros obligation takes 6 steps: gamma^6
     six = parse_obligation("n |- Plus(Var(n),Zero) = Var(n)")
     assert shortest_obligation_length(six, 8) == 6

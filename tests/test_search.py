@@ -21,8 +21,8 @@ from valueprover.env import (
     script_is_valid,
 )
 from valueprover.oracle import shortest_proof
-from valueprover.predictor import predict_top_n
-from valueprover.value_model import ActionCache, UndefinedStepsError, ValueModel, product_value, steps_estimate
+from valueprover.predictor import ActionCache, predict_top_n
+from valueprover.value_model import UndefinedStepsError, ValueModel, product_value, steps_estimate
 from valueprover.search import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,

@@ -137,6 +137,25 @@ def test_every_tracer_only_import_names_a_traced_row():
     assert found
 
 
+def test_each_module_imports_only_the_layers_below_it():
+    # the oracle is the ground truth, so it reads the environment alone; the
+    # predictor owns the action space over the environment and the terms;
+    # the value model reads no module that drives it
+    import ast
+
+    def imported(module):
+        tree = ast.parse((ROOT / "src" / "valueprover" / f"{module}.py").read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update([node.module] if node.module else [alias.name for alias in node.names])
+        return names
+
+    assert imported("oracle") == {"env"}
+    assert imported("predictor") == {"env", "terms"}
+    assert not imported("value_model") & {"oracle", "search", "trainer"}
+
+
 def test_every_checkpoint_parameter_is_an_attribute_of_its_owner(monkeypatch):
     # save_checkpoint and load_checkpoint move each parameter of
     # trainer._PARAMETERS by its name, so each row must name an attribute of

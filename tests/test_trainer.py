@@ -31,8 +31,9 @@ from valueprover.trainer import (
     save_checkpoint,
     train,
 )
-from valueprover import value_model as value_model_module
-from valueprover.value_model import ActionCache, ValueModel, bellman_backup, bellman_target
+from valueprover import predictor as predictor_module
+from valueprover.predictor import ActionCache
+from valueprover.value_model import ValueModel, bellman_backup, bellman_target
 
 
 class RankedPredictor:
@@ -82,7 +83,7 @@ def test_prepare_tasks_filters(crafted_split):
     ((canonical, length),) = kept
     assert length == 3 and "IH_n" in canonical
     # every retained task is reproducible by construction
-    from valueprover.oracle import reproducible_under_predictor
+    from valueprover.predictor import reproducible_under_predictor
 
     for task in tasks:
         assert reproducible_under_predictor((task.obligation, task.demo_script), NO_F_EQUAL, 5)
@@ -489,16 +490,16 @@ def test_train_with_memo_matches_reference_targets(monkeypatch, small_split, tra
 
 
 def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, cold_predictor):
-    # value_model.predict_top_n is called by predicted_actions alone; the
+    # predictor.predict_top_n is called by predicted_actions alone; the
     # task filter, the learner, the episodes and validation share one cache
     predicted = []
-    predict = value_model_module.predict_top_n
+    predict = predictor_module.predict_top_n
 
     def counted(predictor, ob, n):
         predicted.append(ob.canonical())
         return predict(predictor, ob, n)
 
-    monkeypatch.setattr(value_model_module, "predict_top_n", counted)
+    monkeypatch.setattr(predictor_module, "predict_top_n", counted)
     _, report = train(small_split, cold_predictor(), _fast_config(monkeypatch, updates_per_episode=4, max_drop_length=6))
     assert report.updates > 0 and predicted
     assert len(predicted) == len(set(predicted))

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from valueprover.encoder import encode_hashed
 from valueprover.env import Hyperstate, Tactic, parse_obligation
-from valueprover import env as env_module, value_model as value_model_module
-from valueprover.predictor import Predictor, predict_top_n
+from valueprover import env as env_module, predictor as predictor_module
+from valueprover.predictor import ActionCache, Predictor, predict_top_n, predicted_actions
 from valueprover.value_model import (
-    ActionCache,
     NegativeBuffer,
     ObligationTable,
     ReplayBuffer,
@@ -21,7 +20,6 @@ from valueprover.value_model import (
     bellman_backup,
     bellman_target,
     explore_obligation_graph,
-    predicted_actions,
     pretrain,
     product_value,
     steps_estimate,
@@ -187,7 +185,7 @@ def test_action_cache_memoizes_and_evicts(monkeypatch, cold_predictor, replay_ob
         calls.append(state.canonical())
         return predicted_actions(predictor, state, n)
 
-    monkeypatch.setattr(value_model_module, "predicted_actions", counted)
+    monkeypatch.setattr(predictor_module, "predicted_actions", counted)
     distinct = list({state.canonical(): state for state in replay_obligations}.values())
     assert len(distinct) > 8
     predictor = cold_predictor()
