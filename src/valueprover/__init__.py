@@ -4,7 +4,8 @@ The package is organized bottom-up:
 
 - terms / env: the deterministic proving environment (terms, obligations,
   tactics, scripts, replay, sub-proof extraction)
-- oracle: brute-force shortest proofs and optimal values, from env alone
+- oracle: brute-force shortest proofs and the gamma^L value of their length,
+  from env alone
 - corpus: theorem generation, persistence and splitting
 - predictor: the supervised tactic predictor and the action space it bounds
   (the top-n actions that apply, their cache, the task filter's check)
@@ -36,7 +37,7 @@ from .env import (
     step_hyperstate,
 )
 from .terms import Term, parse_term, format_term, normalize
-from .oracle import OracleResult, optimal_value, shortest_proof
+from .oracle import OracleResult, shortest_proof
 from .corpus import CorpusEntry, CorpusSplit, generate_corpus, load_corpus, save_corpus, split_corpus
 from .predictor import ActionCache, Predictor, TacticPrediction, featurize, predict_top_n, train_predictor
 from .encoder import encode_hashed

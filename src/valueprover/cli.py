@@ -248,8 +248,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base = _config_from_args(args, rl=True)
-    os.makedirs(args.out, exist_ok=True)
-    sweep_rows = []
+    # (label, strategy, rows) per setting; nothing is written until every
+    # setting has trained, so a failing setting leaves no half sweep behind
+    settings = []
+    union_rows = []
 
     if args.sweep == "scorer":
         model, predictor, _, split = run_training(args.corpus, base)
@@ -258,22 +260,26 @@ def cmd_ablate(args) -> int:
         )
         for scorer, strategy in (("value_model", "bestfirst"), ("probability_product", "bestfirst_prob")):
             rows = [r for r in both_rows if r["strategy"] == strategy]
-            summary = write_report(os.path.join(args.out, f"scorer-{scorer}"), rows, [strategy])
-            sweep_rows.append({"setting": f"scorer={scorer}", **summary["strategies"][strategy]})
+            settings.append((scorer, strategy, rows))
         union = build_summary(both_rows, ["bestfirst", "bestfirst_prob"])["union_proved"]
-        sweep_rows.append({"setting": "union_of_proved", "proved": union})
+        union_rows.append({"setting": "union_of_proved", "proved": union})
     else:
-        field, settings = _TRAINING_SWEEPS[args.sweep]
-        for label, value in settings:
+        field, values = _TRAINING_SWEEPS[args.sweep]
+        for label, value in values:
             config = dataclasses.replace(base, **{field: value})
             try:
                 model, predictor, _, split = run_training(args.corpus, config)
             except Exception as err:
                 raise RuntimeError(f"{args.sweep}={label}: {err}") from err
             rows = run_eval(model, predictor, split.test, ["astar"], config.width, args.budget)
-            summary = write_report(os.path.join(args.out, f"{args.sweep}-{label}"), rows, ["astar"])
-            sweep_rows.append({"setting": f"{args.sweep}={label}", **summary["strategies"]["astar"]})
+            settings.append((label, "astar", rows))
 
+    os.makedirs(args.out, exist_ok=True)
+    sweep_rows = []
+    for label, strategy, rows in settings:
+        summary = write_report(os.path.join(args.out, f"{args.sweep}-{label}"), rows, [strategy])
+        sweep_rows.append({"setting": f"{args.sweep}={label}", **summary["strategies"][strategy]})
+    sweep_rows += union_rows
     with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"sweep": args.sweep, "settings": sweep_rows}, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -289,7 +295,7 @@ def cmd_oracle(args) -> int:
         "shortest_length": result.shortest_length,
         "shortest_script": str(result.shortest_script) if result.shortest_script else None,
         "depth_limited": result.depth_limited,
-        "optimal_value": args.gamma**result.shortest_length if result.provable else 0.0,
+        "optimal_value": result.value(args.gamma),
     }
     print(json.dumps(record, sort_keys=True))
     return 0

@@ -135,12 +135,14 @@ class Obligation:
         return frozenset(names)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Hyperstate:
     """All open obligations, in script order.
 
-    Equality (and the dedup key used by search) is multiset equality of the
-    obligations' canonical forms; the tuple order still matters for replay.
+    Equality is structural: the same obligations in the same order, which
+    is the order replay needs. Search and the oracle dedupe by
+    canonical_key() instead, the multiset of the obligations' canonical
+    forms.
     """
 
     obligations: tuple[Obligation, ...] = ()
@@ -160,14 +162,6 @@ class Hyperstate:
         if len(obligations) == 1:
             return (obligations[0].canonical(),)
         return tuple(sorted(ob.canonical() for ob in obligations))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hyperstate):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
 
 
 @dataclass(frozen=True, slots=True)

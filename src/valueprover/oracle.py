@@ -4,6 +4,8 @@ The oracle does breadth-first search over hyperstates using every applicable
 tactic, so the scripts it returns are minimum-length by construction. It
 stays deliberately simple: no heuristics, no pruning beyond a visited set.
 It reads only the environment, never a model, so it stays the ground truth.
+OracleResult.value(gamma) is the exact value of an obligation: gamma to the
+length of its shortest proof.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "OracleResult",
     "ActionProvider",
     "shortest_proof",
-    "shortest_obligation_length",
-    "optimal_value",
 ]
 
 # Maps an obligation to the candidate tactics to try on it.
@@ -33,6 +33,12 @@ class OracleResult:
     shortest_script: ProofScript | None
     shortest_length: int | None
     depth_limited: bool
+
+    def value(self, gamma: float) -> float:
+        """gamma^(shortest proof length), or 0 when unprovable within depth."""
+        if not 0.0 < gamma < 1.0:
+            raise ValueError("gamma must lie in (0, 1)")
+        return gamma**self.shortest_length if self.provable else 0.0
 
 
 def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | None = None) -> OracleResult:
@@ -68,19 +74,3 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
             visited.add(key)
             queue.append((child, script + (tactic,)))
     return OracleResult(False, None, None, depth_limited)
-
-
-def shortest_obligation_length(ob: Obligation, max_depth: int, actions: ActionProvider | None = None) -> int | None:
-    """Minimum number of tactics to discharge `ob` alone, or None."""
-    result = shortest_proof(Hyperstate((ob,)), max_depth, actions)
-    return result.shortest_length
-
-
-def optimal_value(ob: Obligation, gamma: float, max_depth: int, actions: ActionProvider | None = None) -> float:
-    """gamma^(shortest proof length), or 0 when unprovable within depth."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    length = shortest_obligation_length(ob, max_depth, actions)
-    if length is None:
-        return 0.0
-    return gamma**length

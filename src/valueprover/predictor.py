@@ -212,7 +212,7 @@ def _argument_rule(template: str, var: str | None, hyp: Hypothesis | None) -> Ta
         return argument_tactic("induction", var) if var is not None else None
     if template == "rewrite":
         return argument_tactic("rewrite", hyp.name) if hyp is not None else None
-    return PLAIN_TACTICS.get(template) or Tactic(template)
+    return PLAIN_TACTICS[template]
 
 
 def predict_top_n(predictor: Predictor, ob: Obligation, n: int) -> list[TacticPrediction]:

@@ -146,10 +146,7 @@ def numeral(k: int) -> Term:
     """The numeral k as Succ^k(Zero)."""
     if k < 0:
         raise ValueError("numerals are nonnegative")
-    t: Term = ZERO
-    for _ in range(k):
-        t = Succ(t)
-    return t
+    return succ_tower(k, ZERO)
 
 
 def succ_tower(k: int, base: Term) -> Term:

@@ -188,8 +188,7 @@ def prepare_tasks(split: CorpusSplit, predictor: Predictor, n: int, config: Trai
         if config.subproof_tasks:
             subproofs = extract_subproof_tasks(entry.theorem, entry.proof)
         else:
-            initial = Hyperstate((entry.theorem.statement,)).first
-            subproofs = [(initial, entry.proof)]
+            subproofs = [(entry.theorem.statement, entry.proof)]
         for obligation, script in subproofs:
             length = len(script.steps)
             if length <= config.min_drop_length or length >= config.max_drop_length:

@@ -15,7 +15,7 @@ from valueprover.env import (
     parse_script,
     step_hyperstate,
 )
-from valueprover.oracle import optimal_value
+from valueprover.oracle import shortest_proof
 from valueprover.predictor import Predictor, train_predictor
 from valueprover.terms import Plus, Succ, Var, is_identifier
 
@@ -28,7 +28,7 @@ def value_stand_in(value_of, gamma):
 def oracle_model(gamma=0.9, depth=12, actions=None):
     """A ValueModel stand-in that values an obligation at gamma to the
     length of its shortest proof, and at 0 if it has none within depth."""
-    return value_stand_in(lambda ob: optimal_value(ob, gamma, depth, actions=actions), gamma)
+    return value_stand_in(lambda ob: shortest_proof(Hyperstate((ob,)), depth, actions).value(gamma), gamma)
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,7 @@ from valueprover.env import (
     parse_obligation,
     parse_script,
 )
-from valueprover.oracle import (
-    shortest_obligation_length,
-    shortest_proof,
-)
+from valueprover.oracle import shortest_proof
 from valueprover.predictor import (
     FEATURE_NAMES,
     cross_entropy_loss_and_grads,
@@ -81,8 +78,7 @@ def test_criterion_2_tabular_fixed_point_matches_oracle(oracle_suite):
     actions = _provider(predictor)
     worst = 0.0
     for key, (obligation, _) in graph.items():
-        length = shortest_obligation_length(obligation, 14, actions=actions)
-        expected = 0.0 if length is None else GAMMA**length
+        expected = shortest_proof(Hyperstate((obligation,)), 14, actions).value(GAMMA)
         worst = max(worst, abs(values[key] - expected))
     ok = len(entries) >= 20 and worst <= 1e-9
     print(f"  [criterion 2] theorems={len(entries)} graph_nodes={len(graph)} worst_delta={worst:.2e}")
@@ -97,8 +93,7 @@ def test_criterion_3_astar_optimal_under_oracle_heuristic(oracle_suite):
     def oracle_value(obligation):
         key = obligation.canonical()
         if key not in memo:
-            length = shortest_obligation_length(obligation, 14, actions=actions)
-            memo[key] = 0.0 if length is None else GAMMA**length
+            memo[key] = shortest_proof(Hyperstate((obligation,)), 14, actions).value(GAMMA)
         return memo[key]
 
     model = value_stand_in(oracle_value, GAMMA)
@@ -230,7 +225,7 @@ def test_criterion_7_greedy_value_vs_probability():
                 if key in seen:
                     continue
                 seen.add(key)
-                if shortest_obligation_length(obligation, 12, actions=actions) is not None:
+                if shortest_proof(Hyperstate((obligation,)), 12, actions).provable:
                     held_out.append(obligation)
         value_proved = sum(
             search_from("greedy", Hyperstate((ob,)), model, predictor, WIDTH, 64).proved

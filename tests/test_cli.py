@@ -11,7 +11,7 @@ import pytest
 import valueprover
 from valueprover import cli, oracle
 from valueprover.cli import EVAL_STRATEGIES, WIDTH_SWEEP, main
-from valueprover.env import TEMPLATES, Theorem, parse_obligation, parse_script, script_is_valid
+from valueprover.env import TEMPLATES, Hyperstate, Theorem, parse_obligation, parse_script, script_is_valid
 from valueprover.trainer import TrainerConfig
 
 
@@ -165,6 +165,7 @@ def test_an_empty_task_list_names_the_filters_and_the_failing_sweep_setting(tmp_
     sweep = ["ablate", "--sweep", "obligation-training", "--corpus", corpus, "--out", str(tmp_path / "sweep")]
     assert main([*sweep, "--pretrain-epochs", "60", "--rl-epochs", "0"]) == 2
     assert capsys.readouterr().err == f"valueprover: obligation-training=off: {message}\n"
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_oracle_command(capsys):
@@ -196,7 +197,7 @@ def test_oracle_runs_one_breadth_first_search(monkeypatch, capsys, obligation, d
         calls.append(args)
         return shortest_proof(*args)
 
-    expected = oracle.optimal_value(parse_obligation(obligation), gamma, depth)
+    expected = oracle.shortest_proof(Hyperstate((parse_obligation(obligation),)), depth).value(gamma)
     monkeypatch.setattr(cli, "shortest_proof", counted)
     monkeypatch.setattr(oracle, "shortest_proof", counted)
     assert main(["oracle", obligation, "--depth", str(depth), "--gamma", str(gamma)]) == 0

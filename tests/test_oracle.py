@@ -21,12 +21,7 @@ from valueprover.env import (
     script_is_valid,
     step_hyperstate,
 )
-from valueprover.oracle import (
-    OracleResult,
-    optimal_value,
-    shortest_obligation_length,
-    shortest_proof,
-)
+from valueprover.oracle import OracleResult, shortest_proof
 from valueprover.predictor import predict_top_n, reproducible_under_predictor
 from valueprover.search import run_strategy
 from valueprover.value_model import explore_obligation_graph, tabular_value_iteration
@@ -96,13 +91,13 @@ def test_minimality_by_exhaustive_enumeration(small_corpus):
 def test_optimal_value_examples():
     # a 1-step obligation is worth exactly gamma
     one_step = parse_obligation("|- Zero = Zero")
-    assert optimal_value(one_step, 0.9, 8) == pytest.approx(0.9, abs=1e-12)
+    assert shortest_proof(Hyperstate((one_step,)), 8).value(0.9) == pytest.approx(0.9, abs=1e-12)
     # unprovable within depth falls back to 0
-    assert optimal_value(parse_obligation("|- Zero = Succ(Zero)"), 0.9, 8) == 0.0
+    assert shortest_proof(Hyperstate((parse_obligation("|- Zero = Succ(Zero)"),)), 8).value(0.9) == 0.0
     # the worked example's post-intros obligation takes 6 steps: gamma^6
-    six = parse_obligation("n |- Plus(Var(n),Zero) = Var(n)")
-    assert shortest_obligation_length(six, 8) == 6
-    assert optimal_value(six, 0.9, 8) == pytest.approx(0.9**6, abs=1e-12)
+    six = shortest_proof(Hyperstate((parse_obligation("n |- Plus(Var(n),Zero) = Var(n)"),)), 8)
+    assert six.shortest_length == 6
+    assert six.value(0.9) == pytest.approx(0.9**6, abs=1e-12)
 
 
 def test_optimal_value_monotone_in_length(small_corpus):
@@ -111,7 +106,7 @@ def test_optimal_value_monotone_in_length(small_corpus):
     scored = []
     for entry in small_corpus[:8]:
         for obligation, script in extract_subproof_tasks(entry.theorem, entry.proof):
-            scored.append((len(script.steps), optimal_value(obligation, 0.9, 10)))
+            scored.append((len(script.steps), shortest_proof(Hyperstate((obligation,)), 10).value(0.9)))
     scored.sort(key=lambda pair: pair[0])
     for (la, va), (lb, vb) in zip(scored, scored[1:]):
         if la <= lb:

@@ -506,15 +506,14 @@ def test_tabular_value_iteration_small_graph(trained_predictor):
     roots = [ob("forall n, |- Plus(Var(n),Zero) = Var(n)")]
     graph = explore_obligation_graph(roots, trained_predictor, 5)
     values = tabular_value_iteration(graph, 0.9)
-    from valueprover.oracle import shortest_obligation_length
+    from valueprover.oracle import shortest_proof
     from valueprover.predictor import predict_top_n as topn
 
     def provider(state):
         return [p.tactic for p in topn(trained_predictor, state, 5)]
 
     for key, (state, actions) in graph.items():
-        length = shortest_obligation_length(state, 12, actions=provider)
-        expected = 0.0 if length is None else 0.9**length
+        expected = shortest_proof(Hyperstate((state,)), 12, provider).value(0.9)
         assert values[key] == pytest.approx(expected, abs=1e-9)
 
 
