@@ -29,13 +29,19 @@ __all__ = ["main", "build_parser"]
 WIDTH_SWEEP = (2, 3, 4, 5, 6)
 GAMMA_SWEEP = (0.5, 0.7, 0.9, 0.99)
 
-# Each sweep that trains one model per setting and evaluates A* on it: the
-# config field it varies and its (label, value) settings. A setting's report
-# goes to `<sweep>-<label>/` and its sweep.json row reads `<sweep>=<label>`.
-_TRAINING_SWEEPS = {
-    "width": ("width", tuple((str(width), width) for width in WIDTH_SWEEP)),
-    "gamma": ("gamma", tuple((str(gamma), gamma) for gamma in GAMMA_SWEEP)),
-    "obligation-training": ("subproof_tasks", (("on", True), ("off", False))),
+# Each sweep of ablate, as rows of (config change, ((label, strategy), ...)).
+# A row trains one model and evaluates its strategies on the test split; each
+# (label, strategy) gets a report in `<sweep>-<label>/` and a sweep.json row
+# reading `<sweep>=<label>`, and a row of several strategies adds the union of
+# what they proved.
+_SWEEPS = {
+    "width": tuple(({"width": width}, ((str(width), "astar"),)) for width in WIDTH_SWEEP),
+    "gamma": tuple(({"gamma": gamma}, ((str(gamma), "astar"),)) for gamma in GAMMA_SWEEP),
+    "scorer": (({}, (("value_model", "bestfirst"), ("probability_product", "bestfirst_prob"))),),
+    "obligation-training": (
+        ({"subproof_tasks": True}, (("on", "astar"),)),
+        ({"subproof_tasks": False}, (("off", "astar"),)),
+    ),
 }
 
 
@@ -105,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--counts", type=_counts, default=(12, 12, 12), help="per-family counts a,b,c")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_gen_corpus)
 
     for name in ("pretrain", "train"):
         p = sub.add_parser(name, help=f"{name} a value model from a corpus")
@@ -112,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="checkpoint path; report written next to it")
         _add_training_arguments(p, rl=name == "train")
         p.add_argument("--no-subproof-tasks", action="store_true")
+        p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("prove", help="search for a proof of one theorem")
     p.add_argument("--checkpoint", required=True)
@@ -119,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=EVAL_STRATEGIES, default="astar")
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
     p.add_argument("--width", type=_positive_int, default=None)
+    p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("eval", help="run strategies over a corpus split and write a report")
     p.add_argument("--checkpoint", required=True)
@@ -127,18 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="astar,dfs", help=f"comma list from {EVAL_STRATEGIES}")
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
     p.add_argument("--out", required=True, help="report directory")
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("ablate", help="hyperparameter and design sweeps")
-    p.add_argument("--sweep", choices=("width", "gamma", "scorer", "obligation-training"), required=True)
+    p.add_argument("--sweep", choices=tuple(_SWEEPS), required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="sweep output directory")
     _add_training_arguments(p, rl=True)
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
+    p.set_defaults(run=cmd_ablate)
 
     p = sub.add_parser("oracle", help="brute-force shortest proof of one obligation")
     p.add_argument("obligation", help="canonical obligation text")
     p.add_argument("--depth", type=_nonnegative_int, default=10)
     p.add_argument("--gamma", type=_gamma, default=0.9)
+    p.set_defaults(run=cmd_oracle)
 
     return parser
 
@@ -153,15 +165,16 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _config_from_args(args, rl: bool) -> TrainerConfig:
-    """The config of pretrain (rl False), train or ablate; ablate has no
-    --no-subproof-tasks and always trains on sub-proofs."""
+def _config_from_args(args) -> TrainerConfig:
+    """The config of pretrain, train or ablate; pretrain has no --rl-epochs
+    and trains no RL epoch, and ablate has no --no-subproof-tasks and always
+    trains on sub-proofs."""
     return TrainerConfig(
         gamma=args.gamma,
         width=args.width,
         seed=args.seed,
         test_ratio=args.test_ratio,
-        rl_epochs=args.rl_epochs if rl else 0,
+        rl_epochs=getattr(args, "rl_epochs", 0),
         pretrain_epochs=args.pretrain_epochs,
         min_drop_length=args.min_drop_length,
         max_drop_length=args.max_drop_length,
@@ -177,9 +190,9 @@ def _training_pairs(entries):
     return pairs
 
 
-def run_training(corpus_path: str, config: TrainerConfig):
-    """Shared pipeline: load, split, fit the predictor, train the model."""
-    entries = load_corpus(corpus_path)
+def run_training(entries, config: TrainerConfig):
+    """Shared pipeline: split the loaded corpus, fit the predictor, train
+    the model."""
     split = split_corpus(entries, config.seed, config.test_ratio)
     if not split.train:
         raise RuntimeError("the training split is empty")
@@ -193,9 +206,9 @@ def run_training(corpus_path: str, config: TrainerConfig):
     return model, predictor, report, split
 
 
-def cmd_train(args, rl: bool) -> int:
-    config = _config_from_args(args, rl)
-    model, predictor, report, _ = run_training(args.corpus, config)
+def cmd_train(args) -> int:
+    config = _config_from_args(args)
+    model, predictor, report, _ = run_training(load_corpus(args.corpus), config)
     save_checkpoint(args.out, model, predictor, config)
     report_path = args.out + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -247,32 +260,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    base = _config_from_args(args, rl=True)
+    base = _config_from_args(args)
+    entries = load_corpus(args.corpus)
     # (label, strategy, rows) per setting; nothing is written until every
     # setting has trained, so a failing setting leaves no half sweep behind
     settings = []
     union_rows = []
-
-    if args.sweep == "scorer":
-        model, predictor, _, split = run_training(args.corpus, base)
-        both_rows = run_eval(
-            model, predictor, split.test, ["bestfirst", "bestfirst_prob"], base.width, args.budget
-        )
-        for scorer, strategy in (("value_model", "bestfirst"), ("probability_product", "bestfirst_prob")):
-            rows = [r for r in both_rows if r["strategy"] == strategy]
-            settings.append((scorer, strategy, rows))
-        union = build_summary(both_rows, ["bestfirst", "bestfirst_prob"])["union_proved"]
-        union_rows.append({"setting": "union_of_proved", "proved": union})
-    else:
-        field, values = _TRAINING_SWEEPS[args.sweep]
-        for label, value in values:
-            config = dataclasses.replace(base, **{field: value})
-            try:
-                model, predictor, _, split = run_training(args.corpus, config)
-            except Exception as err:
-                raise RuntimeError(f"{args.sweep}={label}: {err}") from err
-            rows = run_eval(model, predictor, split.test, ["astar"], config.width, args.budget)
-            settings.append((label, "astar", rows))
+    for change, labelled in _SWEEPS[args.sweep]:
+        config = dataclasses.replace(base, **change)
+        strategies = [strategy for _, strategy in labelled]
+        try:
+            model, predictor, _, split = run_training(entries, config)
+        except Exception as err:
+            raise RuntimeError(f"{args.sweep}={','.join(label for label, _ in labelled)}: {err}") from err
+        rows = run_eval(model, predictor, split.test, strategies, config.width, args.budget)
+        for label, strategy in labelled:
+            settings.append((label, strategy, [r for r in rows if r["strategy"] == strategy]))
+        if len(strategies) > 1:
+            union = build_summary(rows, strategies)["union_proved"]
+            union_rows.append({"setting": "union_of_proved", "proved": union})
 
     os.makedirs(args.out, exist_ok=True)
     sweep_rows = []
@@ -302,26 +308,12 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen-corpus":
-            return cmd_gen_corpus(args)
-        if args.command in ("pretrain", "train"):
-            return cmd_train(args, rl=args.command == "train")
-        if args.command == "prove":
-            return cmd_prove(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "ablate":
-            return cmd_ablate(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except Exception as err:  # noqa: BLE001 - surface as a runtime failure
         print(f"valueprover: {err}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -493,13 +493,17 @@ def replay_script(thm: Theorem, script: ProofScript) -> tuple[tuple[Hyperstate, 
     return tuple(trace)
 
 
+def _closes_proof(trace) -> bool:
+    """A replay trace closes the proof iff it has a step and its last
+    hyperstate is empty."""
+    return bool(trace) and trace[-1][2].is_empty
+
+
 def script_is_valid(thm: Theorem, script: ProofScript) -> bool:
     try:
-        trace = replay_script(thm, script)
+        return _closes_proof(replay_script(thm, script))
     except ReplayError:
         return False
-    final = trace[-1][2] if trace else Hyperstate((thm.statement,))
-    return final.is_empty
 
 
 def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obligation, ProofScript]]:
@@ -509,28 +513,22 @@ def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obli
     that discharges it together with everything it spawns, so the task for
     the initial obligation is the full script and a parent's length is
     1 + the sum of its children's lengths.
+
+    Every step of a valid script acts on a new obligation, the first one, so
+    the task of step i runs to the first step after which only the
+    obligations behind step i's obligation are left; one pass over the trace
+    with a stack of open steps finds each end.
     """
     trace = replay_script(thm, script)
-    final = trace[-1][2] if trace else Hyperstate((thm.statement,))
-    if not final.is_empty:
+    if not _closes_proof(trace):
         raise ReplayError(len(script.steps), "script does not close the proof")
-
-    steps = script.steps
-    tasks: list[tuple[Obligation, ProofScript] | None] = []
-
-    def discharge(ob: Obligation, start: int) -> int:
-        slot = len(tasks)
-        tasks.append(None)
-        children = apply_tactic(ob, steps[start])
-        end = start + 1
-        for child in children:
-            end = discharge(child, end)
-        tasks[slot] = (ob, ProofScript(steps[start:end]))
-        return end
-
-    consumed = discharge(thm.statement, 0)
-    assert consumed == len(steps), "subproof decomposition must consume the whole script"
-    return tasks  # type: ignore[return-value]
+    ends = [0] * len(trace)
+    open_steps: list[tuple[int, int]] = []  # (step, obligations left once its obligation is discharged)
+    for index, (before, _, after) in enumerate(trace):
+        open_steps.append((index, len(before.obligations) - 1))
+        while open_steps and open_steps[-1][1] == len(after.obligations):
+            ends[open_steps.pop()[0]] = index + 1
+    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in enumerate(ends)]
 
 
 def _applicable(ob: Obligation, tactics: Iterable[Tactic], apply) -> list[tuple[Tactic, tuple[Obligation, ...]]]:

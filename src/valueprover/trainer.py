@@ -102,10 +102,9 @@ class TrainerConfig:
     episodes_per_prefix: ClassVar[int] = 2
     updates_per_episode: ClassVar[int] = 4
     batch_size: ClassVar[int] = 32
-    # the batch mix: replay, true-target and negative shares, summing to 1
+    # the batch mix: the replay and true-target shares; negatives fill the rest
     replay_fraction: ClassVar[float] = 0.5
     true_fraction: ClassVar[float] = 0.25
-    negative_fraction: ClassVar[float] = 0.25
     replay_capacity: ClassVar[int] = 4096
     learning_rate: ClassVar[float] = 0.02
     pretrain_learning_rate: ClassVar[float] = 0.02

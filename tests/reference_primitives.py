@@ -1,16 +1,20 @@
 """Step-by-step reference versions of the term and expansion primitives.
 
 These are the straightforward forms the package used before its one-pass
-`normalize`, its sharing `substitute`, its name-based occurrence check and
-its shared argument-free tactics. The differential tests in test_terms.py
-and test_env.py hold the package's versions to them. `term_size` serves the
-reference featurizer in test_predictor.py; the package has no caller of it.
+`normalize`, its sharing `substitute`, its name-based occurrence check, its
+shared argument-free tactics and its one-pass sub-proof extraction. The
+differential tests in test_terms.py and test_env.py hold the package's
+versions to them. `term_size` serves the reference featurizer in
+test_predictor.py; the package has no caller of it.
 """
 
 from valueprover.env import (
     ContextVar,
+    Hyperstate,
     Hypothesis,
     Obligation,
+    ProofScript,
+    ReplayError,
     Tactic,
     TacticError,
     _apply_f_equal,
@@ -18,6 +22,7 @@ from valueprover.env import (
     _apply_reflexivity,
     _apply_rewrite,
     _fresh_name,
+    replay_script,
 )
 from valueprover.terms import ZERO, Plus, Succ, Term, Var, Zero, occurs
 
@@ -164,3 +169,28 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
         except TacticError:
             continue
     return tuple(pairs)
+
+
+def extract_subproof_tasks(thm, script) -> list[tuple[Obligation, ProofScript]]:
+    """Sub-proof tasks by recursion: after the replay, each obligation
+    applies its step again and discharges its children in turn, and its
+    task is the slice of the script they consumed."""
+    trace = replay_script(thm, script)
+    final = trace[-1][2] if trace else Hyperstate((thm.statement,))
+    if not final.is_empty:
+        raise ReplayError(len(script.steps), "script does not close the proof")
+
+    steps = script.steps
+    tasks = []
+
+    def discharge(ob: Obligation, start: int) -> int:
+        slot = len(tasks)
+        tasks.append(None)
+        end = start + 1
+        for child in apply_tactic(ob, steps[start]):
+            end = discharge(child, end)
+        tasks[slot] = (ob, ProofScript(steps[start:end]))
+        return end
+
+    assert discharge(thm.statement, 0) == len(steps)
+    return tasks

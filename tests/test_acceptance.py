@@ -254,7 +254,6 @@ def test_criterion_8_negative_example_convergence(monkeypatch):
         updates_per_episode=8,
         replay_fraction=0.25,
         true_fraction=0.25,
-        negative_fraction=0.5,
     ).items():
         monkeypatch.setattr(TrainerConfig, name, value)
     _, _, model, report, _ = _trained_run((10, 8, 22), 11, 0, dict(rl_epochs=5))

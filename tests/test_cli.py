@@ -115,7 +115,7 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
 
 def test_training_options_default_to_the_trainer_config():
     args = cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
-    assert cli._config_from_args(args, rl=True) == TrainerConfig()
+    assert cli._config_from_args(args) == TrainerConfig()
 
 
 def test_width_sweep_settings_are_distinct_top_n_widths():
@@ -166,6 +166,28 @@ def test_an_empty_task_list_names_the_filters_and_the_failing_sweep_setting(tmp_
     assert main([*sweep, "--pretrain-epochs", "60", "--rl-epochs", "0"]) == 2
     assert capsys.readouterr().err == f"valueprover: obligation-training=off: {message}\n"
     assert not (tmp_path / "sweep").exists()
+    # the scorer sweep trains one model for its two strategies, and a
+    # failing training names both
+    banded = ["--min-drop-length", "9", "--max-drop-length", "10"]
+    assert main(["ablate", "--sweep", "scorer", "--corpus", corpus, "--out", str(tmp_path / "sweep"), *banded]) == 2
+    message = (
+        "no training tasks survive the filters: a demo longer than min_drop_length 9 and shorter than"
+        " max_drop_length 10, reproducible under the top-5 predictions, with sub-proof tasks on"
+    )
+    assert capsys.readouterr().err == f"valueprover: scorer=value_model,probability_product: {message}\n"
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_ablate_reads_the_corpus_once(tmp_path, monkeypatch):
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["gen-corpus", "--seed", "13", "--counts", "4,3,3", "--out", corpus]) == 0
+    loads = []
+    load_corpus = cli.load_corpus
+    monkeypatch.setattr(cli, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+    sweep = ["ablate", "--sweep", "width", "--corpus", corpus, "--out", str(tmp_path / "sweep")]
+    assert main([*sweep, "--pretrain-epochs", "20", "--rl-epochs", "0", "--budget", "16"]) == 0
+    assert loads == [corpus]
+    assert len(json.loads((tmp_path / "sweep" / "sweep.json").read_text())["settings"]) == len(WIDTH_SWEEP)
 
 
 def test_oracle_command(capsys):
@@ -396,8 +418,9 @@ def _set_leaf(section, key, index, value):
 
 
 # The settings that the version-2 config recorded and that version 3 fixes
-# as TrainerConfig class constants; encoder_salt, always 0, and
-# epsilon_decay_episodes, always None, are gone.
+# as TrainerConfig class constants; encoder_salt, always 0,
+# negative_fraction, always 0.25, and epsilon_decay_episodes, always None,
+# are gone.
 _FIXED_SINCE_VERSION_3 = (
     "epsilon_start",
     "epsilon_end",
@@ -407,7 +430,6 @@ _FIXED_SINCE_VERSION_3 = (
     "batch_size",
     "replay_fraction",
     "true_fraction",
-    "negative_fraction",
     "replay_capacity",
     "learning_rate",
     "pretrain_learning_rate",
@@ -423,7 +445,13 @@ def _version_2(payload):
     """The payload in the version-2 layout, whose config also recorded the
     fixed settings and epsilon_decay_episodes."""
     fixed = {name: getattr(TrainerConfig, name) for name in _FIXED_SINCE_VERSION_3}
-    config = {**payload["config"], **fixed, "encoder_salt": 0, "epsilon_decay_episodes": None}
+    config = {
+        **payload["config"],
+        **fixed,
+        "encoder_salt": 0,
+        "negative_fraction": 0.25,
+        "epsilon_decay_episodes": None,
+    }
     return {**payload, "version": 2, "config": config}
 
 

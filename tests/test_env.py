@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valueprover import env
+from valueprover.corpus import generate_corpus
 from valueprover.env import (
     CACHE_SIZE,
     ContextVar,
@@ -257,6 +258,43 @@ def test_extract_subproof_length_identity(worked_theorem, small_corpus):
         children = apply_tactic(root[0], root[1].steps[0])
         child_total = sum(lengths[c.canonical()] for c in children)
         assert len(root[1].steps) == 1 + child_total
+
+
+@st.composite
+def generated_scripts(draw):
+    """A generated corpus theorem with its proof, or with a random walk of
+    up to 12 applicable tactics, which closes the proof or leaves
+    obligations open."""
+    entries, _ = generate_corpus(draw(st.integers(0, 2**16)), (2, 2, 2))
+    entry = draw(st.sampled_from(entries))
+    if draw(st.booleans()):
+        return entry.theorem, entry.proof
+    state = Hyperstate((entry.theorem.statement,))
+    steps = []
+    while not state.is_empty and len(steps) < 12:
+        options = enumerate_applicable(state.first)
+        if not options:
+            break
+        tactic, produced = draw(st.sampled_from(options))
+        steps.append(tactic)
+        state = Hyperstate(produced + state.obligations[1:])
+    return entry.theorem, ProofScript(tuple(steps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generated_scripts())
+def test_extract_subproof_tasks_matches_the_recursive_reference(case):
+    # the same tasks in the same order, and the same refusal of a script
+    # that leaves obligations open
+    theorem, script = case
+    try:
+        expected = reference_primitives.extract_subproof_tasks(theorem, script)
+    except ReplayError as err:
+        with pytest.raises(ReplayError) as refused:
+            extract_subproof_tasks(theorem, script)
+        assert refused.value.step_index == err.step_index
+        return
+    assert extract_subproof_tasks(theorem, script) == expected
 
 
 def test_extract_rejects_invalid_script(worked_theorem):

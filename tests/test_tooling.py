@@ -265,11 +265,39 @@ def test_every_trainer_config_field_is_set_by_a_caller(monkeypatch):
     args = cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
     passed = []
     monkeypatch.setattr(cli, "TrainerConfig", lambda **settings: passed.append(set(settings)))
-    cli._config_from_args(args, rl=True)
+    cli._config_from_args(args)
     fields = {f.name for f in dataclasses.fields(trainer.TrainerConfig)}
     assert fields == passed[0] | {"actor_count"}
-    # the training sweeps of ablate vary fields
-    assert {field for field, _ in cli._TRAINING_SWEEPS.values()} <= fields
+    # the sweeps of ablate vary fields
+    assert {field for rows in cli._SWEEPS.values() for change, _ in rows for field in change} <= fields
+
+
+def test_every_trainer_config_constant_is_read():
+    # a TrainerConfig class constant that no package code reads changes
+    # nothing when it is set, so it is deleted
+    import ast
+
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "valueprover").glob("*.py"))]
+    (config,) = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "TrainerConfig"
+    ]
+    constants = {
+        node.target.id
+        for node in config.body
+        if isinstance(node, ast.AnnAssign) and "ClassVar" in ast.unparse(node.annotation)
+    }
+    inside = {id(node) for node in ast.walk(config)}
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+    assert "batch_size" in constants
+    assert sorted(constants - read) == []
 
 
 def _worker_counts(workload, tmp_path):

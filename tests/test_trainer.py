@@ -410,6 +410,7 @@ class _ReferenceLearner:
         return batch
 
 
+# (replay, true-target, negative) shares; negatives fill the rest of a batch
 MIXES = [(0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.75, 0.0, 0.25), (0.25, 0.75, 0.0)]
 
 
@@ -426,7 +427,7 @@ def test_learner_batches_match_an_obligation_keyed_reference(small_split, cold_p
     from valueprover.trainer import _Learner
 
     predictor = cold_predictor()
-    replay, true, negative = mix
+    replay, true, _ = mix
     # the monkeypatch fixture spans every example of a test; each example
     # sets its drawn constants and undoes them
     with pytest.MonkeyPatch.context() as patch:
@@ -436,7 +437,6 @@ def test_learner_batches_match_an_obligation_keyed_reference(small_split, cold_p
             replay_capacity=capacity,
             replay_fraction=replay,
             true_fraction=true,
-            negative_fraction=negative,
             batch_size=data.draw(st.integers(1, 32)),
         )
         tasks = prepare_tasks(small_split, predictor, config.width, config)
