@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .terms import (
     ZERO,
@@ -57,6 +57,7 @@ __all__ = [
     "step_hyperstate",
     "replay_script",
     "script_is_valid",
+    "discharges",
     "extract_subproof_tasks",
     "applicable_among",
     "enumerate_applicable",
@@ -506,29 +507,37 @@ def script_is_valid(thm: Theorem, script: ProofScript) -> bool:
         return False
 
 
-def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obligation, ProofScript]]:
-    """One task per obligation the replay creates, in first-appearance order.
+def discharges(trace) -> Iterator[tuple[int, int]]:
+    """(start, end) for each step of a replay trace whose obligation the
+    trace discharges, in the order they close: steps start to end discharge
+    the obligation of step start together with everything it spawns.
 
-    Each obligation is paired with the exact contiguous slice of the script
-    that discharges it together with everything it spawns, so the task for
-    the initial obligation is the full script and a parent's length is
-    1 + the sum of its children's lengths.
-
-    Every step of a valid script acts on a new obligation, the first one, so
-    the task of step i runs to the first step after which only the
-    obligations behind step i's obligation are left; one pass over the trace
-    with a stack of open steps finds each end.
+    Each step acts on the first obligation, so step start's obligation is
+    discharged after the first step that leaves only the obligations behind
+    it; one pass with a stack of open steps finds each end. A step still
+    open when the trace ends, as in an episode cut by its budget or a dead
+    end, is never yielded.
     """
-    trace = replay_script(thm, script)
-    if not _closes_proof(trace):
-        raise ReplayError(len(script.steps), "script does not close the proof")
-    ends = [0] * len(trace)
     open_steps: list[tuple[int, int]] = []  # (step, obligations left once its obligation is discharged)
     for index, (before, _, after) in enumerate(trace):
         open_steps.append((index, len(before.obligations) - 1))
         while open_steps and open_steps[-1][1] == len(after.obligations):
-            ends[open_steps.pop()[0]] = index + 1
-    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in enumerate(ends)]
+            yield open_steps.pop()[0], index + 1
+
+
+def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obligation, ProofScript]]:
+    """One task per obligation the replay creates, in first-appearance order.
+
+    Each obligation is paired with the exact contiguous slice of the script
+    that discharges it together with everything it spawns, as discharges
+    finds it, so the task for the initial obligation is the full script and
+    a parent's length is 1 + the sum of its children's lengths.
+    """
+    trace = replay_script(thm, script)
+    if not _closes_proof(trace):
+        raise ReplayError(len(script.steps), "script does not close the proof")
+    spans = sorted(discharges(trace))
+    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in spans]
 
 
 def _applicable(ob: Obligation, tactics: Iterable[Tactic], apply) -> list[tuple[Tactic, tuple[Obligation, ...]]]:

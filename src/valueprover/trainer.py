@@ -4,10 +4,11 @@ Tasks are the sub-proofs of the training corpus, filtered to the ones the
 predictor can reproduce and to a configurable length band. Each task is
 learned through a demonstration curriculum: the agent replays ever-shorter
 prefixes of the ground-truth script and finishes the rest epsilon-greedily.
-Episode transitions feed a replay buffer; fully discharged obligations
-update the true-target buffer (minimum known length); obligations where
-every prediction errors land in the negative buffer. Batches mix the three
-sources and regress on bootstrapped targets.
+An episode is a replay trace plus its dead end, if any. The source of each
+step feeds a replay buffer; each obligation the trace discharges, by
+env.discharges, updates the true-target buffer (minimum known length); a
+dead end, where every prediction errors, lands in the replay and negative
+buffers. Batches mix the three sources and regress on bootstrapped targets.
 
 One learner owns the parameters and all buffers. The episode plan (epochs
 x tasks x prefixes x episodes, with the epsilon schedule) is played in turn
@@ -25,7 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import CorpusSplit
-from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, apply_tactic, extract_subproof_tasks
+from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, Tactic, apply_tactic
+from .env import discharges, extract_subproof_tasks
 from .predictor import FEATURE_NAMES, ActionCache, Predictor, reproducible_under_predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import search_from
@@ -33,7 +35,6 @@ from .value_model import (
     NegativeBuffer,
     ObligationTable,
     ReplayBuffer,
-    Transition,
     TrueTargetBuffer,
     ValueModel,
     bellman_target,
@@ -218,56 +219,42 @@ def run_episode(
     demo_prefix_length: int,
     rng: random.Random,
     epsilon: float,
-) -> tuple[list[Transition], list[tuple[Obligation, int]]]:
+) -> tuple[tuple[tuple[Hyperstate, Tactic, Hyperstate], ...], Obligation | None]:
     """One episode on the task: replay the demonstration prefix, then act
     epsilon-greedily among the non-erroring top-n tactics, taken from the
-    action cache.
+    action cache, until the proof closes or the episode budget is spent.
 
-    Returns the transitions (dead ends flagged) and every obligation the
-    episode fully discharged, with the number of tactics its discharge took.
+    Returns the (before, tactic, after) trace that replay_script would give
+    for the tactics played, and the dead end: the first obligation of the
+    state where no prediction applied, or None.
     """
     if not 0 <= demo_prefix_length <= task.demo_length:
         raise ValueError("demo prefix length out of range")
     state = Hyperstate((task.obligation,))
-    transitions: list[Transition] = []
-    discharged: list[tuple[Obligation, int]] = []
-    frames: list[tuple[Obligation, int, int]] = []  # (obligation, start step, suffix length)
-    steps_done = 0
-
-    def commit(tactic) -> None:
-        nonlocal state, steps_done
+    trace: list[tuple[Hyperstate, Tactic, Hyperstate]] = []
+    while not state.is_empty and len(trace) < config.episode_budget:
         source = state.first
-        result = apply_tactic(source, tactic)
-        frames.append((source, steps_done, len(state.obligations) - 1))
-        state = Hyperstate(result + state.obligations[1:])
-        steps_done += 1
-        transitions.append(Transition(source))
-        while frames and len(state.obligations) == frames[-1][2]:
-            ob, start, _ = frames.pop()
-            discharged.append((ob, steps_done - start))
-
-    for tactic in task.demo_script.steps[:demo_prefix_length]:
-        if steps_done >= config.episode_budget:
-            return transitions, discharged
-        commit(tactic)
-
-    while not state.is_empty and steps_done < config.episode_budget:
-        source = state.first
-        options = [(tactic, result) for tactic, _, result in actions(source)]
-        if not options:
-            transitions.append(Transition(source, dead_end=True))
-            break
-        scores = [
-            model.hyperstate_value(Hyperstate(result + state.obligations[1:])) for _, result in options
-        ]
-        greedy_index = max(range(len(options)), key=lambda i: (scores[i], -i))
-        if len(options) > 1 and rng.random() < epsilon:
-            rest = [i for i in range(len(options)) if i != greedy_index]
-            choice = rest[rng.randrange(len(rest))]
+        if len(trace) < demo_prefix_length:
+            tactic = task.demo_script.steps[len(trace)]
+            result = apply_tactic(source, tactic)
         else:
-            choice = greedy_index
-        commit(options[choice][0])
-    return transitions, discharged
+            options = [(tactic, result) for tactic, _, result in actions(source)]
+            if not options:
+                return tuple(trace), source
+            scores = [
+                model.hyperstate_value(Hyperstate(result + state.obligations[1:])) for _, result in options
+            ]
+            greedy_index = max(range(len(options)), key=lambda i: (scores[i], -i))
+            if len(options) > 1 and rng.random() < epsilon:
+                rest = [i for i in range(len(options)) if i != greedy_index]
+                choice = rest[rng.randrange(len(rest))]
+            else:
+                choice = greedy_index
+            tactic, result = options[choice]
+        after = Hyperstate(result + state.obligations[1:])
+        trace.append((state, tactic, after))
+        state = after
+    return tuple(trace), None
 
 
 def _epsilon_at(episode: int, total: int, config: TrainerConfig) -> float:
@@ -296,14 +283,18 @@ class _Learner:
         self.updates = 0
         self.losses: list[float] = []
 
-    def ingest(self, transitions: list[Transition], discharged: list[tuple[Obligation, int]]) -> None:
-        for transition in transitions:
-            source = self.table.intern(transition.source)
-            self.replay.push(source)
-            if transition.dead_end:
-                self.negatives.add(source)
-        for obligation, length in discharged:
-            self.true_targets.update(self.table.intern(obligation), length)
+    def ingest(self, trace, dead_end: Obligation | None) -> None:
+        """Replay each step's source and the dead end, mark the dead end
+        negative, and record each discharge's length as a true target."""
+        intern = self.table.intern
+        for before, _, _ in trace:
+            self.replay.push(intern(before.first))
+        if dead_end is not None:
+            dead = intern(dead_end)
+            self.replay.push(dead)
+            self.negatives.add(dead)
+        for start, end in discharges(trace):
+            self.true_targets.update(intern(trace[start][0].first), end - start)
 
     def sample_batch(self) -> tuple[list[int], list[float]]:
         cfg = self.config
@@ -386,14 +377,14 @@ def train(
         task_count=len(tasks),
     )
     learner = _Learner(model, predictor, config)
-    learner.ingest([], [(task.obligation, task.demo_length) for task in tasks])
+    for task in tasks:
+        learner.true_targets.update(learner.table.intern(task.obligation), task.demo_length)
 
     validation = tasks[: config.validation_tasks]
     epoch_episodes = _episodes_per_epoch(tasks, config)
     rng = random.Random(config.seed + 2)
     for task, prefix, epsilon in _episode_plan(tasks, config):
-        transitions, discharged = run_episode(task, model, learner.actions, config, prefix, rng, epsilon)
-        learner.ingest(transitions, discharged)
+        learner.ingest(*run_episode(task, model, learner.actions, config, prefix, rng, epsilon))
         for _ in range(config.updates_per_episode):
             learner.update_once()
         report.episodes += 1

@@ -7,15 +7,16 @@ implicitly worth gamma with no explicit reward term. Update targets take the
 max over the predictor's applicable actions (its ActionCache) of gamma times
 the product of the resulting obligations' current values; dead ends target 0.
 
-Also here: the learner's obligation table, the three experience buffers
-over its ids (replay / true-target / negative) and a tabular value
-iteration that validates the update rule against the oracle on small graphs.
+Also here: supervised pretraining, which steps the flat parameter vector
+of get_flat_params/set_flat_params; the learner's obligation table and the
+three experience buffers over its ids (replay / true-target / negative),
+which the trainer fills from episode traces; and a tabular value iteration
+that validates the update rule against the oracle on small graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +31,6 @@ from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces valu
 __all__ = [
     "UndefinedStepsError",
     "ValueModel",
-    "Transition",
     "ReplayBuffer",
     "TrueTargetBuffer",
     "NegativeBuffer",
@@ -274,9 +274,8 @@ def pretrain(
     # order of m = 0.9*m + 0.1*g, v = 0.999*v + (0.001*g)*g and
     # step = (lr*m_hat) / (sqrt(v_hat) + 1e-8), so the bits are those of
     # the plain numpy expressions.
-    h, d = model.hidden_dim, model.input_dim
-    grad, flat_m, flat_v, m_hat, v_hat = (np.zeros(h * d + 2 * h + 1) for _ in range(5))
-    slices = (slice(0, h * d), slice(h * d, h * d + h), slice(h * d + h, h * d + 2 * h))
+    params = model.get_flat_params()
+    grad, flat_m, flat_v, m_hat, v_hat = (np.zeros_like(params) for _ in range(5))
     losses = []
     for step in range(1, epochs + 1):
         loss, (gwh, gbh, gwo, gbo) = model.loss_and_grads(inputs, targets)
@@ -293,23 +292,14 @@ def pretrain(
         v_hat += 1e-8
         np.multiply(learning_rate, m_hat, out=m_hat)
         m_hat /= v_hat
-        model.w_hidden -= m_hat[slices[0]].reshape(h, d)
-        model.b_hidden -= m_hat[slices[1]]
-        model.w_out -= m_hat[slices[2]]
-        model.b_out = float(model.b_out - m_hat[-1])
-    model._value_cache.clear()
+        params -= m_hat
+        model.set_flat_params(params)
     return losses
 
 
 # ---------------------------------------------------------------------------
 # Experience buffers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Transition:
-    source: Obligation
-    dead_end: bool = False
 
 
 class _IdBuffer:

@@ -2,10 +2,12 @@
 
 These are the straightforward forms the package used before its one-pass
 `normalize`, its sharing `substitute`, its name-based occurrence check, its
-shared argument-free tactics and its one-pass sub-proof extraction. The
-differential tests in test_terms.py and test_env.py hold the package's
-versions to them. `term_size` serves the reference featurizer in
-test_predictor.py; the package has no caller of it.
+shared argument-free tactics, its one-pass sub-proof extraction and the
+frame stack its training episodes kept before they returned a replay
+trace. The differential tests in test_terms.py, test_env.py and
+test_trainer.py hold the package's versions to them. `term_size` serves
+the reference featurizer in test_predictor.py; the package has no caller
+of it.
 """
 
 from valueprover.env import (
@@ -194,3 +196,21 @@ def extract_subproof_tasks(thm, script) -> list[tuple[Obligation, ProofScript]]:
 
     assert discharge(thm.statement, 0) == len(steps)
     return tasks
+
+
+def discharges(trace) -> list[tuple[int, int]]:
+    """(start, end) of each obligation the trace discharges, in the order
+    they close, by the frame stack training episodes kept while they played:
+    each step opens a frame holding its obligation, its start and the number
+    of obligations behind it, and after each step every frame whose count
+    is all that is left is closed."""
+    discharged = []
+    frames: list[tuple[Obligation, int, int]] = []  # (obligation, start step, suffix length)
+    steps_done = 0
+    for state, _, after in trace:
+        frames.append((state.first, steps_done, len(state.obligations) - 1))
+        steps_done += 1
+        while frames and len(after.obligations) == frames[-1][2]:
+            _, start, _ = frames.pop()
+            discharged.append((start, steps_done))
+    return discharged

@@ -18,6 +18,7 @@ from valueprover.env import (
     Theorem,
     applicable_among,
     apply_tactic,
+    discharges,
     enumerate_applicable,
     extract_subproof_tasks,
     format_obligation,
@@ -295,6 +296,16 @@ def test_extract_subproof_tasks_matches_the_recursive_reference(case):
         assert refused.value.step_index == err.step_index
         return
     assert extract_subproof_tasks(theorem, script) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(generated_scripts())
+def test_discharges_match_the_episode_frame_stack(case):
+    # the same (start, end) pairs in the same order, on closed proofs and on
+    # open walks, whose open steps are never yielded
+    theorem, script = case
+    trace = replay_script(theorem, script)
+    assert list(discharges(trace)) == reference_primitives.discharges(trace)
 
 
 def test_extract_rejects_invalid_script(worked_theorem):

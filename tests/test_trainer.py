@@ -16,9 +16,11 @@ from valueprover.env import (
     TacticError,
     Theorem,
     apply_tactic,
+    discharges,
     parse_obligation,
     parse_script,
     replay_script,
+    step_hyperstate,
 )
 from valueprover.predictor import predict_top_n
 from valueprover.trainer import (
@@ -34,6 +36,8 @@ from valueprover.trainer import (
 from valueprover import predictor as predictor_module
 from valueprover.predictor import ActionCache
 from valueprover.value_model import ValueModel, bellman_backup, bellman_target
+
+import reference_primitives
 
 
 class RankedPredictor:
@@ -127,13 +131,13 @@ def test_run_episode_full_prefix_is_pure_replay(worked_theorem):
     task = TrainingTask(thm.statement, script)
     config = TrainerConfig(seed=0)
     actions = ActionCache(NO_F_EQUAL, config.width)
-    transitions, discharged = run_episode(
+    trace, dead_end = run_episode(
         task, _model(), actions, config, task.demo_length, random.Random(0), epsilon=1.0
     )
-    # one transition from each obligation the script opens, in its order
-    assert [t.source for t in transitions] == [before.first for before, _, _ in replay_script(thm, script)]
-    assert not any(t.dead_end for t in transitions)
-    by_canon = {ob.canonical(): length for ob, length in discharged}
+    # the episode is the script's replay, and closes the proof
+    assert trace == replay_script(thm, script)
+    assert dead_end is None
+    by_canon = {trace[start][0].first.canonical(): end - start for start, end in discharges(trace)}
     assert by_canon[thm.statement.canonical()] == 7
     assert by_canon["|- Plus(Zero,Zero) = Zero"] == 2
 
@@ -143,26 +147,31 @@ def test_run_episode_agent_supplies_last_step(worked_theorem):
     task = TrainingTask(thm.statement, script)
     config = TrainerConfig(seed=0)
     actions = ActionCache(NO_F_EQUAL, config.width)
-    transitions, discharged = run_episode(
+    trace, dead_end = run_episode(
         task, _model(), actions, config, task.demo_length - 1, random.Random(0), epsilon=0.0
     )
     # the final state only admits reflexivity, so greedy completes the proof
-    assert [t.source for t in transitions] == [before.first for before, _, _ in replay_script(thm, script)]
-    assert dict((ob.canonical(), n) for ob, n in discharged)[thm.statement.canonical()] == 7
+    assert trace == replay_script(thm, script) and dead_end is None
+    assert list(discharges(trace))[-1] == (0, 7)
+
+
+# no top-5 action of NO_F_EQUAL applies to this obligation; the demo is a
+# placeholder, unused at prefix 0
+DEAD_END_TASK = TrainingTask(
+    parse_obligation(
+        "n', IH_n : Succ(Plus(Var(n'),Succ(Zero))) = Succ(Succ(Plus(Var(n'),Zero))) |- "
+        "Plus(Var(n'),Succ(Zero)) = Succ(Plus(Var(n'),Zero))"
+    ),
+    parse_script("simpl"),
+)
 
 
 def test_run_episode_dead_end_sets_flag():
-    dead = parse_obligation(
-        "n', IH_n : Succ(Plus(Var(n'),Succ(Zero))) = Succ(Succ(Plus(Var(n'),Zero))) |- "
-        "Plus(Var(n'),Succ(Zero)) = Succ(Plus(Var(n'),Zero))"
-    )
-    task = TrainingTask(dead, parse_script("simpl"))  # placeholder demo, unused at prefix 0
     config = TrainerConfig(seed=0)
-    transitions, discharged = run_episode(
-        task, _model(), ActionCache(NO_F_EQUAL, config.width), config, 0, random.Random(0), 0.0
+    trace, dead_end = run_episode(
+        DEAD_END_TASK, _model(), ActionCache(NO_F_EQUAL, config.width), config, 0, random.Random(0), 0.0
     )
-    assert len(transitions) == 1 and transitions[0].dead_end
-    assert transitions[0].source == dead and discharged == []
+    assert trace == () and dead_end == DEAD_END_TASK.obligation
 
 
 def _tiny_split():
@@ -260,40 +269,65 @@ def test_validation_runs_once_per_epoch(monkeypatch, epochs):
     assert len(report.validation_success) == epochs
 
 
-def test_buffer_conservation(monkeypatch, worked_theorem):
-    # every transition an episode produces lands in exactly one replay
-    # insert; dead ends additionally mark their source negative
-    from valueprover.trainer import _Learner
-
+def _worked_episodes(monkeypatch, worked_theorem):
+    """The task of the worked proof, and one episode per demonstration
+    prefix, played epsilon-greedily from a fixed seed."""
     thm, script = worked_theorem
     task = TrainingTask(thm.statement, script)
     config = _fast_config(monkeypatch)
-    learner = _Learner(_model(), NO_F_EQUAL, config)
+    actions = ActionCache.of(NO_F_EQUAL, config.width)
     rng = random.Random(4)
-    total = 0
-    dead_sources = set()
-    for prefix in demonstration_schedule(task):
-        transitions, discharged = run_episode(task, _model(), learner.actions, config, prefix, rng, 0.5)
-        learner.ingest(transitions, discharged)
-        total += len(transitions)
-        dead_sources.update(t.source.canonical() for t in transitions if t.dead_end)
-    assert len(learner.replay) == total
-    assert len(learner.negatives) == len(dead_sources)
+    episodes = [
+        run_episode(task, _model(), actions, config, prefix, rng, 0.5) for prefix in demonstration_schedule(task)
+    ]
+    return task, config, episodes
+
+
+def test_buffer_conservation(monkeypatch, worked_theorem):
+    # every step an episode plays, and its dead end, lands in exactly one
+    # replay insert; dead ends additionally land in the negatives
+    from valueprover.trainer import _Learner
+
+    _, config, episodes = _worked_episodes(monkeypatch, worked_theorem)
+    learner = _Learner(_model(), NO_F_EQUAL, config)
+    for trace, dead_end in episodes:
+        learner.ingest(trace, dead_end)
+    assert len(learner.replay) == sum(len(trace) + (dead_end is not None) for trace, dead_end in episodes)
+    assert len(learner.negatives) == len({dead_end.canonical() for _, dead_end in episodes if dead_end is not None})
+
+
+def test_episodes_are_replays(monkeypatch, worked_theorem):
+    # each step chains from the task's obligation and is the tactic's step,
+    # and a dead end is the last state's first obligation, where no action
+    # applies. The worked proof's episodes meet no dead end, so one episode
+    # starts at one
+    task, config, episodes = _worked_episodes(monkeypatch, worked_theorem)
+    actions = ActionCache.of(NO_F_EQUAL, config.width)
+    played = [(task, episode) for episode in episodes]
+    played.append((DEAD_END_TASK, run_episode(DEAD_END_TASK, _model(), actions, config, 0, random.Random(0), 0.0)))
+    for task, (trace, dead_end) in played:
+        state = Hyperstate((task.obligation,))
+        for before, tactic, after in trace:
+            assert before == state and step_hyperstate(before, tactic) == after
+            state = after
+        if dead_end is not None:
+            assert dead_end == state.first and actions(dead_end) == ()
 
 
 def test_learner_true_target_min_rule(monkeypatch):
+    # a discharge is a true target of its length, kept at the minimum over
+    # updates; a dead end is replayed and negative
     from valueprover.trainer import _Learner
-    from valueprover.value_model import Transition
 
     learner = _Learner(_model(), NO_F_EQUAL, _fast_config(monkeypatch))
     state = parse_obligation("|- Zero = Zero")
-    learner.ingest([], [(state, 5)])
-    learner.ingest([], [(state, 3)])
-    learner.ingest([], [(state, 9)])
-    assert learner.true_targets.length_of(learner.table.intern(state)) == 3
+    state_id = learner.table.intern(state)
+    learner.true_targets.update(state_id, 5)
+    learner.ingest(replay_script(Theorem("t", state), parse_script("reflexivity")), None)
+    assert learner.true_targets.length_of(state_id) == 1 and len(learner.replay) == 1
     dead = parse_obligation("|- Zero = Succ(Zero)")
-    learner.ingest([Transition(dead, dead_end=True)], [])
-    assert learner.table.intern(dead) in learner.negatives and len(learner.replay) == 1
+    learner.ingest([], dead)
+    assert learner.table.intern(dead) in learner.negatives and len(learner.replay) == 2
     assert len(learner.table.obligations) == 2
 
 
@@ -362,17 +396,26 @@ class _ReferenceLearner:
         self.ingested = set()
         self.expanded = set()
 
-    def ingest(self, transitions, discharged):
-        for transition in transitions:
-            self.replay.append(transition)
-            self.ingested.add(transition.source.canonical())
-            if transition.dead_end:
-                self.negatives.setdefault(transition.source.canonical(), transition.source)
-        for obligation, length in discharged:
-            self.ingested.add(obligation.canonical())
-            current = self.true_targets.get(obligation.canonical())
-            if current is None or length < current[1]:
-                self.true_targets[obligation.canonical()] = (obligation, length)
+    def ingest(self, trace, dead_end):
+        """The trace's sources and the dead end are replayed, the dead end is
+        negative, and the discharges, found by the reference frame stack,
+        are true targets."""
+        sources = [before.first for before, _, _ in trace]
+        if dead_end is not None:
+            sources.append(dead_end)
+            self.negatives.setdefault(dead_end.canonical(), dead_end)
+        for source in sources:
+            self.replay.append(source)
+            self.ingested.add(source.canonical())
+        for start, end in reference_primitives.discharges(trace):
+            self.record(sources[start], end - start)
+
+    def record(self, obligation, length):
+        """A true target, kept at the minimum length."""
+        self.ingested.add(obligation.canonical())
+        current = self.true_targets.get(obligation.canonical())
+        if current is None or length < current[1]:
+            self.true_targets[obligation.canonical()] = (obligation, length)
 
     def _sample(self, items, k):
         return [items[self.rng.randrange(len(items))] for _ in range(k)] if items else []
@@ -387,7 +430,7 @@ class _ReferenceLearner:
             replay_want += n_true
         if not self.negatives:
             replay_want += n_negative
-        sources = [transition.source for transition in self._sample(self.replay, replay_want)]
+        sources = self._sample(self.replay, replay_want)
         batch_actions = [
             [children for _, _, children in _reference_actions(source, self.predictor, cfg.width)]
             for source in sources
@@ -447,9 +490,9 @@ def test_learner_batches_match_an_obligation_keyed_reference(small_split, cold_p
         sample_batch = learner.sample_batch
         learner.sample_batch = lambda: batches.append(sample_batch()) or batches[-1]
         episode_rng = random.Random(seed)
-        seeded = [(task.obligation, task.demo_length) for task in tasks]
-        learner.ingest([], seeded)
-        reference.ingest([], seeded)
+        for task in tasks:
+            learner.true_targets.update(learner.table.intern(task.obligation), task.demo_length)
+            reference.record(task.obligation, task.demo_length)
         for _ in range(data.draw(st.integers(1, 8))):
             task = tasks[episode_rng.randrange(len(tasks))]
             prefix = episode_rng.randrange(task.demo_length + 1)
