@@ -3,20 +3,22 @@
 The package is organized bottom-up:
 
 - terms / env: the deterministic proving environment (terms, obligations,
-  tactics, scripts, replay, sub-proof extraction)
+  tactics, scripts, replay and the discharge spans of a replay trace)
 - oracle: brute-force shortest proofs and the gamma^L value of their length,
   from env alone
 - corpus: theorem generation, persistence and splitting
 - predictor: the supervised tactic predictor and the action space it bounds
-  (the top-n actions that apply, their cache, the task filter's check)
+  (the top-n actions that apply, their cache, and the task filter's check
+  that they hold every step of a trace span)
 - encoder: hashed obligation encodings
 - value_model: the value estimator, its multiplicative update targets and
   the three experience buffers
 - search: the table of the six strategies that eval and prove run by name
   (greedy, DFS, best-first and A*, each a priority, a depth cap and whether
   it backtracks) and the one priority loop they all expand through
-- trainer: pretraining, the demonstration curriculum, the single-actor RL
-  loop and checkpoints
+- trainer: the training tasks, cut from one replay of each training proof,
+  pretraining, the demonstration curriculum, the single-actor RL loop and
+  checkpoints
 - reports, cli: evaluation reports and the command-line interface
 """
 
@@ -28,7 +30,6 @@ from .env import (
     TacticError,
     Theorem,
     apply_tactic,
-    extract_subproof_tasks,
     format_obligation,
     parse_obligation,
     parse_script,

@@ -55,12 +55,10 @@ class CorpusEntry:
 class CorpusSplit:
     train: tuple[CorpusEntry, ...]
     test: tuple[CorpusEntry, ...]
-    seed: int
 
 
 @dataclass
 class GenerationSummary:
-    requested: tuple[int, int, int]
     generated: tuple[int, int, int]
     discarded: int
 
@@ -147,7 +145,7 @@ def generate_corpus(seed: int, counts: tuple[int, int, int]) -> tuple[list[Corpu
                 continue
             entries.append(CorpusEntry(theorem, result.shortest_script))
             generated[family_index] += 1
-    return entries, GenerationSummary(tuple(counts), tuple(generated), discarded)
+    return entries, GenerationSummary(tuple(generated), discarded)
 
 
 def save_corpus(entries: list[CorpusEntry], path: str) -> None:
@@ -210,4 +208,4 @@ def split_corpus(entries: list[CorpusEntry], seed: int, test_ratio: float) -> Co
     order = list(entries)
     random.Random(seed).shuffle(order)
     n_test = round(len(order) * test_ratio)
-    return CorpusSplit(tuple(order[n_test:]), tuple(order[:n_test]), seed)
+    return CorpusSplit(tuple(order[n_test:]), tuple(order[:n_test]))

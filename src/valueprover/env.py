@@ -5,6 +5,10 @@ context of introduced variables and hypothesis equations, and a goal
 equation. A Hyperstate is the ordered list of all open obligations; tactics
 always apply to the first one, so a linear script is unambiguous.
 
+A replay trace records each step of a script as (before, tactic, after).
+discharges reads from it the steps that close each obligation: training
+cuts its sub-proof tasks from those spans and learns true targets from them.
+
 All operations are pure functions of immutable values.
 """
 
@@ -58,7 +62,6 @@ __all__ = [
     "replay_script",
     "script_is_valid",
     "discharges",
-    "extract_subproof_tasks",
     "applicable_among",
     "enumerate_applicable",
 ]
@@ -231,7 +234,6 @@ class ReplayError(Exception):
     def __init__(self, step_index: int, cause: str):
         super().__init__(f"script failed at step {step_index}: {cause}")
         self.step_index = step_index
-        self.cause = cause
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +525,6 @@ def discharges(trace) -> Iterator[tuple[int, int]]:
         open_steps.append((index, len(before.obligations) - 1))
         while open_steps and open_steps[-1][1] == len(after.obligations):
             yield open_steps.pop()[0], index + 1
-
-
-def extract_subproof_tasks(thm: Theorem, script: ProofScript) -> list[tuple[Obligation, ProofScript]]:
-    """One task per obligation the replay creates, in first-appearance order.
-
-    Each obligation is paired with the exact contiguous slice of the script
-    that discharges it together with everything it spawns, as discharges
-    finds it, so the task for the initial obligation is the full script and
-    a parent's length is 1 + the sum of its children's lengths.
-    """
-    trace = replay_script(thm, script)
-    if not _closes_proof(trace):
-        raise ReplayError(len(script.steps), "script does not close the proof")
-    spans = sorted(discharges(trace))
-    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in spans]
 
 
 def _applicable(ob: Obligation, tactics: Iterable[Tactic], apply) -> list[tuple[Tactic, tuple[Obligation, ...]]]:

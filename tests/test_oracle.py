@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_model
+from conftest import oracle_model, replay_from, subproof_tasks
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
     ARG_TEMPLATES,
@@ -101,11 +101,9 @@ def test_optimal_value_examples():
 
 
 def test_optimal_value_monotone_in_length(small_corpus):
-    from valueprover.env import extract_subproof_tasks
-
     scored = []
     for entry in small_corpus[:8]:
-        for obligation, script in extract_subproof_tasks(entry.theorem, entry.proof):
+        for obligation, script in subproof_tasks(entry.theorem, entry.proof):
             scored.append((len(script.steps), shortest_proof(Hyperstate((obligation,)), 10).value(0.9)))
     scored.sort(key=lambda pair: pair[0])
     for (la, va), (lb, vb) in zip(scored, scored[1:]):
@@ -115,15 +113,16 @@ def test_optimal_value_monotone_in_length(small_corpus):
 
 def test_reproducible_under_predictor():
     task_ob = parse_obligation("|- Plus(Succ(Zero),Zero) = Succ(Zero)")
-    task = (task_ob, parse_script("simpl; reflexivity"))
+    task = replay_from(task_ob, parse_script("simpl; reflexivity"))
     always_right = RankedPredictor(("simpl", "reflexivity", "intros", "induction", "rewrite", "f_equal"))
     assert reproducible_under_predictor(task, always_right, 1) is False  # refl ranked 2nd
     assert reproducible_under_predictor(task, always_right, 2) is True
-    assert reproducible_under_predictor(task, always_right, 0) is False
+    with pytest.raises(ValueError):  # predict_top_n refuses a width below 1
+        reproducible_under_predictor(task, always_right, 0)
     never_right = RankedPredictor(("f_equal", "intros", "induction", "rewrite", "reflexivity", "simpl"))
     assert reproducible_under_predictor(task, never_right, 1) is False
-    with pytest.raises(ValueError):
-        reproducible_under_predictor((task_ob, parse_script("simpl")), always_right, 6)
+    # a trace span is judged on its own steps, whether or not it discharges
+    assert reproducible_under_predictor(task[:1], always_right, 1) is True
 
 
 def test_restricted_action_provider():

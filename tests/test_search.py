@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_model
+from conftest import oracle_model, subproof_tasks
 from valueprover import search as search_module
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
@@ -16,7 +16,6 @@ from valueprover.env import (
     Theorem,
     parse_obligation,
     apply_tactic,
-    extract_subproof_tasks,
     parse_script,
     script_is_valid,
 )
@@ -378,7 +377,7 @@ def test_greedy_matches_its_own_loop(
     # start with binders introduced and hypotheses in the context.
     entries, _ = generate_corpus(corpus_seed, (1, 1, 3))
     entry = entries[pick]
-    tasks = extract_subproof_tasks(entry.theorem, entry.proof)
+    tasks = subproof_tasks(entry.theorem, entry.proof)
     start = Hyperstate((tasks[task % len(tasks)][0],))
     if scorer_kind == "model":
         model = ValueModel(64, gamma=0.9, seed=model_seed)

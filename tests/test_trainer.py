@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import replay_from
 from valueprover import trainer as trainer_module
-from valueprover.corpus import CorpusEntry, CorpusSplit
+from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus
 from valueprover.env import (
     Hyperstate,
     TEMPLATE_INDEX,
+    TEMPLATES,
+    ReplayError,
     TacticError,
     Theorem,
     apply_tactic,
@@ -75,7 +78,7 @@ def crafted_split():
         "forall n m, |- Plus(Var(n),Var(m)) = Plus(Var(n),Var(m))",
         "intros; induction m; reflexivity; reflexivity",
     )
-    return CorpusSplit((short, long, wrong_variable), (), seed=0)
+    return CorpusSplit((short, long, wrong_variable), ())
 
 
 def test_prepare_tasks_filters(crafted_split):
@@ -90,7 +93,7 @@ def test_prepare_tasks_filters(crafted_split):
     from valueprover.predictor import reproducible_under_predictor
 
     for task in tasks:
-        assert reproducible_under_predictor((task.obligation, task.demo_script), NO_F_EQUAL, 5)
+        assert reproducible_under_predictor(replay_from(task.obligation, task.demo_script), NO_F_EQUAL, 5)
 
 
 def test_prepare_tasks_band_is_configurable(crafted_split):
@@ -106,6 +109,46 @@ def test_prepare_tasks_whole_theorem_mode(crafted_split):
     config = TrainerConfig(seed=0, min_drop_length=0, max_drop_length=99, subproof_tasks=False)
     tasks = prepare_tasks(crafted_split, NO_F_EQUAL, 5, config)
     assert {t.demo_length for t in tasks} == {2, 7}
+
+
+@pytest.mark.parametrize("subproof_tasks", [True, False])
+def test_prepare_tasks_refuses_an_unclosed_proof(subproof_tasks):
+    # in both modes, and although the default band would drop the length-2
+    # whole-theorem task
+    split = CorpusSplit((entry("open", "forall n, |- Plus(Var(n),Zero) = Var(n)", "intros; induction n"),), ())
+    with pytest.raises(ReplayError) as refused:
+        prepare_tasks(split, NO_F_EQUAL, 5, TrainerConfig(subproof_tasks=subproof_tasks))
+    assert refused.value.step_index == 2
+
+
+@st.composite
+def task_filter_cases(draw):
+    """A generated corpus as the training split, a predictor (the trained
+    one or a fixed ranking), a width and a config with a random band, with
+    sub-proof tasks on or off."""
+    counts = draw(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3)))
+    entries, _ = generate_corpus(draw(st.integers(0, 2**16)), counts)
+    low = draw(st.integers(0, 7))
+    config = TrainerConfig(
+        width=draw(st.integers(1, 6)),
+        min_drop_length=low,
+        max_drop_length=draw(st.integers(low, 10)),
+        subproof_tasks=draw(st.booleans()),
+    )
+    ranking = draw(st.none() | st.permutations(TEMPLATES))
+    return CorpusSplit(tuple(entries), ()), ranking, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_filter_cases())
+def test_prepare_tasks_matches_the_replay_then_walk_reference(trained_predictor, case):
+    # cutting every task from one replay and checking the trace's own steps
+    # keeps the same tasks, in the same order, as extracting the sub-proofs
+    # and walking each task's script again
+    split, ranking, config = case
+    predictor = trained_predictor if ranking is None else RankedPredictor(ranking)
+    expected = reference_primitives.prepare_tasks(split, predictor, config.width, config)
+    assert prepare_tasks(split, predictor, config.width, config) == expected
 
 
 def test_demonstration_schedule():
@@ -183,7 +226,7 @@ def _tiny_split():
             "intros; induction n; simpl; reflexivity; simpl; rewrite IH_n; reflexivity",
         ),
     ]
-    return CorpusSplit(tuple(entries), (), seed=0)
+    return CorpusSplit(tuple(entries), ())
 
 
 def _fast_config(patch, **kw):

@@ -151,11 +151,11 @@ def test_bellman_target_dead_end_is_zero(model, trained_predictor):
 def test_bellman_targets_never_exceed_gamma(model, trained_predictor, small_corpus):
     # spawning or discharging any number of obligations cannot beat gamma:
     # v values are in (0,1), so gamma * product <= gamma < 1
-    from valueprover.env import extract_subproof_tasks
+    from conftest import subproof_tasks
 
     seen = set()
     for entry in small_corpus:
-        for obligation, _ in extract_subproof_tasks(entry.theorem, entry.proof):
+        for obligation, _ in subproof_tasks(entry.theorem, entry.proof):
             if obligation.canonical() in seen:
                 continue
             seen.add(obligation.canonical())
