@@ -16,9 +16,9 @@ The package is organized bottom-up:
 - search: the table of the six strategies that eval and prove run by name
   (greedy, DFS, best-first and A*, each a priority, a depth cap and whether
   it backtracks) and the one priority loop they all expand through
-- trainer: the training tasks, cut from one replay of each training proof,
-  pretraining, the demonstration curriculum, the single-actor RL loop and
-  checkpoints
+- trainer: run_training, the one corpus-to-model pipeline; the training
+  tasks cut from one replay of each proof, pretraining, the demonstration
+  curriculum, the single-actor RL loop and checkpoints
 - reports, cli: evaluation reports and the command-line interface
 """
 
@@ -50,6 +50,7 @@ from .search import (
     run_strategy,
     search_from,
 )
-from .trainer import TrainerConfig, TrainingTask, demonstration_schedule, prepare_tasks, run_episode, train
+from .trainer import TrainerConfig, TrainingTask, demonstration_schedule, prepare_tasks, run_episode
+from .trainer import fit_predictor, run_training, train
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands tie the pieces together: gen-corpus, pretrain, train, prove,
-eval, ablate and oracle. Every command with a --seed is deterministic and
-writes byte-identical outputs across runs. Exit codes: 0 success, 1 usage
-error, 2 runtime error.
+eval, ablate and oracle; pretrain, train and every ablate row train through
+trainer.run_training. A command with a --seed writes byte-identical outputs
+across runs. Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import os
 import sys
 
 from .corpus import generate_corpus, load_corpus, save_corpus, split_corpus
-from .env import Hyperstate, Theorem, parse_obligation, replay_script
+from .env import Hyperstate, Theorem, parse_obligation
 from .oracle import shortest_proof
-from .predictor import train_predictor
 from .reports import build_summary, write_report
 from .search import DEFAULT_BUDGET, EVAL_STRATEGIES, run_strategy
-from .trainer import TrainerConfig, load_checkpoint, save_checkpoint, train
+from .trainer import TrainerConfig, load_checkpoint, run_training, save_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -180,30 +179,6 @@ def _config_from_args(args) -> TrainerConfig:
         max_drop_length=args.max_drop_length,
         subproof_tasks=not getattr(args, "no_subproof_tasks", False),
     )
-
-
-def _training_pairs(entries):
-    pairs = []
-    for entry in entries:
-        for before, tactic, _ in replay_script(entry.theorem, entry.proof):
-            pairs.append((before.first, tactic))
-    return pairs
-
-
-def run_training(entries, config: TrainerConfig):
-    """Shared pipeline: split the loaded corpus, fit the predictor, train
-    the model."""
-    split = split_corpus(entries, config.seed, config.test_ratio)
-    if not split.train:
-        raise RuntimeError("the training split is empty")
-    predictor = train_predictor(
-        _training_pairs(split.train),
-        epochs=config.predictor_epochs,
-        learning_rate=config.predictor_learning_rate,
-        seed=config.seed,
-    )
-    model, report = train(split, predictor, config)
-    return model, predictor, report, split
 
 
 def cmd_train(args) -> int:

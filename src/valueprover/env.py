@@ -231,8 +231,10 @@ class TacticError(Exception):
 
 
 class ReplayError(Exception):
+    """step_index counts the steps that replayed: a failing tactic's index, or the whole script."""
+
     def __init__(self, step_index: int, cause: str):
-        super().__init__(f"script failed at step {step_index}: {cause}")
+        super().__init__(f"script failed after {step_index} replayed steps: {cause}")
         self.step_index = step_index
 
 

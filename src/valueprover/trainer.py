@@ -1,16 +1,16 @@
-"""The reinforcement-learning loop around the value model.
+"""The corpus-to-model pipeline and the reinforcement-learning loop in it.
 
-Tasks are cut from one replay of each training proof: each obligation the
-trace discharges, by env.discharges, with the steps that discharge it,
-filtered to a configurable length band and to the spans whose every step
-the predictor's top-n actions reproduce. Each task is
-learned through a demonstration curriculum: the agent replays ever-shorter
-prefixes of the ground-truth script and finishes the rest epsilon-greedily.
-An episode is a replay trace plus its dead end, if any. The source of each
-step feeds a replay buffer; each obligation the trace discharges, by
-env.discharges, updates the true-target buffer (minimum known length); a
-dead end, where every prediction errors, lands in the replay and negative
-buffers. Batches mix the three sources and regress on bootstrapped targets.
+run_training, the one pipeline of pretrain, train and every ablate row,
+splits the corpus, fits the tactic predictor on the training proofs
+(fit_predictor) and trains the value model (train) on tasks cut from one
+replay of each training proof: each span env.discharges finds, kept in a
+length band when the predictor's top-n actions reproduce every step. A
+task is learned by demonstration: the agent replays ever-shorter prefixes
+of the ground-truth script and finishes the rest epsilon-greedily. Each
+step an episode plays feeds its source to a replay buffer; each discharge
+updates the true-target buffer (minimum known length); a dead end, where
+every prediction errors, lands in the replay and negative buffers. Batches
+mix the three sources and regress on bootstrapped targets.
 
 One learner owns the parameters and all buffers. The episode plan (epochs
 x tasks x prefixes x episodes, with the epsilon schedule) is played in turn
@@ -27,10 +27,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .corpus import CorpusSplit
+from .corpus import CorpusSplit, split_corpus
 from .env import TEMPLATES, Hyperstate, Obligation, ProofScript, ReplayError, Tactic, apply_tactic
 from .env import _closes_proof, discharges, replay_script
-from .predictor import FEATURE_NAMES, ActionCache, Predictor, reproducible_under_predictor
+from .predictor import FEATURE_NAMES, ActionCache, Predictor, reproducible_under_predictor, train_predictor
 from .predictor import predict_top_n  # noqa: F401 - bench/layers.py traces trainer.predict_top_n
 from .search import search_from
 from .value_model import (
@@ -48,6 +48,8 @@ __all__ = [
     "TrainerConfig",
     "TrainingReport",
     "prepare_tasks",
+    "fit_predictor",
+    "run_training",
     "demonstration_schedule",
     "run_episode",
     "train",
@@ -193,7 +195,8 @@ def prepare_tasks(split: CorpusSplit, predictor: Predictor, n: int, config: Trai
     for entry in split.train:
         trace = replay_script(entry.theorem, entry.proof)
         if not _closes_proof(trace):
-            raise ReplayError(len(trace), "script does not close the proof")
+            left = len(trace[-1][2].obligations) if trace else 1
+            raise ReplayError(len(trace), f"the proof of {entry.theorem.id} leaves open obligations: {left}")
         spans = sorted(discharges(trace))
         if not config.subproof_tasks:
             spans = spans[:1]  # the whole-theorem span, the only one that starts at 0
@@ -417,6 +420,25 @@ def _episode_plan(tasks: list[TrainingTask], config: TrainerConfig):
                 for _ in range(config.episodes_per_prefix):
                     yield task, prefix, _epsilon_at(index, total, config)
                     index += 1
+
+
+def fit_predictor(entries, seed: int) -> Predictor:
+    """The tactic predictor fitted on the (first obligation, tactic) pair of every step of the entries' proofs."""
+    # bench/layers.py counts fits at predictor.train_predictor; a benchmark worker that
+    # fits here needs a (trainer, "train_predictor") row there, or its fit count reads 0
+    pairs = [(before.first, tactic) for e in entries for before, tactic, _ in replay_script(e.theorem, e.proof)]
+    epochs, rate = TrainerConfig.predictor_epochs, TrainerConfig.predictor_learning_rate
+    return train_predictor(pairs, epochs=epochs, learning_rate=rate, seed=seed)
+
+
+def run_training(entries, config: TrainerConfig) -> tuple[ValueModel, Predictor, TrainingReport, CorpusSplit]:
+    """Split the entries by the config's seed and test ratio, fit the predictor on the train side, train."""
+    split = split_corpus(entries, config.seed, config.test_ratio)
+    if not split.train:
+        raise RuntimeError("the training split is empty")
+    predictor = fit_predictor(split.train, config.seed)
+    model, report = train(split, predictor, config)
+    return model, predictor, report, split
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import strategies as st
 
-from valueprover.cli import _training_pairs
 from valueprover.corpus import generate_corpus, split_corpus
 from valueprover.env import (
     ContextVar,
@@ -19,8 +18,9 @@ from valueprover.env import (
     step_hyperstate,
 )
 from valueprover.oracle import shortest_proof
-from valueprover.predictor import Predictor, train_predictor
+from valueprover.predictor import Predictor
 from valueprover.terms import Plus, Succ, Var, is_identifier
+from valueprover.trainer import fit_predictor
 
 
 def value_stand_in(value_of, gamma):
@@ -68,7 +68,7 @@ def small_split(small_corpus):
 
 @pytest.fixture(scope="session")
 def trained_predictor(small_split):
-    return train_predictor(_training_pairs(small_split.train), epochs=250, learning_rate=0.5, seed=0)
+    return fit_predictor(small_split.train, 0)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,15 @@ These are the straightforward forms the package used before its one-pass
 `normalize`, its sharing `substitute`, its name-based occurrence check, its
 shared argument-free tactics, its one-pass sub-proof extraction, the
 frame stack its training episodes kept before they returned a replay
-trace, and the task filter that replayed each proof to extract its
-sub-proofs and then walked each task's script again to check it. The
-differential tests in test_terms.py, test_env.py and test_trainer.py hold
-the package's versions to them. `term_size` serves the reference featurizer
-in test_predictor.py; the package has no caller of it.
+trace, the task filter that replayed each proof to extract its
+sub-proofs and then walked each task's script again to check it, and the
+corpus-to-model pipeline as the command line composed it before it moved
+into the trainer. The differential tests in test_terms.py, test_env.py and
+test_trainer.py hold the package's versions to them. `term_size` serves the
+reference featurizer in test_predictor.py; the package has no caller of it.
 """
 
+from valueprover.corpus import split_corpus
 from valueprover.env import (
     ContextVar,
     Hyperstate,
@@ -28,9 +30,9 @@ from valueprover.env import (
     _fresh_name,
     replay_script,
 )
-from valueprover.predictor import ActionCache
+from valueprover.predictor import ActionCache, train_predictor
 from valueprover.terms import ZERO, Plus, Succ, Term, Var, Zero, occurs
-from valueprover.trainer import TrainingTask
+from valueprover.trainer import TrainingTask, train
 
 
 def term_size(t: Term) -> int:
@@ -279,3 +281,24 @@ def prepare_tasks(split, predictor, n: int, config) -> list[TrainingTask]:
             seen.add(key)
             tasks.append(TrainingTask(obligation, script))
     return tasks
+
+
+def training_pairs(entries):
+    """(first obligation, tactic) for every step of the entries' proofs."""
+    pairs = []
+    for entry in entries:
+        for before, tactic, _ in replay_script(entry.theorem, entry.proof):
+            pairs.append((before.first, tactic))
+    return pairs
+
+
+def run_training(entries, config):
+    """Split the loaded corpus, fit the predictor with 250 epochs at
+    learning rate 0.5, and train the model: (model, predictor, report,
+    split)."""
+    split = split_corpus(entries, config.seed, config.test_ratio)
+    if not split.train:
+        raise RuntimeError("the training split is empty")
+    predictor = train_predictor(training_pairs(split.train), epochs=250, learning_rate=0.5, seed=config.seed)
+    model, report = train(split, predictor, config)
+    return model, predictor, report, split

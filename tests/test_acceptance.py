@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import replay_from, subproof_tasks, value_stand_in
-from valueprover.cli import _training_pairs, main, run_eval
-from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus, split_corpus
+from valueprover.cli import main, run_eval
+from valueprover.corpus import CorpusEntry, CorpusSplit, generate_corpus
 from valueprover.env import (
     Hyperstate,
     Theorem,
@@ -27,11 +27,10 @@ from valueprover.predictor import (
     cross_entropy_loss_and_grads,
     predict_top_n,
     reproducible_under_predictor,
-    train_predictor,
 )
 from valueprover.reports import build_summary
 from valueprover.search import f_score, run_strategy, search_from
-from valueprover.trainer import TrainerConfig, prepare_tasks, train
+from valueprover.trainer import TrainerConfig, fit_predictor, prepare_tasks, run_training
 from valueprover.value_model import (
     ValueModel,
     explore_obligation_graph,
@@ -60,7 +59,7 @@ def _provider(predictor, n=WIDTH):
 def oracle_suite():
     entries, summary = generate_corpus(23, (18, 16, 18))
     assert len(entries) >= 50 and summary.discarded == 0
-    predictor = train_predictor(_training_pairs(entries), epochs=250, learning_rate=0.5, seed=0)
+    predictor = fit_predictor(entries, 0)
     return entries, predictor
 
 
@@ -138,7 +137,7 @@ def test_criterion_5_task_filtering():
         ),
         (),
     )
-    predictor = train_predictor(_training_pairs(crafted.train), epochs=150, learning_rate=0.5, seed=0)
+    predictor = fit_predictor(crafted.train, 0)
     config = TrainerConfig(seed=0)  # default band: drop <= 2 and >= 6
     retained = prepare_tasks(crafted, predictor, WIDTH, config)
 
@@ -177,12 +176,8 @@ def test_criterion_5_task_filtering():
 
 def _trained_run(corpus_counts, corpus_seed, split_seed, config_kwargs):
     entries, _ = generate_corpus(corpus_seed, corpus_counts)
-    split = split_corpus(entries, split_seed, 0.3)
-    predictor = train_predictor(
-        _training_pairs(split.train), epochs=250, learning_rate=0.5, seed=split_seed
-    )
-    config = TrainerConfig(seed=split_seed, min_drop_length=0, max_drop_length=9, **config_kwargs)
-    model, report = train(split, predictor, config)
+    config = TrainerConfig(seed=split_seed, test_ratio=0.3, min_drop_length=0, max_drop_length=9, **config_kwargs)
+    model, predictor, report, split = run_training(entries, config)
     return split, predictor, model, report, config
 
 

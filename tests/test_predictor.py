@@ -69,9 +69,9 @@ def test_zero_learning_rate_keeps_initialization():
 
 
 def test_training_deterministic_and_loss_improves(small_split, trained_predictor):
-    from valueprover.cli import _training_pairs
+    from valueprover.trainer import fit_predictor
 
-    again = train_predictor(_training_pairs(small_split.train), epochs=250, learning_rate=0.5, seed=0)
+    again = fit_predictor(small_split.train, 0)
     assert np.array_equal(again.weights, trained_predictor.weights)
     losses = trained_predictor.train_losses
     assert min(losses) == losses[-1] or losses[-1] <= losses[0]

@@ -156,6 +156,24 @@ def test_each_module_imports_only_the_layers_below_it():
     assert not imported("value_model") & {"oracle", "search", "trainer"}
 
 
+def test_the_predictor_is_fitted_only_through_fit_predictor():
+    # trainer.run_training is the one corpus-to-model pipeline; a second call
+    # of train_predictor in the package would start a second one
+    import ast
+
+    callers = []
+    for path in sorted((ROOT / "src" / "valueprover").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for function in ast.walk(tree):  # breadth first: an inner def overwrites its outer one
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "train_predictor":
+                callers.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert callers == ["trainer.fit_predictor"]
+
+
 def test_every_checkpoint_parameter_is_an_attribute_of_its_owner(monkeypatch):
     # save_checkpoint and load_checkpoint move each parameter of
     # trainer._PARAMETERS by its name, so each row must name an attribute of

@@ -1,5 +1,6 @@
 import math
 import random
+import tempfile
 from collections import deque
 from dataclasses import fields
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from valueprover.trainer import (
     load_checkpoint,
     prepare_tasks,
     run_episode,
+    run_training,
     save_checkpoint,
     train,
 )
@@ -114,11 +116,14 @@ def test_prepare_tasks_whole_theorem_mode(crafted_split):
 @pytest.mark.parametrize("subproof_tasks", [True, False])
 def test_prepare_tasks_refuses_an_unclosed_proof(subproof_tasks):
     # in both modes, and although the default band would drop the length-2
-    # whole-theorem task
-    split = CorpusSplit((entry("open", "forall n, |- Plus(Var(n),Zero) = Var(n)", "intros; induction n"),), ())
-    with pytest.raises(ReplayError) as refused:
-        prepare_tasks(split, NO_F_EQUAL, 5, TrainerConfig(subproof_tasks=subproof_tasks))
-    assert refused.value.step_index == 2
+    # whole-theorem task; step_index counts the steps that replayed, all of
+    # them here, and the cause names the theorem and its open obligations
+    for proof, left in (("intros; induction n", 2), ("", 1)):
+        split = CorpusSplit((entry("open", "forall n, |- Plus(Var(n),Zero) = Var(n)", proof),), ())
+        with pytest.raises(ReplayError) as refused:
+            prepare_tasks(split, NO_F_EQUAL, 5, TrainerConfig(subproof_tasks=subproof_tasks))
+        assert refused.value.step_index == split.train[0].proof_length
+        assert str(refused.value).endswith(f"the proof of open leaves open obligations: {left}")
 
 
 @st.composite
@@ -592,18 +597,49 @@ def test_train_predicts_actions_once_per_obligation(monkeypatch, small_split, co
 
 
 def test_train_end_to_end_learns_its_validation_tasks():
-    from valueprover.corpus import generate_corpus, split_corpus
-    from valueprover.cli import _training_pairs
-    from valueprover.predictor import train_predictor
-
     entries, _ = generate_corpus(3, (8, 6, 6))
-    split = split_corpus(entries, 0, 0.25)
-    predictor = train_predictor(_training_pairs(split.train), epochs=250, learning_rate=0.5, seed=0)
-    config = TrainerConfig(seed=0, min_drop_length=0, max_drop_length=9, pretrain_epochs=400)
-    model, report = train(split, predictor, config)
+    config = TrainerConfig(seed=0, test_ratio=0.25, min_drop_length=0, max_drop_length=9, pretrain_epochs=400)
+    _, _, report, _ = run_training(entries, config)
     assert report.buffer_sizes["replay"] > 0 and report.buffer_sizes["true_target"] > 0
     # the trained model finishes its validation tasks greedily
     assert report.validation_success[-1] >= 0.9
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small generated corpus and the settings of a short run over it: the
+    seed, the test ratio, sub-proof tasks on or off, and 0 or 1 RL epoch."""
+    counts = draw(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3)))
+    entries, _ = generate_corpus(draw(st.integers(0, 2**16)), counts)
+    overrides = dict(
+        seed=draw(st.integers(0, 2**16)),
+        test_ratio=draw(st.floats(0.0, 1.0)),
+        subproof_tasks=draw(st.booleans()),
+        rl_epochs=draw(st.integers(0, 1)),
+    )
+    return entries, overrides
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline_cases())
+def test_run_training_matches_the_split_fit_train_reference(case):
+    # the one pipeline writes the checkpoint and report of the split, fit and
+    # train that the command line composed, and refuses the same inputs
+    entries, overrides = case
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as scratch:
+        config = _fast_config(patch, **overrides)
+        for pipeline in (run_training, reference_primitives.run_training):
+            try:
+                model, predictor, report, split = pipeline(entries, config)
+            except (RuntimeError, ValueError) as err:
+                outcomes.append(repr(err))
+                continue
+            path = f"{scratch}/{len(outcomes)}.ckpt"
+            save_checkpoint(path, model, predictor, config)
+            with open(path, "rb") as fh:
+                outcomes.append((fh.read(), report.to_dict(), split))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_checkpoint_round_trip(monkeypatch, tmp_path):
