@@ -470,7 +470,8 @@ def _apply(ob: Obligation, tactic: Tactic) -> tuple[Obligation, ...]:
 # The tactic rules memoized per (obligation, tactic) pair, for the callers
 # that meet the same pair again: replay, episodes and the predictor's action
 # caches. A raised TacticError is not stored. enumerate_applicable calls the
-# uncached _apply, as it has a memo of its own.
+# uncached _apply: it keeps closed expansions in a memo of its own, and the
+# oracle keeps the rest for one search.
 apply_tactic = lru_cache(maxsize=CACHE_SIZE)(_apply)
 
 
@@ -545,15 +546,7 @@ def applicable_among(ob: Obligation, tactics: Iterable[Tactic]) -> list[tuple[Ta
     return _applicable(ob, tactics, apply_tactic)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
-    """Every tactic that applies to `ob` without error, with its results.
-
-    Candidates follow the fixed template order, arguments in context order.
-    Memoized per obligation, so each candidate is tried once per process;
-    this memo is the only cache an expansion goes through, as the candidates
-    are tried by the uncached _apply, not apply_tactic.
-    """
+def _expand(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
     candidates: list[Tactic] = [PLAIN_TACTICS["intros"]]
     candidates.extend(argument_tactic("induction", v) for v in ob.context_vars())
     candidates.append(PLAIN_TACTICS["simpl"])
@@ -561,3 +554,23 @@ def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation
     candidates.append(PLAIN_TACTICS["f_equal"])
     candidates.append(PLAIN_TACTICS["reflexivity"])
     return tuple(_applicable(ob, candidates, _apply))
+
+
+# The expansions of closed obligations, kept for the process: these are the
+# ones that recur across searches.
+_expand_closed = lru_cache(maxsize=CACHE_SIZE)(_expand)
+
+
+def enumerate_applicable(ob: Obligation) -> tuple[tuple[Tactic, tuple[Obligation, ...]], ...]:
+    """Every tactic that applies to `ob` without error, with its results.
+
+    Candidates follow the fixed template order, arguments in context order,
+    and are tried by the uncached _apply, not apply_tactic. A closed
+    obligation (no binders, no context) is expanded once per process: its
+    children are closed too, as intros, induction and rewrite each need a
+    binder or a context entry, so the memo holds only name-free equations.
+    Any other obligation is expanded afresh on each call.
+    """
+    if ob.binders or ob.context:
+        return _expand(ob)
+    return _expand_closed(ob)

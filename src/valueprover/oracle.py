@@ -46,7 +46,9 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
 
     `actions` restricts the tactics tried on each first obligation (used for
     predictor-constrained searches); by default every applicable tactic is
-    tried, expanded from the process-wide `enumerate_applicable` memo.
+    tried, from `enumerate_applicable`, and each obligation's expansion is
+    kept for the rest of this search only (closed ones also stay in
+    enumerate_applicable's process memo).
     Depth exhaustion is reported as not-provable with depth_limited.
     """
     if max_depth < 0:
@@ -55,6 +57,7 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
         return OracleResult(True, ProofScript(), 0, False)
     queue: deque[tuple[Hyperstate, tuple[Tactic, ...]]] = deque([(start, ())])
     visited = {start.canonical_key()}
+    expanded: dict[str, tuple[tuple[Tactic, tuple[Obligation, ...]], ...]] = {}  # by canonical text
     depth_limited = False
     while queue:
         state, script = queue.popleft()
@@ -62,7 +65,13 @@ def shortest_proof(start: Hyperstate, max_depth: int, actions: ActionProvider | 
             depth_limited = True
             continue
         first, rest = state.obligations[0], state.obligations[1:]
-        pairs = enumerate_applicable(first) if actions is None else applicable_among(first, actions(first))
+        if actions is not None:
+            pairs = applicable_among(first, actions(first))
+        else:
+            key = first.canonical()
+            pairs = expanded.get(key)
+            if pairs is None:
+                pairs = expanded[key] = enumerate_applicable(first)
         for tactic, produced in pairs:
             child = Hyperstate(produced + rest)
             if child.is_empty:

@@ -328,10 +328,14 @@ def test_enumerate_applicable_orders_and_filters():
     assert [str(t) for t, _ in applicable] == ["induction n"]
     closed = ob("|- Zero = Zero")
     assert [str(t) for t, _ in enumerate_applicable(closed)] == ["reflexivity"]
-    # memoized per process under the package-wide bound: an equal obligation
-    # parsed afresh gets the very tuple computed first
-    assert enumerate_applicable.cache_info().maxsize == CACHE_SIZE
-    assert enumerate_applicable(ob("n |- Plus(Var(n),Zero) = Var(n)")) is applicable
+    # a closed obligation is memoized per process under the package-wide
+    # bound: an equal one parsed afresh gets the very tuple computed first;
+    # one that names a variable is expanded afresh, to an equal tuple
+    assert env._expand_closed.cache_info().maxsize == CACHE_SIZE
+    closed_applicable = enumerate_applicable(closed)
+    assert enumerate_applicable(ob("|- Zero = Zero")) is closed_applicable
+    again = enumerate_applicable(ob("n |- Plus(Var(n),Zero) = Var(n)"))
+    assert again == applicable and again is not applicable
 
 
 def test_applicable_among_keeps_the_given_order():
@@ -491,17 +495,18 @@ def test_child_texts_are_exact_on_random_obligations(obligation):
 
 
 def test_enumerate_applicable_does_not_touch_the_pair_cache():
-    # names no other test uses, so that enumerate_applicable misses its memo
+    # names no other test uses, so that no cache could already hold them
     obligations = [
         ob("forall qa qb, |- Plus(Var(qa),Var(qb)) = Plus(Var(qb),Var(qa))"),
         ob("qa, IH_qa : Plus(Var(qa),Zero) = Var(qa) |- Succ(Plus(Var(qa),Zero)) = Succ(Var(qa))"),
         ob("qc |- Plus(Succ(Var(qc)),Zero) = Succ(Var(qc))"),
     ]
-    memo_misses = enumerate_applicable.cache_info().misses
+    closed_memo = env._expand_closed.cache_info()
     pairs = apply_tactic.cache_info()
     for obligation in obligations:
         assert enumerate_applicable(obligation)
-    assert enumerate_applicable.cache_info().misses == memo_misses + len(obligations)
+    # obligations that name a variable stay out of the closed memo
+    assert env._expand_closed.cache_info() == closed_memo
     assert apply_tactic.cache_info() == pairs
     # the public entry point is still the bounded LRU the benchmark reads
     assert apply_tactic.cache_info().maxsize == CACHE_SIZE

@@ -1,10 +1,12 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_primitives
 from conftest import oracle_model, replay_from, subproof_tasks
+from valueprover import env
 from valueprover.corpus import generate_corpus
 from valueprover.env import (
     ARG_TEMPLATES,
@@ -196,13 +198,13 @@ def _shuffled_candidates(seed):
 
 
 def _every_applicable_uncached(ob):
-    return [tactic for tactic, _ in enumerate_applicable.__wrapped__(ob)]
+    return [tactic for tactic, _ in reference_primitives.enumerate_applicable(ob)]
 
 
 def _reference_shortest_proof(start, max_depth, actions=None):
     """shortest_proof's BFS, stepping every candidate tactic through
-    step_hyperstate and drawing the default candidates from an uncached
-    enumeration."""
+    step_hyperstate and drawing the default candidates from the reference
+    enumeration, which caches nothing."""
     actions = _every_applicable_uncached if actions is None else actions
     if start.is_empty:
         return OracleResult(True, ProofScript(), 0, False)
@@ -256,4 +258,44 @@ def test_shortest_proof_matches_a_step_by_step_reference_bfs(trained_predictor, 
         actions = _top_n(trained_predictor, data.draw(st.integers(1, 6)))
     else:
         actions = _shuffled_candidates(seed)
-    assert shortest_proof(state, max_depth, actions) == _reference_shortest_proof(state, max_depth, actions)
+    if data.draw(st.booleans()):
+        # search with a cold process memo as well as a warm one
+        env._expand_closed.cache_clear()
+    result, expansions = _counting_expansions(shortest_proof, state, max_depth, actions)
+    assert result == _reference_shortest_proof(state, max_depth, actions)
+    assert all(count == 1 for count in expansions.values())
+
+
+def _counting_expansions(search, *args):
+    """search(*args), and how often it expanded each obligation that names
+    a variable; closed ones are expanded through the process memo."""
+    expansions = Counter()
+    expand = env._expand
+
+    def counted(ob):
+        expansions[ob] += 1
+        return expand(ob)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(env, "_expand", counted)
+        return search(*args), expansions
+
+
+def test_one_search_expands_each_named_obligation_once():
+    # simpl and f_equal reach the same obligations in either order, so the
+    # search meets them again; it expands them once all the same
+    statement = parse_obligation("forall n m, |- Succ(Plus(Var(n),Succ(Var(m)))) = Succ(Succ(Plus(Var(n),Var(m))))")
+    result, expansions = _counting_expansions(shortest_proof, Hyperstate((statement,)), 10)
+    assert result.shortest_length == 7
+    assert expansions and all(count == 1 for count in expansions.values())
+
+
+def test_renamed_copies_leave_the_process_memo_as_it_was():
+    # binder-renamed copies share only their name-free obligations, so after
+    # the first copy the process memo holds nothing new
+    sizes = []
+    for a, b in (("ka", "kb"), ("la", "lb"), ("ma", "mb"), ("na", "nb")):
+        text = f"forall {a} {b}, |- Plus(Var({a}),Succ(Var({b}))) = Succ(Plus(Var({a}),Var({b})))"
+        assert shortest_proof(Hyperstate((parse_obligation(text),)), 10).shortest_length == 7
+        sizes.append(env._expand_closed.cache_info().currsize)
+    assert sizes == sizes[:1] * 4

@@ -174,6 +174,35 @@ def test_the_predictor_is_fitted_only_through_fit_predictor():
     assert callers == ["trainer.fit_predictor"]
 
 
+def test_every_lru_cache_is_bounded_by_cache_size():
+    # caches are bounded by construction: each functools cache in the
+    # package is an lru_cache called with maxsize=CACHE_SIZE alone, and the
+    # unbounded functools.cache is not used
+    import ast
+
+    bounded, unbounded = [], []
+    for path in sorted((ROOT / "src" / "valueprover").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{path.stem}: imports cache" for alias in node.names if alias.name == "cache"]
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+                unbounded.append(f"{path.stem}:{node.lineno}")
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name != "lru_cache" or isinstance(node.ctx, ast.Store):
+                continue
+            call = calls.get(id(node))
+            if call is not None and not call.args and [ast.unparse(k) for k in call.keywords] == ["maxsize=CACHE_SIZE"]:
+                bounded.append(f"{path.stem}:{node.lineno}")
+            else:
+                unbounded.append(f"{path.stem}:{node.lineno}")
+    assert not unbounded
+    # argument_tactic, apply_tactic and the closed expansions in env, the
+    # gram table and the hashed vectors in encoder
+    assert len(bounded) == 5, bounded
+
+
 def test_every_checkpoint_parameter_is_an_attribute_of_its_owner(monkeypatch):
     # save_checkpoint and load_checkpoint move each parameter of
     # trainer._PARAMETERS by its name, so each row must name an attribute of
